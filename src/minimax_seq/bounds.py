@@ -28,6 +28,7 @@ Q_eq = {i : r*_i = c_i}.  The fractional pivot belongs to neither set.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .problem import (
     ellipsoid_from_source_set,
     ensure_usable,
 )
-from .truncation import optimal_truncation
+from .truncation import _scan_levels, optimal_truncation
 
 __all__ = [
     "RMS_FACTOR",
@@ -96,6 +97,7 @@ class SandwichReport:
     lower: float
     j_star: float
     chain_ok: bool
+    saturated: bool
 
 
 def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
@@ -192,6 +194,8 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
                       seed: int = 0) -> float:
     """Largest directional derivative over ``count`` sampled feasible
     directions; at a true maximizer this stays at or below rounding noise."""
+    if count < 1:
+        raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     directions = sample_feasible_rectangles(solution.problem, count, seed)
     spectrum = solution.problem.spectrum
     sigma = solution.problem.sigma
@@ -205,13 +209,14 @@ def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
     ``upper`` is the best truncation bound (RMS); ``chain_ok`` confirms the
     computable chain J(r*) <= upper^2 <= 2 J(r*) within relative slack 1e-9.
     When the budget is not exhausted by the water-filling (every coordinate
-    capped), the finite window is too small for the rectangle bound and a
-    saturation warning is issued.
+    capped), the finite window is too small for the rectangle bound: a
+    saturation warning is issued and ``saturated`` is set.
     """
     d_star, upper = optimal_truncation(problem)
     solution = maximize_J_over_ellipsoid(problem)
     j_star = solution.value
-    if len(solution.set_p) == problem.n and problem.sigma > 0.0:
+    saturated = len(solution.set_p) == problem.n and problem.sigma > 0.0
+    if saturated:
         warnings.warn(
             "water-filling capped every coordinate; the rectangle lower bound "
             "needs a larger N", SaturationWarning, stacklevel=2)
@@ -219,7 +224,7 @@ def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
     chain_ok = (u2 >= j_star * (1.0 - _REL_TOL)
                 and u2 <= 2.0 * j_star * (1.0 + _REL_TOL))
     return SandwichReport(problem.sigma, d_star, upper, upper / RMS_FACTOR,
-                          j_star, chain_ok)
+                          j_star, chain_ok, saturated)
 
 
 def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
@@ -235,18 +240,9 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     s = spectrum.values
     sig2 = float(sigma) ** 2
 
-    best_d = 0
-    best = math.inf
-    inv: list[float] = []
-    for d in range(n):
-        variance = sig2 * math.fsum(inv)
-        if variance > best:
-            break
-        value = phi(float(s[d] ** 2)) ** 2 + variance
-        if value < best:
-            best = value
-            best_d = d
-        inv.append(1.0 / s[d] ** 2)
+    best_d, best = _scan_levels(
+        n, lambda d: phi(float(s[d] ** 2)) ** 2, lambda j: 1.0 / s[j] ** 2,
+        lambda terms: sig2 * math.fsum(terms), operator.add)
     if best_d == n - 1:
         warnings.warn(
             f"source-set optimum hit the end of the range (D* = {best_d})",

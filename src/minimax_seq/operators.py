@@ -10,6 +10,7 @@ serialized models compare across runs.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -147,9 +148,11 @@ def load_matrix_bin(path: str) -> np.ndarray:
         if len(header) != 8:
             raise ValidationError(f"{path}: truncated header")
         rows, cols = struct.unpack("<II", header)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * rows * cols > left:
+            raise ValidationError(f"{path}: truncated payload: {rows} x {cols} "
+                                  f"entries claimed, {left} bytes follow")
         payload = fh.read(8 * rows * cols)
-        if len(payload) != 8 * rows * cols:
-            raise ValidationError(f"{path}: truncated payload")
         data = np.frombuffer(payload, dtype="<f8")
     return data.reshape(rows, cols).astype(np.float64)
 

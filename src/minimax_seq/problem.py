@@ -331,8 +331,12 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
     _check_generated(a, problem.ellipsoid.kind, problem.ellipsoid.param, "class", v)
     if not problem.ellipsoid.radius > 0.0:
         v.append((None, "radius positive", f"Q = {problem.ellipsoid.radius!r}"))
+    elif not math.isfinite(problem.ellipsoid.radius):
+        v.append((None, "radius finite", f"Q = {problem.ellipsoid.radius!r}"))
     if not problem.sigma > 0.0:
         v.append((None, "sigma positive", f"sigma = {problem.sigma!r}"))
+    elif not math.isfinite(problem.sigma):
+        v.append((None, "sigma finite", f"sigma = {problem.sigma!r}"))
     if s.size != a.size:
         v.append((None, "length mismatch",
                   f"spectrum length {s.size}, class length {a.size}"))
@@ -388,6 +392,16 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _field(doc: dict, key: str, convert, where: str):
+    """convert(doc[key]); a missing key or a failed conversion is invalid."""
+    if key not in doc:
+        raise ValidationError(f"{where} missing key {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where} key {key!r}: {exc}") from exc
+
+
 def problem_from_json(doc: dict) -> SequenceProblem:
     """Build a problem from its JSON document; unknown keys are rejected."""
     if not isinstance(doc, dict):
@@ -404,10 +418,11 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if kind in ("power", "exponential"):
         _reject_unknown(sp_doc, {"kind", "p", "n_max"}, "spectrum")
         maker = make_power_spectrum if kind == "power" else make_exponential_spectrum
-        spectrum = maker(float(sp_doc["p"]), int(sp_doc["n_max"]))
+        spectrum = maker(_field(sp_doc, "p", float, "spectrum"),
+                         _field(sp_doc, "n_max", int, "spectrum"))
     elif kind == "explicit":
         _reject_unknown(sp_doc, {"kind", "values"}, "spectrum")
-        spectrum = explicit_spectrum(sp_doc["values"])
+        spectrum = _field(sp_doc, "values", explicit_spectrum, "spectrum")
     else:
         raise ValidationError(f"unknown spectrum kind {kind!r}")
 
@@ -415,18 +430,22 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if not isinstance(cl_doc, dict) or "kind" not in cl_doc:
         raise ValidationError("class must be an object with a 'kind'")
     kind = cl_doc["kind"]
+    radius = _field(cl_doc, "Q", float, "class") if "Q" in cl_doc else 1.0
     if kind in ("power", "exponential"):
         _reject_unknown(cl_doc, {"kind", "kappa", "Q"}, "class")
         maker = make_power_class if kind == "power" else make_exponential_class
-        ellipsoid = maker(float(cl_doc["kappa"]), spectrum.n_max,
-                          float(cl_doc.get("Q", 1.0)))
+        ellipsoid = maker(_field(cl_doc, "kappa", float, "class"),
+                          spectrum.n_max, radius)
     elif kind == "explicit":
         _reject_unknown(cl_doc, {"kind", "values", "Q"}, "class")
-        ellipsoid = explicit_class(cl_doc["values"], float(cl_doc.get("Q", 1.0)))
+        ellipsoid = _field(cl_doc, "values",
+                           lambda values: explicit_class(values, radius), "class")
     else:
         raise ValidationError(f"unknown class kind {kind!r}")
 
-    return SequenceProblem(spectrum, ellipsoid, float(doc["sigma"]), int(doc["N"]))
+    return SequenceProblem(spectrum, ellipsoid,
+                           _field(doc, "sigma", float, "problem"),
+                           _field(doc, "N", int, "problem"))
 
 
 def load_problem(path: str) -> SequenceProblem:

@@ -17,15 +17,14 @@ dimension until no optimizer touches the end of its search range.
 from __future__ import annotations
 
 import math
-import os
+import operator
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .bounds import maximize_J_over_ellipsoid, minimax_sandwich
+from .bounds import minimax_sandwich
 from .problem import (
     SaturationError,
     SaturationWarning,
@@ -37,6 +36,7 @@ from .problem import (
     make_power_class,
     make_power_spectrum,
 )
+from .truncation import _scan_levels
 
 __all__ = [
     "REGIME_TAGS",
@@ -144,16 +144,9 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    best_d, best = 0, math.inf
-    inv4: list[float] = []
-    for d in range(n):
-        noise = sig2 * math.sqrt(math.fsum(inv4))
-        if noise > best:
-            break
-        value = max(q2 / a[d] ** 2, noise)
-        if value < best:
-            best, best_d = value, d
-        inv4.append(1.0 / s[d] ** 4)
+    best_d, best = _scan_levels(
+        n, lambda d: q2 / a[d] ** 2, lambda j: 1.0 / s[j] ** 4,
+        lambda terms: sig2 * math.sqrt(math.fsum(terms)), max)
     if best_d == n - 1:
         warnings.warn(f"testing radius optimum hit D = N-1 = {best_d}",
                       SaturationWarning, stacklevel=2)
@@ -170,48 +163,27 @@ def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    best_d, best = 0, q2 / a[0] ** 2
-    for d in range(1, n):
-        noise = sig2 / s[d - 1] ** 2
-        if noise > best:
-            break
-        value = q2 / a[d] ** 2 + noise
-        if value < best:
-            best, best_d = value, d
+    best_d, best = _scan_levels(
+        n, lambda d: q2 / a[d] ** 2, lambda j: s[j] ** 2,
+        lambda terms: sig2 / terms[-1] if terms else 0.0, operator.add)
     if best_d == n - 1:
         warnings.warn(f"deterministic rate optimum hit D = N-1 = {best_d}",
                       SaturationWarning, stacklevel=2)
     return best_d, best
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MSEQ_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"MSEQ_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ValidationError("MSEQ_THREADS must be >= 0 (0 = auto)")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, 32))
-
-
 def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> SweepRow | None:
     """One grid point at dimension n, or None when any optimizer saturates.
 
-    Saturation is detected from returned values (an optimizer at D = N-1,
-    or water-filling that capped every coordinate), not from warnings:
-    warning filters are process-global and grid points run on pool threads.
+    Saturation is read from returned values (an optimizer at D = N-1, or
+    the sandwich's water-filling capping every coordinate), not from
+    warnings, which sweep silences.
     """
     problem = _build_problem(spec, sigma, n)
     report = minimax_sandwich(problem)
     d_test, testing = testing_radius_sq(problem)
     d_det, deterministic = deterministic_rate_sq(problem)
-    if max(report.d_star, d_test, d_det) >= n - 1:
-        return None
-    solution = maximize_J_over_ellipsoid(problem)
-    if len(solution.set_p) == n and sigma > 0.0:
+    if max(report.d_star, d_test, d_det) >= n - 1 or report.saturated:
         return None
     return SweepRow(sigma, report.d_star, report.upper, report.lower,
                     report.j_star, testing, deterministic)
@@ -220,18 +192,14 @@ def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> SweepRow | None:
 def sweep(spec: RegimeSpec) -> list[SweepRow]:
     """Evaluate bounds on the whole noise grid, doubling N until resolved.
 
-    Grid points are independent and evaluated concurrently (worker count
-    capped by MSEQ_THREADS); the output is ordered by the input grid.
+    The output is ordered by the input grid.
     """
-    workers = _worker_count()
     n = spec.n
     while True:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
             try:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    rows = list(pool.map(lambda s: _sweep_point(spec, s, n),
-                                         spec.sigma_grid))
+                rows = [_sweep_point(spec, s, n) for s in spec.sigma_grid]
             except ValidationError as exc:
                 # generator over/underflow at this N: grid cannot be resolved
                 raise SaturationError(

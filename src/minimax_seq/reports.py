@@ -195,9 +195,12 @@ def read_sweep_csv(path: str) -> tuple[list[SweepRow], dict]:
         parts = line.split(",")
         if len(parts) != len(SWEEP_COLUMNS):
             raise ValidationError(f"{path}: malformed row {line!r}")
-        rows.append(SweepRow(float(parts[0]), int(parts[1]), float(parts[2]),
-                             float(parts[3]), float(parts[4]), float(parts[5]),
-                             float(parts[6])))
+        try:
+            rows.append(SweepRow(float(parts[0]), int(parts[1]), float(parts[2]),
+                                 float(parts[3]), float(parts[4]),
+                                 float(parts[5]), float(parts[6])))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed row {line!r}: {exc}") from exc
     if not header_seen:
         raise ValidationError(f"{path}: no column header found")
     return rows, meta

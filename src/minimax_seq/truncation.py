@@ -13,6 +13,7 @@ order through math.fsum so results are exactly rounded and reproducible.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -110,6 +111,28 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
 
 
+def _scan_levels(n: int, bias_sq, term, noise, combine) -> tuple[int, float]:
+    """Level D in 0..n-1 minimizing combine(bias_sq(D), noise(terms)), with
+    terms = [term(0), ..., term(D-1)]; returns (D*, value).
+
+    noise must be non-decreasing in D and combine(b, v) >= v, so the scan
+    stops once the noise alone exceeds the incumbent.  Ties go to the
+    smaller level; term and bias_sq are evaluated only for levels reached.
+    """
+    best_d, best = 0, math.inf
+    terms: list = []
+    for d in range(n):
+        if d:
+            terms.append(term(d - 1))
+        spread = noise(terms)
+        if spread > best:
+            break
+        value = combine(bias_sq(d), spread)
+        if value < best:
+            best_d, best = d, value
+    return best_d, best
+
+
 def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     """Best truncation level and the resulting error bound (RMS units).
 
@@ -126,18 +149,9 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    best_d = 0
-    best_total = math.inf
-    inv = []
-    for d in range(n):
-        variance = sig2 * math.fsum(inv)
-        if variance > best_total:
-            break
-        total = q2 / a[d] ** 2 + variance
-        if total < best_total:
-            best_total = total
-            best_d = d
-        inv.append(1.0 / s[d] ** 2)
+    best_d, best_total = _scan_levels(
+        n, lambda d: q2 / a[d] ** 2, lambda j: 1.0 / s[j] ** 2,
+        lambda terms: sig2 * math.fsum(terms), operator.add)
     if best_d == n - 1:
         warnings.warn(
             f"optimal level hit the end of the range (D* = N-1 = {best_d}); "

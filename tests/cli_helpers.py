@@ -36,7 +36,6 @@ GOLDEN_CASES = [
 
 def run_cli(argv, env_extra=None):
     env = dict(os.environ)
-    env.setdefault("MSEQ_THREADS", "1")
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "minimax_seq", *argv],

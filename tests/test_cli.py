@@ -1,8 +1,17 @@
 import json
+import math
+import struct
 
 import pytest
 
 from cli_helpers import DATA, GOLDEN, GOLDEN_CASES, run_cli, run_golden_case
+
+
+def assert_one_line_error(err: bytes, needle: bytes) -> None:
+    """stderr is one validation message naming ``needle``, no traceback."""
+    assert err.startswith(b"mseq: validation error: ")
+    assert err.count(b"\n") == 1 and err.endswith(b"\n")
+    assert needle in err
 
 
 @pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
@@ -61,13 +70,53 @@ class TestExitCodes:
                               "--out", "/tmp/x.csv"])
         assert code == 2
 
-    def test_bad_thread_env_is_validation_error(self, tmp_path):
-        code, _, err = run_cli(["sweep", "--regime", "pp", "--p", "1",
-                                "--kappa", "2", "--grid", "1e-2:1e-3:2",
-                                "--out", str(tmp_path / "s.csv")],
-                               env_extra={"MSEQ_THREADS": "many"})
-        assert code == 2
-        assert b"MSEQ_THREADS" in err
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_bad_direction_count_is_validation_error(self, count):
+        code, out, err = run_cli(["jmax", "--config",
+                                  str(DATA / "power_problem.json"),
+                                  "--directions", count])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"direction")
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("spectrum", "p", None),  # None: the key is removed
+        ("spectrum", "p", "x"),
+        (None, "sigma", math.inf),
+        ("class", "Q", math.inf),
+    ])
+    def test_bad_config_value_is_validation_error(self, tmp_path, where, key,
+                                                  value):
+        doc = json.loads((DATA / "power_problem.json").read_text())
+        section = doc[where] if where else doc
+        if value is None:
+            del section[key]
+        else:
+            section[key] = value
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))  # writes inf as Infinity
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, key.encode())
+
+    def test_non_integer_level_in_sweep_csv_is_validation_error(self, tmp_path):
+        lines = (GOLDEN / "sweep.golden").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = "4.5"
+        lines[3] = ",".join(fields)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["rates", "--in", str(path)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, lines[3].encode())
+
+    def test_oversized_binary_header_is_validation_error(self, tmp_path):
+        matrix = tmp_path / "huge.bin"
+        matrix.write_bytes(b"MSEQ1" + struct.pack("<II", 2 ** 32 - 1, 2 ** 32 - 1)
+                           + bytes(64))
+        code, out, err = run_cli(["invert", "--matrix", str(matrix),
+                                  "--data", str(DATA / "data8.csv"), "--d", "2"])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"truncated payload")
 
 
 class TestOutputContracts:

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minimax_seq import (
     Observations,
     SaturationWarning,
     SequenceProblem,
     ValidationError,
+    deterministic_rate_sq,
     estimate,
     explicit_class,
     explicit_spectrum,
@@ -15,8 +19,11 @@ from minimax_seq import (
     make_power_class,
     make_power_spectrum,
     optimal_truncation,
+    power_index,
     rho_squared,
+    source_set_bound,
     subset_truncation_risk,
+    testing_radius_sq as radius_sq,
     truncation_risk,
 )
 
@@ -74,23 +81,66 @@ class TestTruncationRisk:
             assert hi.variance >= lo.variance
 
 
+def _argmin(values):
+    """Full-range argmin with ties going to the smaller level."""
+    best = min(range(len(values)), key=lambda d: (values[d], d))
+    return best, values[best]
+
+
+# Dyadic entries keep every sum exact, so equal risks at different levels
+# (ties) are common; the continuous range covers generic spectra.
+_DYADIC = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
+_ENTRY = st.one_of(_DYADIC, st.floats(0.05, 4.0))
+
+
+@st.composite
+def _scan_inputs(draw):
+    n = draw(st.integers(1, 30))
+    elements = _DYADIC if draw(st.booleans()) else _ENTRY
+    s = sorted(draw(st.lists(elements, min_size=n, max_size=n)), reverse=True)
+    a = sorted(draw(st.lists(elements, min_size=n, max_size=n)))
+    q = draw(st.one_of(_DYADIC, st.floats(0.5, 2.0)))
+    sigma = draw(st.one_of(st.sampled_from([0.0, 0.125, 0.5, 1.0]),
+                           st.floats(1e-4, 1.0)))
+    exponent = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return s, a, q, sigma, exponent
+
+
 class TestOptimalTruncation:
-    def test_matches_exhaustive_argmin(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(3, 40))
-            p = SequenceProblem(
-                explicit_spectrum(np.sort(rng.uniform(0.05, 2.0, n))[::-1]),
-                explicit_class(np.sort(rng.uniform(0.5, 50.0, n)),
-                               float(rng.uniform(0.5, 2.0))),
-                float(rng.uniform(1e-3, 0.5)), n)
-            totals = [truncation_risk(p, d).total for d in range(n)]
-            want = min(range(n), key=lambda d: (totals[d], d))
-            import warnings
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SaturationWarning)
-                d_star, bound = optimal_truncation(p)
-            assert d_star == want
-            assert bound == math.sqrt(totals[want])
+    @given(_scan_inputs())
+    @example(([1.0] * 6, [1.0] * 6, 1.0, 0.0, 0.5))  # every level ties
+    # testing radius ties at D = 1..5
+    @example(([1.0] * 6, [1.0, 2.0, 2.0, 2.0, 2.0, 2.0], 1.0, 0.125, 1.0))
+    @example(([0.5] * 3, [1.0, 1.0, 3.0], 3.0, 1.0, 1.0))  # risk 9, 13, 9
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exhaustive_argmin(self, inputs):
+        """All four level scans stop early; each must still return the
+        full-range argmin and its value, bit for bit."""
+        s, a, q, sigma, exponent = inputs
+        n = len(s)
+        p = SequenceProblem(explicit_spectrum(s), explicit_class(a, q), sigma, n)
+        spec = p.spectrum.values
+        sig2 = sigma ** 2
+        inv2 = [math.fsum(1.0 / spec[j] ** 2 for j in range(d)) for d in range(n)]
+        inv4 = [math.fsum(1.0 / spec[j] ** 4 for j in range(d)) for d in range(n)]
+        bias = [q ** 2 / p.ellipsoid.weights[d] ** 2 for d in range(n)]
+        phi = power_index(2.0 * exponent, 1.0)  # phi(t) = t^exponent
+
+        totals = [truncation_risk(p, d).total for d in range(n)]
+        testing = [max(bias[d], sig2 * math.sqrt(inv4[d])) for d in range(n)]
+        deterministic = [bias[d] + (sig2 / spec[d - 1] ** 2 if d else 0.0)
+                         for d in range(n)]
+        source = [phi(float(spec[d] ** 2)) ** 2 + sig2 * inv2[d] for d in range(n)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SaturationWarning)
+            d_star, bound = optimal_truncation(p)
+            want_d, want = _argmin(totals)
+            assert (d_star, bound) == (want_d, math.sqrt(want))
+            assert radius_sq(p) == _argmin(testing)
+            assert deterministic_rate_sq(p) == _argmin(deterministic)
+            d_src, bound_sq, _ = source_set_bound(phi, p.spectrum, sigma)
+            assert (d_src, bound_sq) == _argmin(source)
 
     def test_huge_noise_selects_zero(self):
         p = toy_problem(sigma=10.0)

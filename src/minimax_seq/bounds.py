@@ -43,7 +43,7 @@ from .problem import (
     ellipsoid_from_source_set,
     ensure_usable,
 )
-from .truncation import _scan_levels, optimal_truncation
+from .truncation import _exact_prefix_sums, _scan_levels, optimal_truncation
 
 __all__ = [
     "RMS_FACTOR",
@@ -240,9 +240,9 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     s = spectrum.values
     sig2 = float(sigma) ** 2
 
+    variances = map(sig2.__mul__, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best = _scan_levels(
-        n, lambda d: phi(float(s[d] ** 2)) ** 2, lambda j: 1.0 / s[j] ** 2,
-        lambda terms: sig2 * math.fsum(terms), operator.add)
+        n, lambda d: phi(float(s[d] ** 2)) ** 2, variances, operator.add)
     if best_d == n - 1:
         warnings.warn(
             f"source-set optimum hit the end of the range (D* = {best_d})",

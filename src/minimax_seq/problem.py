@@ -179,8 +179,8 @@ class ValidationReport:
 
 def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
     """Singular values s_j = j^-p for j = 1..n_max."""
-    if not p > 0:
-        raise ValidationError(f"power spectrum needs p > 0, got {p!r}")
+    if not (p > 0 and math.isfinite(p)):
+        raise ValidationError(f"power spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
     j = np.arange(1, n_max + 1, dtype=np.float64)
@@ -189,8 +189,8 @@ def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
 
 def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
     """Singular values s_j = exp(-p*j) for j = 1..n_max."""
-    if not p > 0:
-        raise ValidationError(f"exponential spectrum needs p > 0, got {p!r}")
+    if not (p > 0 and math.isfinite(p)):
+        raise ValidationError(f"exponential spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
     j = np.arange(1, n_max + 1, dtype=np.float64)
@@ -210,8 +210,8 @@ def explicit_spectrum(values: Sequence[float]) -> SingularSpectrum:
 
 def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
     """Weights a_j = j^kappa (moderate smoothness)."""
-    if not kappa > 0:
-        raise ValidationError(f"power class needs kappa > 0, got {kappa!r}")
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise ValidationError(f"power class needs finite kappa > 0, got {kappa!r}")
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     j = np.arange(1, n_max + 1, dtype=np.float64)
@@ -220,8 +220,8 @@ def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> Ellipsoid
 
 def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
     """Weights a_j = exp(kappa*j) (analytic smoothness)."""
-    if not kappa > 0:
-        raise ValidationError(f"exponential class needs kappa > 0, got {kappa!r}")
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise ValidationError(f"exponential class needs finite kappa > 0, got {kappa!r}")
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     j = np.arange(1, n_max + 1, dtype=np.float64)
@@ -329,14 +329,17 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
                   f"a_{int(j) + 2} = {a[int(j) + 1]!r} < a_{int(j) + 1} = {a[int(j)]!r}"))
     _check_generated(s, problem.spectrum.kind, problem.spectrum.param, "spectrum", v)
     _check_generated(a, problem.ellipsoid.kind, problem.ellipsoid.param, "class", v)
-    if not problem.ellipsoid.radius > 0.0:
-        v.append((None, "radius positive", f"Q = {problem.ellipsoid.radius!r}"))
-    elif not math.isfinite(problem.ellipsoid.radius):
-        v.append((None, "radius finite", f"Q = {problem.ellipsoid.radius!r}"))
+    # the risks use Q^2 and sigma^2, so the squares must be positive and finite
+    q = problem.ellipsoid.radius
+    if not q > 0.0:
+        v.append((None, "radius positive", f"Q = {q!r}"))
+    elif not 0.0 < q * q < math.inf:
+        v.append((None, "radius squared positive and finite", f"Q = {q!r}"))
     if not problem.sigma > 0.0:
         v.append((None, "sigma positive", f"sigma = {problem.sigma!r}"))
-    elif not math.isfinite(problem.sigma):
-        v.append((None, "sigma finite", f"sigma = {problem.sigma!r}"))
+    elif not 0.0 < problem.sigma * problem.sigma < math.inf:
+        v.append((None, "sigma squared positive and finite",
+                  f"sigma = {problem.sigma!r}"))
     if s.size != a.size:
         v.append((None, "length mismatch",
                   f"spectrum length {s.size}, class length {a.size}"))
@@ -452,6 +455,6 @@ def load_problem(path: str) -> SequenceProblem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an oversized integer
             raise ValidationError(f"config {path}: {exc}") from exc
     return problem_from_json(doc)

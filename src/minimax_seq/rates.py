@@ -16,6 +16,7 @@ dimension until no optimizer touches the end of its search range.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -36,7 +37,7 @@ from .problem import (
     make_power_class,
     make_power_spectrum,
 )
-from .truncation import _scan_levels
+from .truncation import _exact_prefix_sums, _scan_levels
 
 __all__ = [
     "REGIME_TAGS",
@@ -79,6 +80,9 @@ class RegimeSpec:
             raise ValidationError(f"unknown spectrum kind {self.spectrum_kind!r}")
         if self.smoothness_kind not in ("power", "exponential"):
             raise ValidationError(f"unknown smoothness kind {self.smoothness_kind!r}")
+        for name, value in (("p", self.p), ("kappa", self.kappa)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"regime needs finite {name} > 0, got {value!r}")
         grid = tuple(float(s) for s in self.sigma_grid)
         if not grid or any(s <= 0.0 for s in grid):
             raise ValidationError("sigma grid must be non-empty and positive")
@@ -144,9 +148,9 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    best_d, best = _scan_levels(
-        n, lambda d: q2 / a[d] ** 2, lambda j: 1.0 / s[j] ** 4,
-        lambda terms: sig2 * math.sqrt(math.fsum(terms)), max)
+    spreads = map(sig2.__mul__,
+                  map(math.sqrt, _exact_prefix_sums(1.0 / x ** 4 for x in s)))
+    best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, max)
     if best_d == n - 1:
         warnings.warn(f"testing radius optimum hit D = N-1 = {best_d}",
                       SaturationWarning, stacklevel=2)
@@ -163,17 +167,20 @@ def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    best_d, best = _scan_levels(
-        n, lambda d: q2 / a[d] ** 2, lambda j: s[j] ** 2,
-        lambda terms: sig2 / terms[-1] if terms else 0.0, operator.add)
+    spreads = itertools.chain((0.0,), (sig2 / x ** 2 for x in s))
+    best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, operator.add)
     if best_d == n - 1:
         warnings.warn(f"deterministic rate optimum hit D = N-1 = {best_d}",
                       SaturationWarning, stacklevel=2)
     return best_d, best
 
 
-def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> SweepRow | None:
-    """One grid point at dimension n, or None when any optimizer saturates.
+_OPTIMIZERS = ("estimation", "testing", "deterministic", "water-filling")
+
+
+def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> tuple[SweepRow, tuple]:
+    """One grid point at dimension n, with one flag per entry of _OPTIMIZERS,
+    set where that optimizer touches the end of its search range.
 
     Saturation is read from returned values (an optimizer at D = N-1, or
     the sandwich's water-filling capping every coordinate), not from
@@ -183,33 +190,38 @@ def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> SweepRow | None:
     report = minimax_sandwich(problem)
     d_test, testing = testing_radius_sq(problem)
     d_det, deterministic = deterministic_rate_sq(problem)
-    if max(report.d_star, d_test, d_det) >= n - 1 or report.saturated:
-        return None
-    return SweepRow(sigma, report.d_star, report.upper, report.lower,
-                    report.j_star, testing, deterministic)
+    row = SweepRow(sigma, report.d_star, report.upper, report.lower,
+                   report.j_star, testing, deterministic)
+    return row, (report.d_star >= n - 1, d_test >= n - 1, d_det >= n - 1,
+                 report.saturated)
 
 
 def sweep(spec: RegimeSpec) -> list[SweepRow]:
     """Evaluate bounds on the whole noise grid, doubling N until resolved.
 
-    The output is ordered by the input grid.
+    The output is ordered by the input grid.  When N reaches its cap with
+    the grid still unresolved, the SaturationError names the optimizers
+    that still touch the end of their range.
     """
     n = spec.n
     while True:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)
             try:
-                rows = [_sweep_point(spec, s, n) for s in spec.sigma_grid]
+                points = [_sweep_point(spec, s, n) for s in spec.sigma_grid]
             except ValidationError as exc:
                 # generator over/underflow at this N: grid cannot be resolved
                 raise SaturationError(
                     f"regime {spec.tag}: dimension N = {n} is not representable "
                     f"({exc}); the noise grid cannot be resolved") from exc
-        if all(row is not None for row in rows):
-            return rows
+        touching = [any(flags) for flags in zip(*(flags for _, flags in points))]
+        if not any(touching):
+            return [row for row, _ in points]
         if n >= _MAX_N:
+            names = ", ".join(name for name, hit in zip(_OPTIMIZERS, touching) if hit)
             raise SaturationError(
-                f"regime {spec.tag}: optimizer still saturated at N = {n}; "
+                f"regime {spec.tag}: still saturated at N = {n}, where these "
+                f"optimizers touch the end of their range: {names}; "
                 "refusing to grow the model further")
         n *= 2
 

@@ -174,7 +174,10 @@ def read_sweep_csv(path: str) -> tuple[list[SweepRow], dict]:
     rows: list[SweepRow] = []
     header_seen = False
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not ASCII text: {exc}") from exc
     if not lines or lines[0] != SCHEMA_HEADER:
         raise ValidationError(
             f"{path}: missing schema header {SCHEMA_HEADER!r}")

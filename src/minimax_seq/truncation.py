@@ -6,8 +6,10 @@ Its worst-case squared risk over the ellipsoid has the closed form
     Q^2 / a_{D+1}^2  +  sigma^2 * sum_{j<=D} 1/s_j^2
 
 (squared bias plus accumulated noise variance), attained at the spike
-element with theta_{D+1} = Q/a_{D+1}.  All sums run in ascending index
-order through math.fsum so results are exactly rounded and reproducible.
+element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
+exactly rounded value of its exact sum (math.fsum, or the running sum of
+_exact_prefix_sums, which reads the same bits), so results do not depend
+on summation order and are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
 
 def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     """Exact worst-case squared risk of truncating at level D (0 <= D <= N-1)."""
+    ensure_usable(problem)
     n = problem.n
     if not 0 <= D <= n - 1:
         raise ValidationError(
@@ -111,20 +114,64 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
 
 
-def _scan_levels(n: int, bias_sq, term, noise, combine) -> tuple[int, float]:
-    """Level D in 0..n-1 minimizing combine(bias_sq(D), noise(terms)), with
-    terms = [term(0), ..., term(D-1)]; returns (D*, value).
+# Unfolded terms a running prefix sum holds before it folds them into an
+# exact expansion; a readout is one math.fsum over the expansion and them.
+_FOLD = 32
 
-    noise must be non-decreasing in D and combine(b, v) >= v, so the scan
-    stops once the noise alone exceeds the incumbent.  Ties go to the
-    smaller level; term and bias_sq are evaluated only for levels reached.
+
+def _exact_prefix_sums(terms):
+    """Yield 0.0, then the exactly rounded sum of each prefix of ``terms``
+    (non-negative floats): the k-th value is math.fsum(terms[:k]) bit for bit,
+    at O(1) amortised cost per term instead of O(k).
+
+    ``partials`` is an exact expansion of the terms folded so far (a few
+    floats whose exact sum is theirs) followed by the unfolded tail.  Its
+    exact sum is the exact prefix sum, and math.fsum rounds the exact sum of
+    its input correctly (Shewchuk's partials), so one fsum over it reads the
+    same bits as an fsum over the whole prefix.  Once _FOLD terms have been
+    added since the last fold, the list is replaced by its own expansion:
+    r_0 = fsum(list), then r_k = fsum(list + [-r_0, ..., -r_{k-1}]) until
+    r_k == 0.  Each r_k is the rounded exact remainder, so r_0 + ... + r_{k-1}
+    is the list's exact sum; each remainder is at most 2^-53 of the one
+    before, so the expansion is short (usually 1-3 floats).
+
+    A prefix that holds an infinite term, or whose fsum overflows, reads as
+    inf: with no negative term, fsum overflows only once the exact sum has
+    reached the overflow threshold (to within one rounding), and every later
+    prefix is at least as large.
+    """
+    fsum, inf = math.fsum, math.inf
+    total, partials, fold_at = 0.0, [], _FOLD
+    yield total
+    for term in terms:
+        if total != inf:
+            partials.append(term)
+            try:
+                total = fsum(partials)
+            except OverflowError:
+                total = inf
+            if len(partials) >= fold_at and total != inf:
+                expansion = [total]
+                while remainder := fsum(partials + [-r for r in expansion]):
+                    expansion.append(remainder)
+                partials, fold_at = expansion, len(expansion) + _FOLD
+        yield total
+
+
+def _scan_levels(n: int, bias_sq, spreads, combine) -> tuple[int, float]:
+    """Level D in 0..n-1 minimizing combine(bias_sq(D), spread_D), where
+    spread_D is the D-th value drawn from the iterable ``spreads``; returns
+    (D*, value).
+
+    spreads must be non-decreasing and combine(b, v) >= v, so the scan stops
+    once the spread alone exceeds the incumbent and draws no further value
+    from spreads.  Ties go to the smaller level; bias_sq is evaluated only
+    for levels reached.  The scans whose noise is a sum over the prefix draw
+    it from _exact_prefix_sums, so a level costs O(1) amortised work and the
+    result is the one an fsum over each whole prefix gives, bit for bit.
     """
     best_d, best = 0, math.inf
-    terms: list = []
-    for d in range(n):
-        if d:
-            terms.append(term(d - 1))
-        spread = noise(terms)
+    for d, spread in zip(range(n), spreads):
         if spread > best:
             break
         value = combine(bias_sq(d), spread)
@@ -149,9 +196,9 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
+    variances = map(sig2.__mul__, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best_total = _scan_levels(
-        n, lambda d: q2 / a[d] ** 2, lambda j: 1.0 / s[j] ** 2,
-        lambda terms: sig2 * math.fsum(terms), operator.add)
+        n, lambda d: q2 / a[d] ** 2, variances, operator.add)
     if best_d == n - 1:
         warnings.warn(
             f"optimal level hit the end of the range (D* = N-1 = {best_d}); "

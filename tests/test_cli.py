@@ -8,10 +8,21 @@ from cli_helpers import DATA, GOLDEN, GOLDEN_CASES, run_cli, run_golden_case
 
 
 def assert_one_line_error(err: bytes, needle: bytes) -> None:
-    """stderr is one validation message naming ``needle``, no traceback."""
+    """stderr is one short validation message naming ``needle``, no traceback."""
     assert err.startswith(b"mseq: validation error: ")
     assert err.count(b"\n") == 1 and err.endswith(b"\n")
+    assert len(err) <= 300
     assert needle in err
+
+
+def explicit_config(tmp_path, values, weights, sigma):
+    """Write an explicit-spectrum config with Q = 1; returns its path."""
+    doc = {"spectrum": {"kind": "explicit", "values": values},
+           "class": {"kind": "explicit", "values": weights, "Q": 1.0},
+           "sigma": sigma, "N": len(values)}
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps(doc))
+    return config
 
 
 @pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
@@ -83,6 +94,10 @@ class TestExitCodes:
         ("spectrum", "p", "x"),
         (None, "sigma", math.inf),
         ("class", "Q", math.inf),
+        ("class", "Q", 1e200),  # Q^2 overflows
+        (None, "sigma", 1e200),  # sigma^2 overflows
+        ("class", "kappa", math.inf),
+        ("spectrum", "p", math.inf),
     ])
     def test_bad_config_value_is_validation_error(self, tmp_path, where, key,
                                                   value):
@@ -97,6 +112,50 @@ class TestExitCodes:
         code, out, err = run_cli(["optimal", "--config", str(config)])
         assert (code, out) == (2, b"")
         assert_one_line_error(err, key.encode())
+
+    def test_overflowing_prefix_sum_reads_as_infinite(self, tmp_path):
+        # 1/s_j^2 = 1e308, so the noise sum overflows at D = 2; sigma^2 = 1e-320
+        # keeps the noise of D = 1 small enough that the scan gets there
+        config = explicit_config(tmp_path, [1e-154] * 4, [1.0, 1e6, 1e9, 1e12],
+                                 1e-160)
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, err) == (0, b"")
+        doc = json.loads(out)
+        assert (doc["D_star"], doc["chain_ok"]) == (1, True)
+        code, out, _ = run_cli(["risk", "--config", str(config), "--d", "1"])
+        assert code == 0
+        assert doc["upper"] == json.loads(out)["rmse"]
+
+    def test_underflowing_noise_level_is_validation_error(self, tmp_path):
+        # sigma^2 underflows to 0, and 1/s_j^2 would overflow the noise sum
+        config = explicit_config(tmp_path, [1e-154] * 4, [1e-200] * 4, 1e-300)
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"sigma squared")
+
+    def test_config_that_is_not_utf8_is_validation_error(self, tmp_path):
+        config = tmp_path / "problem.json"
+        config.write_bytes(b"\xff\xfe" + (DATA / "power_problem.json").read_bytes())
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"utf-8")
+
+    def test_sweep_csv_that_is_not_ascii_is_validation_error(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_bytes((GOLDEN / "sweep.golden").read_bytes().replace(
+            b"regime=pp", b"regime=p\xe9"))
+        code, out, err = run_cli(["rates", "--in", str(path)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"not ASCII")
+
+    @pytest.mark.parametrize("flags", [["--p", "inf", "--kappa", "1"],
+                                       ["--p", "1", "--kappa", "inf"]])
+    def test_non_finite_sweep_exponent_is_validation_error(self, tmp_path, flags):
+        code, out, err = run_cli(["sweep", "--regime", "pe", *flags,
+                                  "--grid", "1e-2:1e-3:5",
+                                  "--out", str(tmp_path / "s.csv")])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"finite")
 
     def test_non_integer_level_in_sweep_csv_is_validation_error(self, tmp_path):
         lines = (GOLDEN / "sweep.golden").read_text().splitlines()

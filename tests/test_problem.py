@@ -47,12 +47,19 @@ class TestSpectrumConstructors:
         sp = make_exponential_spectrum(0.5, 2)
         np.testing.assert_allclose(sp.values, [math.exp(-0.5), math.exp(-1.0)])
 
-    @pytest.mark.parametrize("p,n", [(0.0, 3), (-1.0, 3), (1.0, 0)])
+    @pytest.mark.parametrize("p,n", [(0.0, 3), (-1.0, 3), (1.0, 0), (math.inf, 3)])
     def test_invalid_parameters(self, p, n):
         with pytest.raises(ValidationError):
             make_power_spectrum(p, n)
         with pytest.raises(ValidationError):
             make_exponential_spectrum(p, n)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_class_exponent(self, kappa):
+        with pytest.raises(ValidationError, match="kappa"):
+            make_power_class(kappa, 3)
+        with pytest.raises(ValidationError, match="kappa"):
+            make_exponential_class(kappa, 3)
 
     def test_generator_round_trip(self):
         # s_j * j^p recovers 1 to machine precision for power spectra
@@ -144,6 +151,19 @@ class TestValidation:
         report = validate_problem(p)
         assert report.passed == (len(report.violations) == 0)
         assert not report.passed
+
+    @pytest.mark.parametrize("radius, sigma, rule", [
+        (1e200, 0.1, "radius squared positive and finite"),   # Q^2 overflows
+        (1e-170, 0.1, "radius squared positive and finite"),  # Q^2 underflows
+        (math.inf, 0.1, "radius squared positive and finite"),
+        (1.0, 1e160, "sigma squared positive and finite"),
+        (1.0, 1e-300, "sigma squared positive and finite"),
+        (1.0, math.inf, "sigma squared positive and finite"),
+    ])
+    def test_unrepresentable_squares_flagged(self, radius, sigma, rule):
+        p = SequenceProblem(make_power_spectrum(1.0, 4),
+                            make_power_class(1.0, 4, radius), sigma, 4)
+        assert [v[1] for v in validate_problem(p).violations] == [rule]
 
     def test_increasing_spectrum_flagged(self):
         p = SequenceProblem(explicit_spectrum([0.5, 1.0]),

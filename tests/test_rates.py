@@ -57,6 +57,24 @@ class TestSweep:
         with pytest.raises(SaturationError, match="saturated"):
             sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-6,), n=8))
 
+    @pytest.mark.parametrize("p, kappa, sigma, n, names", [
+        # deterministic optimum D ~ (2/sigma^2)^(1/3) = 126 > 63; the others resolve
+        (0.5, 1.0, 1e-3, 64, "deterministic"),
+        (1.0, 2.0, 1e-6, 8, "estimation, testing, deterministic, water-filling"),
+    ])
+    def test_dimension_cap_names_saturated_optimizers(self, monkeypatch, p, kappa,
+                                                      sigma, n, names):
+        monkeypatch.setattr(rates_mod, "_MAX_N", n)
+        with pytest.raises(SaturationError) as info:
+            sweep(RegimeSpec.from_tag("pp", p, kappa, (sigma,), n=n))
+        assert f"touch the end of their range: {names};" in str(info.value)
+
+    @pytest.mark.parametrize("p, kappa", [(math.inf, 1.0), (1.0, math.nan),
+                                          (0.0, 1.0)])
+    def test_spec_rejects_bad_exponents(self, p, kappa):
+        with pytest.raises(ValidationError, match="finite"):
+            RegimeSpec.from_tag("pp", p, kappa, (1e-3,))
+
     def test_rows_follow_grid_order(self):
         grid = (1e-2, 1e-3, 1e-4)
         rows = sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, grid))

@@ -26,6 +26,7 @@ from minimax_seq import (
     testing_radius_sq as radius_sq,
     truncation_risk,
 )
+from minimax_seq.truncation import _exact_prefix_sums
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -88,22 +89,73 @@ def _argmin(values):
 
 
 # Dyadic entries keep every sum exact, so equal risks at different levels
-# (ties) are common; the continuous range covers generic spectra.
-_DYADIC = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
-_ENTRY = st.one_of(_DYADIC, st.floats(0.05, 4.0))
+# (ties) are common; the continuous range covers generic spectra, and the
+# wide one (about 1e-30..1, with noise levels down to 1e-40) sums terms of
+# very different magnitudes.  Sizes reach a few hundred levels, so the
+# running prefix sums of the scans fold many times; the entries come from a
+# drawn seed, because drawing hundreds of floats one by one is slow.
+_DYADIC = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _entries(kind, rng, n):
+    if kind == "dyadic":
+        return rng.choice(_DYADIC, n)
+    if kind == "mixed":
+        return np.where(rng.random(n) < 0.5, rng.choice(_DYADIC, n),
+                        rng.uniform(0.05, 4.0, n))
+    return 10.0 ** rng.uniform(-30.0, 0.0, n)
 
 
 @st.composite
 def _scan_inputs(draw):
-    n = draw(st.integers(1, 30))
-    elements = _DYADIC if draw(st.booleans()) else _ENTRY
-    s = sorted(draw(st.lists(elements, min_size=n, max_size=n)), reverse=True)
-    a = sorted(draw(st.lists(elements, min_size=n, max_size=n)))
-    q = draw(st.one_of(_DYADIC, st.floats(0.5, 2.0)))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = st.sampled_from(["dyadic", "mixed", "wide"])
+    s = np.sort(_entries(draw(kinds), rng, n))[::-1]
+    a = np.sort(_entries(draw(kinds), rng, n))
+    if draw(st.booleans()):
+        a = 1.0 / a[::-1]  # weights from 1 up to about 1e30 when wide
+    q = draw(st.one_of(st.sampled_from(_DYADIC), st.floats(0.5, 2.0)))
     sigma = draw(st.one_of(st.sampled_from([0.0, 0.125, 0.5, 1.0]),
-                           st.floats(1e-4, 1.0)))
+                           st.floats(1e-4, 1.0),
+                           st.floats(-40.0, 0.0).map(lambda e: 10.0 ** e)))
     exponent = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    return s, a, q, sigma, exponent
+    return s.tolist(), a.tolist(), q, sigma, exponent
+
+
+def _prefix_fsums(terms):
+    """math.fsum of every prefix of terms, an overflowing sum read as inf."""
+    out = []
+    for k in range(len(terms) + 1):
+        try:
+            out.append(math.fsum(terms[:k]))
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+_TERM = st.one_of(
+    st.floats(0.0, allow_nan=False),  # includes inf
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, 1e308,
+                     1.7976931348623157e308, math.inf]),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+)
+
+
+class TestExactPrefixSums:
+    @given(st.lists(_TERM, max_size=300))
+    @example([1e308, 1e308, 1.0])  # fsum overflows at the second term
+    @example([1.0] * 40 + [1e308, 1e308])  # overflow after a fold
+    @example([1e308, 1e308, math.inf])  # fsum overflows, not inf + 1e308
+    @example([math.inf] + [1.0] * 40)
+    @example([1.0, 1e-300, 3.0] * 50)  # expansions of several floats
+    @example([2.0 ** -1074] * 70 + [1e300] * 70)
+    @settings(max_examples=300, deadline=None)
+    def test_readout_is_fsum_of_every_prefix(self, terms):
+        """Every value the running sum reads out is math.fsum of the prefix,
+        bit for bit, through and past each fold."""
+        got = list(_exact_prefix_sums(iter(terms)))
+        assert [x.hex() for x in got] == [x.hex() for x in _prefix_fsums(terms)]
 
 
 class TestOptimalTruncation:
@@ -121,12 +173,12 @@ class TestOptimalTruncation:
         p = SequenceProblem(explicit_spectrum(s), explicit_class(a, q), sigma, n)
         spec = p.spectrum.values
         sig2 = sigma ** 2
-        inv2 = [math.fsum(1.0 / spec[j] ** 2 for j in range(d)) for d in range(n)]
-        inv4 = [math.fsum(1.0 / spec[j] ** 4 for j in range(d)) for d in range(n)]
+        inv2 = _prefix_fsums([1.0 / spec[j] ** 2 for j in range(n)])
+        inv4 = _prefix_fsums([1.0 / spec[j] ** 4 for j in range(n)])
         bias = [q ** 2 / p.ellipsoid.weights[d] ** 2 for d in range(n)]
         phi = power_index(2.0 * exponent, 1.0)  # phi(t) = t^exponent
 
-        totals = [truncation_risk(p, d).total for d in range(n)]
+        totals = [bias[d] + sig2 * inv2[d] for d in range(n)]
         testing = [max(bias[d], sig2 * math.sqrt(inv4[d])) for d in range(n)]
         deterministic = [bias[d] + (sig2 / spec[d - 1] ** 2 if d else 0.0)
                          for d in range(n)]
@@ -137,6 +189,7 @@ class TestOptimalTruncation:
             d_star, bound = optimal_truncation(p)
             want_d, want = _argmin(totals)
             assert (d_star, bound) == (want_d, math.sqrt(want))
+            assert truncation_risk(p, d_star).total == want
             assert radius_sq(p) == _argmin(testing)
             assert deterministic_rate_sq(p) == _argmin(deterministic)
             d_src, bound_sq, _ = source_set_bound(phi, p.spectrum, sigma)

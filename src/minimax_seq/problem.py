@@ -157,12 +157,17 @@ class IndexFunction:
 
 @dataclass(frozen=True, eq=False)
 class SequenceProblem:
-    """A spectrum, a smoothness class, and a noise level of common length."""
+    """A spectrum, a smoothness class, and a noise level of common length.
+
+    ``_usable`` records a passed ensure_usable: every field is frozen and the
+    arrays are read-only, so the outcome cannot change afterwards.
+    """
 
     spectrum: SingularSpectrum
     ellipsoid: EllipsoidClass
     sigma: float
     n: int
+    _usable: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", float(self.sigma))
@@ -184,7 +189,11 @@ def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
     j = np.arange(1, n_max + 1, dtype=np.float64)
-    return SingularSpectrum(j ** (-float(p)), "power", float(p), int(n_max))
+    values = j ** (-float(p))
+    if values[-1] <= 0.0:
+        raise ValidationError(
+            f"j^-p underflows to 0 at j={n_max} for p={p!r}; reduce n_max")
+    return SingularSpectrum(values, "power", float(p), int(n_max))
 
 
 def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
@@ -225,7 +234,8 @@ def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> Ell
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     j = np.arange(1, n_max + 1, dtype=np.float64)
-    weights = np.exp(float(kappa) * j)
+    with np.errstate(over="ignore"):  # reported below, as one ValidationError
+        weights = np.exp(float(kappa) * j)
     if not np.all(np.isfinite(weights)):
         raise ValidationError(
             f"exp(kappa*j) overflows at j={n_max} for kappa={kappa!r}; reduce n_max"
@@ -327,6 +337,12 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
     for j in np.nonzero(np.diff(a) < 0.0)[0]:
         v.append((int(j) + 2, "a non-decreasing",
                   f"a_{int(j) + 2} = {a[int(j) + 1]!r} < a_{int(j) + 1} = {a[int(j)]!r}"))
+    # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf (exponential classes) is fine
+    with np.errstate(over="ignore"):
+        tiny = np.nonzero((a > 0.0) & ~(a * a > 0.0))[0]
+    if tiny.size:
+        j = int(tiny[0])
+        v.append((j + 1, "a squared positive", f"a_{j + 1} = {float(a[j])!r}"))
     _check_generated(s, problem.spectrum.kind, problem.spectrum.param, "spectrum", v)
     _check_generated(a, problem.ellipsoid.kind, problem.ellipsoid.param, "class", v)
     # the risks use Q^2 and sigma^2, so the squares must be positive and finite
@@ -343,6 +359,8 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
     if s.size != a.size:
         v.append((None, "length mismatch",
                   f"spectrum length {s.size}, class length {a.size}"))
+    if problem.n < 1:
+        v.append((None, "N at least 1", f"N = {problem.n}"))
     if problem.n != s.size:
         v.append((None, "N mismatch", f"N = {problem.n}, spectrum length {s.size}"))
     return ValidationReport(passed=not v, violations=tuple(v))
@@ -353,13 +371,18 @@ def ensure_usable(problem: SequenceProblem) -> None:
 
     Same checks as validate_problem except that sigma = 0 is tolerated:
     the noiseless limit is a documented edge case of several operations.
+    A pass is stored on the problem, so later calls return at once; a
+    failing problem is checked again, and raises again, on every call.
     """
+    if problem._usable:
+        return
     report = validate_problem(problem)
     bad = [x for x in report.violations
            if not (x[1] == "sigma positive" and problem.sigma == 0.0)]
     if bad:
         lines = "; ".join(f"{rule} (index {idx}): {detail}" for idx, rule, detail in bad)
         raise ValidationError(f"invalid problem: {lines}")
+    object.__setattr__(problem, "_usable", True)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,49 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, b"sigma squared")
 
+    @pytest.mark.parametrize("command", [["optimal"], ["risk", "--d", "1"]])
+    def test_underflowing_weight_squares_are_validation_error(self, tmp_path,
+                                                              command):
+        # Q^2/a_j^2 would be inf at every level; only the first index is named
+        config = explicit_config(tmp_path, [1.0, 0.5, 0.25], [1e-200] * 3, 0.1)
+        code, out, err = run_cli([command[0], "--config", str(config),
+                                  *command[1:]])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"a squared positive (index 1)")
+        assert err.count(b"a squared positive") == 1
+
+    def test_overflowing_class_generator_is_one_line(self, tmp_path):
+        # exp(10*j) overflows at j = 71; numpy must not warn on stderr
+        doc = json.loads((DATA / "power_problem.json").read_text())
+        doc["class"] = {"kind": "exponential", "kappa": 10.0, "Q": 1.0}
+        doc["spectrum"]["n_max"] = doc["N"] = 100
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"overflows")
+
+    @pytest.mark.parametrize("command", ["optimal", "jmax"])
+    def test_zero_dimension_is_validation_error(self, tmp_path, command):
+        config = explicit_config(tmp_path, [], [], 0.1)
+        code, out, err = run_cli([command, "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"N at least 1")
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--q", "1e200", "--grid", "1e-2:1e-3:5"], b"Q^2"),
+        (["--q", "-1", "--grid", "1e-2:1e-3:5"], b"Q > 0"),
+        (["--n", "0", "--grid", "1e-2:1e-3:5"], b"at least 1"),
+        (["--grid", "1e-100:1e-200:5"], b"sigma^2"),  # sigma^2 underflows
+    ])
+    def test_unrepresentable_sweep_input_is_validation_error(self, tmp_path,
+                                                             flags, needle):
+        code, out, err = run_cli(["sweep", "--regime", "pp", "--p", "1",
+                                  "--kappa", "2", *flags,
+                                  "--out", str(tmp_path / "s.csv")])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, needle)
+
     def test_config_that_is_not_utf8_is_validation_error(self, tmp_path):
         config = tmp_path / "problem.json"
         config.write_bytes(b"\xff\xfe" + (DATA / "power_problem.json").read_bytes())

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import minimax_seq.problem as problem_mod
 from minimax_seq import (
     SequenceProblem,
     ValidationError,
     custom_index,
+    deterministic_rate_sq,
     ellipsoid_from_source_set,
     exp_power_index,
     explicit_class,
@@ -16,9 +18,12 @@ from minimax_seq import (
     make_exponential_spectrum,
     make_power_class,
     make_power_spectrum,
+    minimax_sandwich,
     power_index,
     problem_from_json,
     problem_to_json,
+    testing_radius_sq as radius_sq,
+    truncation_risk,
     validate_problem,
 )
 
@@ -53,6 +58,11 @@ class TestSpectrumConstructors:
             make_power_spectrum(p, n)
         with pytest.raises(ValidationError):
             make_exponential_spectrum(p, n)
+
+    def test_power_spectrum_underflow_rejected(self):
+        # 64^-200 is below the smallest subnormal
+        with pytest.raises(ValidationError, match="underflows"):
+            make_power_spectrum(200.0, 64)
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_class_exponent(self, kappa):
@@ -165,6 +175,23 @@ class TestValidation:
                             make_power_class(1.0, 4, radius), sigma, 4)
         assert [v[1] for v in validate_problem(p).violations] == [rule]
 
+    def test_underflowing_weight_squares_flagged_once(self):
+        p = SequenceProblem(make_power_spectrum(1.0, 4),
+                            explicit_class([1e-200, 1e-190, 1e-170, 1.0], 1.0),
+                            0.1, 4)
+        assert validate_problem(p).violations == (
+            (1, "a squared positive", "a_1 = 1e-200"),)
+
+    def test_overflowing_weight_squares_allowed(self):
+        # exp(200*j) is finite for j <= 3, its square is not
+        p = SequenceProblem(make_power_spectrum(1.0, 3),
+                            make_exponential_class(200.0, 3), 0.1, 3)
+        assert validate_problem(p).passed
+
+    def test_zero_dimension_flagged(self):
+        p = SequenceProblem(explicit_spectrum([]), explicit_class([], 1.0), 0.1, 0)
+        assert [v[1] for v in validate_problem(p).violations] == ["N at least 1"]
+
     def test_increasing_spectrum_flagged(self):
         p = SequenceProblem(explicit_spectrum([0.5, 1.0]),
                             make_power_class(1.0, 2), 0.1, 2)
@@ -175,6 +202,38 @@ class TestValidation:
         p = SequenceProblem(explicit_spectrum([1.0, 1.0, 0.5]),
                             explicit_class([1.0, 1.0, 2.0], 1.0), 0.1, 3)
         assert validate_problem(p).passed
+
+
+class TestValidationCache:
+    OPERATIONS = (minimax_sandwich, radius_sq, deterministic_rate_sq,
+                  lambda problem: truncation_risk(problem, 1))
+
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        checked = []
+        real = problem_mod.validate_problem
+
+        def counted(problem):
+            checked.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(problem_mod, "validate_problem", counted)
+        return checked
+
+    def test_valid_problem_is_validated_once(self, validated):
+        p = SequenceProblem(make_power_spectrum(1.0, 16),
+                            make_power_class(2.0, 16), 0.01, 16)
+        for operation in self.OPERATIONS:
+            operation(p)
+        assert len(validated) == 1 and validated[0] is p
+
+    def test_invalid_problem_raises_on_every_call(self, validated):
+        p = SequenceProblem(make_power_spectrum(1.0, 3),
+                            explicit_class([2.0, 1.0, 3.0], 1.0), 0.01, 3)
+        for operation in self.OPERATIONS:
+            with pytest.raises(ValidationError, match="a non-decreasing"):
+                operation(p)
+        assert len(validated) == len(self.OPERATIONS)
 
 
 class TestJsonRoundTrip:

@@ -1,8 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minimax_seq.rates as rates_mod
 from minimax_seq import (
@@ -30,6 +33,43 @@ from minimax_seq import (
 def spec_for(tag, p=1.0, kappa=1.0, lo=-3, hi=-8, points=12, n=64):
     grid = np.logspace(lo, hi, points)
     return RegimeSpec.from_tag(tag, p, kappa, grid, n=n)
+
+
+def whole_grid_rows(spec):
+    """Reference for sweep: every point at the smallest N = n * 2^k at which
+    no point saturates (the sweep's former whole-grid doubling)."""
+    n = spec.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        while True:
+            points = [rates_mod._sweep_point(spec, s, n) for s in spec.sigma_grid]
+            if not any(any(flags) for _, flags in points):
+                return [row for row, _ in points]
+            n *= 2
+
+
+# (p range, kappa range) per regime, as in the benchmark's sweep workloads;
+# pp cells keep p + kappa >= 1.8 so that N stays in the low thousands
+_CELL_RANGES = {"pp": ((0.5, 2.0), (0.5, 3.0)),
+                "pe": ((0.5, 2.0), (0.2, 1.5)),
+                "ep": ((0.2, 1.5), (0.5, 3.0)),
+                "ee": ((0.2, 1.5), (0.2, 1.5))}
+
+
+@st.composite
+def regime_cells(draw):
+    tag = draw(st.sampled_from(sorted(_CELL_RANGES)))
+    (p_lo, p_hi), (k_lo, k_hi) = _CELL_RANGES[tag]
+    p = draw(st.floats(p_lo, p_hi))
+    if tag == "pp":
+        k_lo = max(k_lo, 1.8 - p)
+    kappa = draw(st.floats(k_lo, k_hi))
+    exponents = draw(st.lists(st.floats(-7.0, -2.0), min_size=2, max_size=8,
+                              unique=True))
+    grid = sorted({10.0 ** e for e in exponents}, reverse=True)
+    radius = draw(st.sampled_from((0.3, 1.0, 5.0)))
+    n = draw(st.sampled_from((4, 16, 64)))
+    return RegimeSpec.from_tag(tag, p, kappa, grid, radius=radius, n=n)
 
 
 class TestSweep:
@@ -83,6 +123,51 @@ class TestSweep:
     def test_grid_must_decrease(self):
         with pytest.raises(ValidationError):
             RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3, 1e-2))
+
+    @given(regime_cells())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_whole_grid_rows(self, spec):
+        assert sweep(spec) == whole_grid_rows(spec)
+
+    def test_each_point_doubles_from_the_previous_n(self, monkeypatch):
+        # at n = 64 the first four points resolve at once; 1e-7 needs N = 256
+        grid = (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)
+        spec = RegimeSpec.from_tag("pp", 1.0, 2.0, grid, n=64)
+        calls = []
+        point = rates_mod._sweep_point
+
+        def counted(spec, sigma, n):
+            calls.append((sigma, n))
+            return point(spec, sigma, n)
+
+        monkeypatch.setattr(rates_mod, "_sweep_point", counted)
+        rows = sweep(spec)
+        assert calls == [(s, 64) for s in grid] + [(1e-7, 128), (1e-7, 256)]
+        assert rows == whole_grid_rows(spec)
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("radius", 1e200, "Q^2"), ("radius", -1.0, "Q > 0"),
+        ("radius", math.nan, "Q > 0"), ("n", 0, "at least 1"),
+        ("grid", (1e-100, 1e-200), "sigma^2"), ("grid", (math.nan,), "sigma^2"),
+    ])
+    def test_spec_rejects_unrepresentable_inputs(self, field, value, needle):
+        args = {"radius": 1.0, "n": 64, "grid": (1e-3,)}
+        args[field] = value
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            RegimeSpec.from_tag("pp", 1.0, 2.0, args["grid"],
+                                radius=args["radius"], n=args["n"])
+
+    def test_only_generator_errors_become_saturation(self, monkeypatch):
+        # exp(-p*j) underflows to 0 before N = 2^20: a resolution failure
+        with pytest.raises(SaturationError, match="not representable"):
+            sweep(RegimeSpec.from_tag("ep", 700.0, 1.0, (1e-3,), n=2))
+
+        def invalid(problem):
+            raise ValidationError("invalid problem: stand-in")
+
+        monkeypatch.setattr(rates_mod, "testing_radius_sq", invalid)
+        with pytest.raises(ValidationError, match="stand-in"):
+            sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3,)))
 
     def test_testing_never_exceeds_estimation(self):
         for tag in ("pp", "pe", "ep", "ee"):

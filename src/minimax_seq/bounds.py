@@ -70,6 +70,13 @@ def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
     return (float(sigma) ** 2) / spectrum.values ** 2
 
 
+def _budget(a2: np.ndarray, r: np.ndarray) -> float:
+    """sum a_i^2 r_i over r_i > 0, so that inf * 0 adds no NaN; fsum skips
+    +0.0 terms, so the bits are those of the full sum."""
+    used = r > 0.0
+    return math.fsum((a2[used] * r[used]).tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class KnapsackSolution:
     """Exact maximizer of J over rectangles inside the ellipsoid.
@@ -123,7 +130,8 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     exact maximizer of J over {r >= 0 : sum a_i^2 r_i <= Q^2}.
     """
     ensure_usable(problem)
-    a2 = problem.ellipsoid.weights ** 2
+    with np.errstate(over="ignore"):  # a_i^2 = inf (exponential classes) is legal
+        a2 = problem.ellipsoid.weights ** 2
     caps = _caps(problem.spectrum, problem.sigma)
     order = np.argsort(a2, kind="stable")
 
@@ -141,7 +149,7 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
             break
 
     value = math.fsum(np.minimum(r, caps).tolist())
-    budget_used = math.fsum((a2 * r).tolist())
+    budget_used = _budget(a2, r)
     at_cap = r == caps
     set_p = frozenset(int(i) + 1 for i in np.nonzero(r >= caps)[0])
     set_qeq = frozenset(int(i) + 1 for i in np.nonzero(at_cap)[0])
@@ -164,9 +172,9 @@ def gateaux_derivative_J(solution: KnapsackSolution, r,
         raise ValidationError("spectrum length does not match the solution")
     if np.any(arr < 0.0):
         raise ValidationError("r must be non-negative")
-    a2 = solution.problem.ellipsoid.weights ** 2
     q2 = solution.problem.ellipsoid.radius ** 2
-    budget = math.fsum((a2 * arr).tolist())
+    with np.errstate(over="ignore"):
+        budget = _budget(solution.problem.ellipsoid.weights ** 2, arr)
     if budget > q2 * (1.0 + _REL_TOL):
         raise ValidationError(
             f"r infeasible: sum a_i^2 r_i = {budget!r} exceeds Q^2 = {q2!r}")
@@ -183,7 +191,8 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
     sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream."""
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(seed), np.uint64(0x666561)], dtype=np.uint64)))
-    a2 = problem.ellipsoid.weights ** 2
+    with np.errstate(over="ignore"):
+        a2 = problem.ellipsoid.weights ** 2
     q2 = problem.ellipsoid.radius ** 2
     d = gen.uniform(0.0, 1.0, size=(count, problem.n))
     scale = gen.uniform(0.0, 1.0, size=count) * q2 / (d @ a2)

@@ -140,10 +140,10 @@ def _cmd_jmax(args) -> int:
     worst = bounds.certify_maximizer(solution, count=args.directions,
                                      seed=args.seed)
     tol = 1e-9 * max(1.0, abs(solution.value))
-    doc = reports._knapsack_dict(solution)
+    doc = reports.document(solution)
     doc["certificate"] = {"directions": args.directions, "seed": args.seed,
                           "max_derivative": worst, "ok": worst <= tol}
-    sys.stdout.write(reports.render_json(doc) + "\n")
+    sys.stdout.write(reports.emit_report(doc))
     return EXIT_OK
 
 
@@ -155,13 +155,12 @@ def _cmd_simulate(args) -> int:
     closed = truncation.truncation_risk(problem, args.d).total
     deviation = estimate.mean_sq_error - closed
     doc = {
-        "estimate": {"mse": estimate.mean_sq_error, "stderr": estimate.std_error,
-                     "R": estimate.replications, "seed": estimate.seed},
+        "estimate": reports.document(estimate),
         "closed_form": closed,
         "deviation": deviation,
         "std_errors": deviation / estimate.std_error if estimate.std_error else 0.0,
     }
-    sys.stdout.write(reports.render_json(doc) + "\n")
+    sys.stdout.write(reports.emit_report(doc))
     return EXIT_OK
 
 
@@ -189,8 +188,9 @@ def _cmd_rates(args) -> int:
     spec = rates.RegimeSpec.from_tag(tag, p, kappa, grid,
                                      radius=float(meta.get("Q", "1")))
     fit = rates.fit_rate(rows, spec)
-    label = rates.classify_illposedness(fit)
-    sys.stdout.write(reports.emit_report(reports._ratefit_dict(fit, label)))
+    doc = reports.document(fit)
+    doc["label"] = rates.classify_illposedness(fit).value
+    sys.stdout.write(reports.emit_report(doc))
     return EXIT_OK
 
 

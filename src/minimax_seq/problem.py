@@ -318,7 +318,8 @@ def _check_generated(values: np.ndarray, kind: str, param: float | None, what: s
     if bad.size:
         k = int(bad[0])
         violations.append((k + 1, f"{what} generator mismatch",
-                           f"{kind} kind expected {expect[k]!r}, stored {values[k]!r}"))
+                           f"{kind} kind expected {float(expect[k])!r}, "
+                           f"stored {float(values[k])!r}"))
 
 
 def validate_problem(problem: SequenceProblem) -> ValidationReport:
@@ -327,16 +328,17 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
     s = problem.spectrum.values
     a = problem.ellipsoid.weights
 
-    for j in np.nonzero(~(s > 0.0))[0]:
-        v.append((int(j) + 1, "spectrum positive", f"s_{int(j) + 1} = {s[int(j)]!r}"))
-    for j in np.nonzero(np.diff(s) > 0.0)[0]:
-        v.append((int(j) + 2, "spectrum non-increasing",
-                  f"s_{int(j) + 2} = {s[int(j) + 1]!r} > s_{int(j) + 1} = {s[int(j)]!r}"))
-    for j in np.nonzero(~(a > 0.0))[0]:
-        v.append((int(j) + 1, "a positive", f"a_{int(j) + 1} = {a[int(j)]!r}"))
-    for j in np.nonzero(np.diff(a) < 0.0)[0]:
-        v.append((int(j) + 2, "a non-decreasing",
-                  f"a_{int(j) + 2} = {a[int(j) + 1]!r} < a_{int(j) + 1} = {a[int(j)]!r}"))
+    # messages print Python floats (1.0, not np.float64(1.0))
+    for j in np.nonzero(~(s > 0.0))[0].tolist():
+        v.append((j + 1, "spectrum positive", f"s_{j + 1} = {float(s[j])!r}"))
+    for j in np.nonzero(np.diff(s) > 0.0)[0].tolist():
+        v.append((j + 2, "spectrum non-increasing",
+                  f"s_{j + 2} = {float(s[j + 1])!r} > s_{j + 1} = {float(s[j])!r}"))
+    for j in np.nonzero(~(a > 0.0))[0].tolist():
+        v.append((j + 1, "a positive", f"a_{j + 1} = {float(a[j])!r}"))
+    for j in np.nonzero(np.diff(a) < 0.0)[0].tolist():
+        v.append((j + 2, "a non-decreasing",
+                  f"a_{j + 2} = {float(a[j + 1])!r} < a_{j + 1} = {float(a[j])!r}"))
     # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf (exponential classes) is fine
     with np.errstate(over="ignore"):
         tiny = np.nonzero((a > 0.0) & ~(a * a > 0.0))[0]

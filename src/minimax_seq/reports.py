@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV emission for result types.
+"""The JSON document of each result type, and the sweep CSV.
 
 Floats print with 17 significant digits (round-trip safe), fields keep a
 fixed order, and identical inputs always produce identical bytes.
@@ -6,6 +6,7 @@ fixed order, and identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -13,21 +14,25 @@ import numpy as np
 
 from .bounds import KnapsackSolution, SandwichReport
 from .problem import ValidationError
-from .rates import IllposednessLabel, RateFit, RegimeSpec, SweepRow
+from .rates import RateFit, RegimeSpec, SweepRow
 from .simulate import RiskEstimate
 from .truncation import RiskDecomposition
 
 __all__ = [
     "format_float",
     "render_json",
+    "document",
     "emit_report",
+    "sweep_csv_text",
     "write_sweep_csv",
     "read_sweep_csv",
 ]
 
 SCHEMA_HEADER = "# minimax-seq v1"
-SWEEP_COLUMNS = ("sigma", "d_star", "upper", "lower", "j_star",
-                 "testing_sq", "deterministic_sq")
+# the sweep CSV has one column per SweepRow field, in field order
+SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+_SWEEP_TYPES = tuple(int if f.type in (int, "int") else float
+                     for f in dataclasses.fields(SweepRow))
 
 
 def format_float(x: float) -> str:
@@ -57,109 +62,47 @@ def render_json(obj) -> str:
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _risk_dict(r: RiskDecomposition) -> dict:
-    return {"D": r.level, "bias_sq": r.bias_sq, "variance": r.variance,
-            "total": r.total, "rmse": r.rmse}
-
-
-def _estimate_dict(r: RiskEstimate) -> dict:
-    return {"mse": r.mean_sq_error, "stderr": r.std_error,
-            "R": r.replications, "seed": r.seed}
-
-
-def _sandwich_dict(r: SandwichReport) -> dict:
-    return {"sigma": r.sigma, "D_star": r.d_star, "upper": r.upper,
-            "lower": r.lower, "j_star": r.j_star, "chain_ok": r.chain_ok}
-
-
-def _knapsack_dict(r: KnapsackSolution) -> dict:
-    return {"value": r.value, "r_star": list(r.r_star),
-            "set_P": sorted(r.set_p), "set_Qeq": sorted(r.set_qeq),
-            "budget_used": r.budget_used}
-
-
-def _ratefit_dict(r: RateFit, label: IllposednessLabel | None = None) -> dict:
-    out = {"regime": r.regime, "fitted": r.fitted, "theory": r.theory,
-           "residual": r.residual}
-    if label is not None:
-        out["label"] = label.value
-    return out
-
-
-# per-type CSV row schemas for list outputs
-_CSV_ROWS = {
-    RiskDecomposition: (("D", "bias_sq", "variance", "total"),
-                        lambda r: [str(r.level), format_float(r.bias_sq),
-                                   format_float(r.variance),
-                                   format_float(r.total)]),
-    RiskEstimate: (("mse", "stderr", "R", "seed"),
-                   lambda r: [format_float(r.mean_sq_error),
-                              format_float(r.std_error),
-                              str(r.replications), str(r.seed)]),
-    SandwichReport: (("sigma", "D_star", "upper", "lower", "j_star"),
-                     lambda r: [format_float(r.sigma), str(r.d_star),
-                                format_float(r.upper), format_float(r.lower),
-                                format_float(r.j_star)]),
+# the document of each result type, with its keys in output order
+_DOCUMENTS = {
+    RiskDecomposition: lambda r: {
+        "D": r.level, "bias_sq": r.bias_sq, "variance": r.variance,
+        "total": r.total, "rmse": r.rmse},
+    RiskEstimate: lambda r: {
+        "mse": r.mean_sq_error, "stderr": r.std_error,
+        "R": r.replications, "seed": r.seed},
+    SandwichReport: lambda r: {
+        "sigma": r.sigma, "D_star": r.d_star, "upper": r.upper,
+        "lower": r.lower, "j_star": r.j_star, "chain_ok": r.chain_ok},
+    KnapsackSolution: lambda r: {
+        "value": r.value, "r_star": list(r.r_star),
+        "set_P": sorted(r.set_p), "set_Qeq": sorted(r.set_qeq),
+        "budget_used": r.budget_used},
+    RateFit: lambda r: {
+        "regime": r.regime, "fitted": r.fitted, "theory": r.theory,
+        "residual": r.residual},
 }
 
 
-def emit_report(results, format: str = "json") -> str:
-    """Serialize a result object; lists of rows also support format='csv'."""
-    if format not in ("json", "csv"):
-        raise ValidationError(f"unknown format {format!r}")
-    if isinstance(results, list) and results and isinstance(results[0], SweepRow):
-        if format == "csv":
-            return sweep_csv_text(results)
-        return render_json([_sweep_row_dict(r) for r in results]) + "\n"
-    if isinstance(results, list) and results and type(results[0]) in _CSV_ROWS:
-        columns, to_row = _CSV_ROWS[type(results[0])]
-        if format == "csv":
-            lines = [",".join(columns)]
-            lines += [",".join(to_row(r)) for r in results]
-            return "\n".join(lines) + "\n"
-    if format == "csv":
-        raise ValidationError("csv format needs a list of row-typed results")
-    if isinstance(results, RiskDecomposition):
-        doc = _risk_dict(results)
-    elif isinstance(results, RiskEstimate):
-        doc = _estimate_dict(results)
-    elif isinstance(results, SandwichReport):
-        doc = _sandwich_dict(results)
-    elif isinstance(results, KnapsackSolution):
-        doc = _knapsack_dict(results)
-    elif isinstance(results, RateFit):
-        doc = _ratefit_dict(results)
-    elif isinstance(results, list):
-        doc = [_risk_dict(r) if isinstance(r, RiskDecomposition)
-               else _estimate_dict(r) if isinstance(r, RiskEstimate)
-               else _sandwich_dict(r) if isinstance(r, SandwichReport)
-               else r for r in results]
-    elif isinstance(results, dict):
-        doc = results
-    else:
-        raise ValidationError(f"cannot report {type(results).__name__}")
-    return render_json(doc) + "\n"
+def document(result) -> dict:
+    """The JSON document of a result object: a new dict a caller may extend."""
+    to_document = _DOCUMENTS.get(type(result))
+    if to_document is None:
+        raise ValidationError(f"cannot report {type(result).__name__}")
+    return to_document(result)
 
 
-def _sweep_row_dict(row: SweepRow) -> dict:
-    return {"sigma": row.sigma, "d_star": row.d_star, "upper": row.upper,
-            "lower": row.lower, "j_star": row.j_star,
-            "testing_sq": row.testing_sq,
-            "deterministic_sq": row.deterministic_sq}
+def emit_report(result) -> str:
+    """One line of JSON for a result object or an already-built document."""
+    return render_json(result if isinstance(result, dict) else document(result)) + "\n"
 
 
-def sweep_csv_text(rows, spec: RegimeSpec | None = None) -> str:
-    lines = [SCHEMA_HEADER]
-    if spec is not None:
-        lines.append(f"# regime={spec.tag} p={format_float(spec.p)} "
-                     f"kappa={format_float(spec.kappa)} "
-                     f"Q={format_float(spec.radius)}")
-    lines.append(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        lines.append(",".join([
-            format_float(row.sigma), str(row.d_star), format_float(row.upper),
-            format_float(row.lower), format_float(row.j_star),
-            format_float(row.testing_sq), format_float(row.deterministic_sq)]))
+def sweep_csv_text(rows, spec: RegimeSpec) -> str:
+    lines = [SCHEMA_HEADER,
+             f"# regime={spec.tag} p={format_float(spec.p)} "
+             f"kappa={format_float(spec.kappa)} Q={format_float(spec.radius)}",
+             ",".join(SWEEP_COLUMNS)]
+    # ".17g" prints an integral value without a point, so d_star reads as an int
+    lines += [",".join(map(format_float, dataclasses.astuple(row))) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -199,9 +142,7 @@ def read_sweep_csv(path: str) -> tuple[list[SweepRow], dict]:
         if len(parts) != len(SWEEP_COLUMNS):
             raise ValidationError(f"{path}: malformed row {line!r}")
         try:
-            rows.append(SweepRow(float(parts[0]), int(parts[1]), float(parts[2]),
-                                 float(parts[3]), float(parts[4]),
-                                 float(parts[5]), float(parts[6])))
+            rows.append(SweepRow(*(convert(x) for convert, x in zip(_SWEEP_TYPES, parts))))
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed row {line!r}: {exc}") from exc
     if not header_seen:

@@ -109,7 +109,8 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
             f"level D = {D} out of range 0..{n - 1} (a_(D+1) must exist)")
     a = problem.ellipsoid.weights
     q = problem.ellipsoid.radius
-    bias_sq = q ** 2 / a[D] ** 2
+    with np.errstate(over="ignore"):  # a_(D+1)^2 = inf gives bias 0
+        bias_sq = q ** 2 / a[D] ** 2
     variance = problem.sigma ** 2 * rho_squared(problem.spectrum, D)
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
 

@@ -155,6 +155,25 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, b"overflows")
 
+    @pytest.mark.parametrize("command", [["jmax"], ["optimal"],
+                                         ["risk", "--d", "399"]])
+    def test_overflowing_weight_squares_run_cleanly(self, tmp_path, command):
+        # a_j = exp(j) is finite for j <= 400, but a_j^2 = inf from j = 355 on
+        doc = json.loads((DATA / "power_problem.json").read_text())
+        doc["class"] = {"kind": "exponential", "kappa": 1.0, "Q": 1.0}
+        doc["spectrum"]["n_max"] = doc["N"] = 400
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli([command[0], "--config", str(config),
+                                  *command[1:]])
+        assert (code, err) == (0, b"")
+        doc = json.loads(out)
+        if command[0] == "jmax":
+            assert doc["budget_used"] == 1.0
+            assert doc["certificate"]["ok"] is True
+        elif command[0] == "risk":
+            assert doc["bias_sq"] == 0.0
+
     @pytest.mark.parametrize("command", ["optimal", "jmax"])
     def test_zero_dimension_is_validation_error(self, tmp_path, command):
         config = explicit_config(tmp_path, [], [], 0.1)

@@ -123,6 +123,22 @@ class TestSourceSetConversion:
         with pytest.raises(ValidationError, match="j=1"):
             ellipsoid_from_source_set(log_power_index(1.0), sp)
 
+    # check_samples is called with the sample points of the source set;
+    # each phi below breaks exactly one of its three checks
+    def test_non_monotone_phi_rejected(self):
+        with pytest.raises(ValidationError, match="decreasing between t=1.0 and t=1.8"):
+            custom_index(lambda t: t * (2.0 - t)).check_samples([0.5, 1.0, 1.8])
+
+    def test_non_positive_phi_rejected(self):
+        with pytest.raises(ValidationError, match="not positive/finite at t=0.25"):
+            custom_index(lambda t: t - 0.5).check_samples([0.25, 1.0])
+
+    def test_phi_without_decay_rejected(self):
+        # phi grows again below the smallest sample point
+        phi = custom_index(lambda t: t if t >= 0.01 else 1.0 / t)
+        with pytest.raises(ValidationError, match="does not decay"):
+            phi.check_samples([0.1, 1.0])
+
     def test_membership_property(self, rng):
         # theta_j = phi(s_j^2) v_j with ||v|| <= 1 stays inside the ellipsoid
         sp = make_power_spectrum(1.0, 40)
@@ -143,11 +159,13 @@ class TestValidation:
         assert report.passed and report.violations == ()
 
     def test_decreasing_weights_flagged(self):
-        p = SequenceProblem(make_power_spectrum(1.0, 3),
-                            explicit_class([2.0, 1.0, 3.0], 1.0), 0.1, 3)
+        p = SequenceProblem(make_power_spectrum(1.0, 4),
+                            explicit_class([-1.0, 2.0, 1.0, 3.0], 1.0), 0.1, 4)
         report = validate_problem(p)
         assert not report.passed
-        assert any(v[0] == 2 and v[1] == "a non-decreasing" for v in report.violations)
+        assert report.violations == (
+            (1, "a positive", "a_1 = -1.0"),
+            (3, "a non-decreasing", "a_3 = 1.0 < a_2 = 2.0"))
 
     def test_length_mismatch_flagged(self):
         p = SequenceProblem(make_power_spectrum(1.0, 10),

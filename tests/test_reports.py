@@ -15,6 +15,7 @@ from minimax_seq import (
 )
 from minimax_seq.rates import RegimeSpec, sweep
 from minimax_seq.reports import (
+    document,
     emit_report,
     format_float,
     read_sweep_csv,
@@ -50,38 +51,24 @@ class TestEmitReport:
         doc = json.loads(text)
         assert list(doc) == ["D", "bias_sq", "variance", "total", "rmse"]
 
-    def test_risk_csv_rows(self):
-        p = toy_problem()
-        rows = [truncation_risk(p, d) for d in (0, 1, 2)]
-        text = emit_report(rows, format="csv")
-        lines = text.splitlines()
-        assert lines[0] == "D,bias_sq,variance,total"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,1,0,1")
-
-    def test_estimate_json_and_csv(self):
+    def test_estimate_json_field_order(self):
         p = toy_problem()
         est = monte_carlo_risk(p, least_favorable(p, 2), 2,
                                SimulationConfig(20, 5, p.n))
         doc = json.loads(emit_report(est))
         assert list(doc) == ["mse", "stderr", "R", "seed"]
         assert doc["R"] == 20 and doc["seed"] == 5
-        csv = emit_report([est], format="csv")
-        assert csv.splitlines()[0] == "mse,stderr,R,seed"
 
-    def test_sandwich_csv(self):
-        reports = [minimax_sandwich(toy_problem(sigma=s)) for s in (0.1, 0.01)]
-        text = emit_report(reports, format="csv")
-        assert text.splitlines()[0] == "sigma,D_star,upper,lower,j_star"
-        assert len(text.splitlines()) == 3
+    def test_document_is_a_new_dict_a_caller_extends(self):
+        sandwich = minimax_sandwich(toy_problem())
+        doc = document(sandwich)
+        doc["extra"] = 1
+        assert "extra" not in document(sandwich)
+        assert emit_report(doc) == emit_report(sandwich)[:-2] + ',"extra":1}\n'
 
-    def test_unsupported_csv_rejected(self):
-        with pytest.raises(ValidationError):
-            emit_report(truncation_risk(toy_problem(), 1), format="csv")
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValidationError):
-            emit_report({"a": 1}, format="xml")
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValidationError, match="cannot report list"):
+            emit_report([truncation_risk(toy_problem(), 1)])
 
     def test_deterministic_bytes(self):
         p = toy_problem()
@@ -98,6 +85,7 @@ class TestSweepCsv:
         write_sweep_csv(rows, spec, path)
         got, meta = read_sweep_csv(path)
         assert got == rows
+        assert all(type(row.d_star) is int for row in got)
         assert meta["regime"] == "pp"
         assert float(meta["p"]) == 1.0
         assert float(meta["kappa"]) == 2.0

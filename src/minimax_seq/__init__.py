@@ -34,8 +34,6 @@ from .problem import (
     validate_problem,
 )
 from .truncation import (
-    Element,
-    Observations,
     RiskDecomposition,
     estimate,
     least_favorable,

@@ -67,7 +67,8 @@ _REL_TOL = 1e-9
 
 
 def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
-    return (float(sigma) ** 2) / spectrum.values ** 2
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite cap is legal
+        return (float(sigma) ** 2) / spectrum.values ** 2
 
 
 def _budget(a2: np.ndarray, r: np.ndarray) -> float:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import ValidationError
-from .truncation import Observations
 
 __all__ = [
     "OperatorModel",
@@ -90,8 +89,9 @@ def decompose(matrix) -> OperatorModel:
     return OperatorModel(frozen, u, s, v, rank)
 
 
-def to_sequence(y, model: OperatorModel) -> Observations:
-    """Map ambient data to sequence coefficients z_j = <y, u_j> / s_j."""
+def to_sequence(y, model: OperatorModel) -> np.ndarray:
+    """Map ambient data to sequence coefficients z_j = <y, u_j> / s_j, as a
+    read-only array."""
     yv = np.asarray(y, dtype=np.float64)
     if yv.shape != (model.matrix.shape[0],):
         raise ValidationError(
@@ -100,14 +100,17 @@ def to_sequence(y, model: OperatorModel) -> Observations:
     if model.rank < 1:
         raise ValidationError("operator has rank 0; nothing to invert")
     z = (model.left.T @ yv) / model.singular_values
-    return Observations(z, provenance="mapped_from_operator")
+    if not np.isfinite(z).all():
+        raise ValidationError("observations must be finite")
+    z.flags.writeable = False
+    return z
 
 
 def reconstruct(y, model: OperatorModel, D: int) -> np.ndarray:
     """Spectral cut-off solution x_hat = sum_{j<=D} (<y,u_j>/s_j) v_j."""
     if not 0 <= D <= model.rank:
         raise ValidationError(f"level D = {D} out of range 0..{model.rank}")
-    z = to_sequence(y, model).values
+    z = to_sequence(y, model)
     return model.right[:, :D] @ z[:D]
 
 

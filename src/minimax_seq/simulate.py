@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import SequenceProblem, ValidationError, ensure_usable
-from .truncation import Element, Observations, estimate
+from .truncation import _checked_vector, estimate
 
 __all__ = [
     "SimulationConfig",
@@ -61,28 +61,20 @@ def _stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_observations(theta: Element, problem: SequenceProblem, seed) -> Observations:
+def sample_observations(theta, problem: SequenceProblem, seed) -> np.ndarray:
     """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from the stream keyed by seed.
 
     ``seed`` is an integer or an (int, int) pair; identical inputs give
-    identical observations.
+    identical observations, returned as a read-only array.
     """
-    if len(theta) != problem.n:
-        raise ValidationError(
-            f"element length {len(theta)} does not match N = {problem.n}")
+    theta = _checked_vector(theta, problem.n)
     xi = _stream(seed).standard_normal(problem.n)
-    noise_scale = problem.sigma / problem.spectrum.values
-    values = theta.coeffs + noise_scale * xi
-    key = seed if isinstance(seed, tuple) else (int(seed), 0)
-    return Observations(values, provenance="simulated", seed=key)
+    z = theta + (problem.sigma / problem.spectrum.values) * xi
+    z.flags.writeable = False
+    return z
 
 
-def _squared_error(theta: Element, fitted: Element) -> float:
-    d = theta.coeffs - fitted.coeffs
-    return math.fsum((d * d).tolist())
-
-
-def monte_carlo_risk(problem: SequenceProblem, theta: Element, D: int,
+def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                      config: SimulationConfig) -> RiskEstimate:
     """Average squared estimation error over config.replications draws.
 
@@ -90,25 +82,38 @@ def monte_carlo_risk(problem: SequenceProblem, theta: Element, D: int,
     is independent of evaluation order and reproducible bit-for-bit.
     """
     ensure_usable(problem)
-    if config.n != problem.n:
+    n = problem.n
+    if config.n != n:
         raise ValidationError(
-            f"config dimension {config.n} does not match problem N = {problem.n}")
+            f"config dimension {config.n} does not match problem N = {n}")
+    if not 0 <= D <= n:
+        raise ValidationError(f"level D = {D} out of range 0..{n}")
+    theta = _checked_vector(theta, n)
     reps = config.replications
     errors = []
-    for r in range(reps):
-        obs = sample_observations(theta, problem, (config.master_seed, r))
-        errors.append(_squared_error(theta, estimate(obs, D)))
-    if min(errors) == max(errors):
-        # degenerate (e.g. noiseless) runs have exactly zero sample variance
-        return RiskEstimate(errors[0], 0.0, reps, config.master_seed)
-    mean = math.fsum(errors) / reps
-    var = math.fsum((e - mean) ** 2 for e in errors) / (reps - 1)
+    try:
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            for r in range(reps):
+                z = sample_observations(theta, problem, (config.master_seed, r))
+                d = theta - estimate(z, D)
+                errors.append(math.fsum((d * d).tolist()))
+        total = math.fsum(errors)
+        if not math.isfinite(total):  # a squared error is inf or NaN
+            raise OverflowError
+        if min(errors) == max(errors):
+            # degenerate (e.g. noiseless) runs have exactly zero sample variance
+            return RiskEstimate(errors[0], 0.0, reps, config.master_seed)
+        mean = total / reps
+        var = math.fsum((e - mean) ** 2 for e in errors) / (reps - 1)
+    except OverflowError:
+        raise ValidationError(
+            f"Monte Carlo squared error at level D = {D} overflows") from None
     std_error = math.sqrt(var / reps)
     return RiskEstimate(mean, std_error, reps, config.master_seed)
 
 
 def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
-                         config: SimulationConfig) -> tuple[Element, RiskEstimate]:
+                         config: SimulationConfig) -> tuple[object, RiskEstimate]:
     """Largest Monte Carlo risk among explicit candidate elements.
 
     Candidates must lie in the ellipsoid.  All candidates share the same
@@ -120,17 +125,19 @@ def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
         raise ValidationError("candidate list is empty")
     a = problem.ellipsoid.weights
     q2 = problem.ellipsoid.radius ** 2
+    vectors = []
     for pos, cand in enumerate(candidates):
-        radius_sq = math.fsum((a * cand.coeffs) ** 2)
+        theta = _checked_vector(cand, problem.n)
+        radius_sq = math.fsum((a * theta) ** 2)
         if radius_sq > q2 * (1.0 + 1e-12):
             raise ValidationError(
                 f"candidate {pos} lies outside the ellipsoid "
                 f"(sum a^2 theta^2 = {radius_sq!r} > Q^2 = {q2!r})")
+        vectors.append(theta)
 
-    worst: Element | None = None
-    worst_risk: RiskEstimate | None = None
-    for cand in candidates:
-        risk = monte_carlo_risk(problem, cand, D, config)
+    worst = worst_risk = None
+    for cand, theta in zip(candidates, vectors):
+        risk = monte_carlo_risk(problem, theta, D, config)
         if worst_risk is None or risk.mean_sq_error > worst_risk.mean_sq_error:
             worst, worst_risk = cand, risk
     assert worst is not None and worst_risk is not None

@@ -31,8 +31,6 @@ from .problem import (
 
 __all__ = [
     "RiskDecomposition",
-    "Element",
-    "Observations",
     "rho_squared",
     "truncation_risk",
     "optimal_truncation",
@@ -56,48 +54,31 @@ class RiskDecomposition:
         return math.sqrt(self.total)
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
-    """A coefficient vector theta_1..theta_N."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.float64, copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("element coefficients must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-
-@dataclass(frozen=True, eq=False)
-class Observations:
-    """Observed noisy coefficients z_1..z_N with provenance."""
-
-    values: np.ndarray
-    provenance: str = "external"
-    seed: tuple | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("observations must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
+def _checked_vector(x, n: int) -> np.ndarray:
+    """x as a float64 array of shape (n,) with finite entries."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (n,):
+        length = arr.size if arr.ndim == 1 else arr.shape
+        raise ValidationError(f"element length {length} does not match N = {n}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("element coefficients must be finite")
+    return arr
 
 
 def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
-    """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0)."""
+    """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0).
+
+    A sum that overflows, or holds an s_j^2 that underflows, reads as inf,
+    as in _exact_prefix_sums.
+    """
     if not 0 <= n <= spectrum.n_max:
         raise ValidationError(f"n = {n} out of range 0..{spectrum.n_max}")
     s = spectrum.values
-    return math.fsum(1.0 / s[j] ** 2 for j in range(n))
+    with np.errstate(divide="ignore", over="ignore"):
+        try:
+            return math.fsum(1.0 / s[j] ** 2 for j in range(n))
+        except OverflowError:
+            return math.inf
 
 
 def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
@@ -207,14 +188,18 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     return best_d, math.sqrt(best_total)
 
 
-def least_favorable(problem: SequenceProblem, D: int) -> Element:
-    """Boundary spike theta_{D+1} = Q/a_{D+1} attaining the worst bias at level D."""
+def least_favorable(problem: SequenceProblem, D: int) -> np.ndarray:
+    """Boundary spike theta_{D+1} = Q/a_{D+1} attaining the worst bias at
+    level D, as a read-only array."""
     n = problem.n
     if not 0 <= D <= n - 1:
         raise ValidationError(f"level D = {D} out of range 0..{n - 1}")
-    coeffs = np.zeros(n)
-    coeffs[D] = problem.ellipsoid.radius / problem.ellipsoid.weights[D]
-    return Element(coeffs)
+    theta = np.zeros(n)
+    with np.errstate(over="ignore"):  # an infinite spike is rejected below
+        theta[D] = problem.ellipsoid.radius / problem.ellipsoid.weights[D]
+    _checked_vector(theta, n)
+    theta.flags.writeable = False
+    return theta
 
 
 def subset_truncation_risk(problem: SequenceProblem, P) -> float:
@@ -242,11 +227,12 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
     return bias_sq + variance
 
 
-def estimate(obs: Observations, D: int) -> Element:
-    """Keep the first D observed coefficients, zero the rest."""
-    n = len(obs)
+def estimate(z, D: int) -> np.ndarray:
+    """Keep the first D observed coefficients, zero the rest (read-only)."""
+    n = len(z)
     if not 0 <= D <= n:
         raise ValidationError(f"level D = {D} out of range 0..{n}")
-    coeffs = np.zeros(n)
-    coeffs[:D] = obs.values[:D]
-    return Element(coeffs)
+    fitted = np.zeros(n)
+    fitted[:D] = z[:D]
+    fitted.flags.writeable = False
+    return fitted

@@ -15,10 +15,10 @@ def assert_one_line_error(err: bytes, needle: bytes) -> None:
     assert needle in err
 
 
-def explicit_config(tmp_path, values, weights, sigma):
-    """Write an explicit-spectrum config with Q = 1; returns its path."""
+def explicit_config(tmp_path, values, weights, sigma, q=1.0):
+    """Write an explicit-spectrum config; returns its path."""
     doc = {"spectrum": {"kind": "explicit", "values": values},
-           "class": {"kind": "explicit", "values": weights, "Q": 1.0},
+           "class": {"kind": "explicit", "values": weights, "Q": q},
            "sigma": sigma, "N": len(values)}
     config = tmp_path / "problem.json"
     config.write_text(json.dumps(doc))
@@ -238,6 +238,56 @@ class TestExitCodes:
                                   "--data", str(DATA / "data8.csv"), "--d", "2"])
         assert (code, out) == (2, b"")
         assert_one_line_error(err, b"truncated payload")
+
+    def test_non_finite_observation_is_validation_error(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text((DATA / "data8.csv").read_text().replace("0,", "nan,", 1))
+        code, out, err = run_cli(["invert", "--matrix", str(DATA / "integ8.csv"),
+                                  "--data", str(data), "--d", "2"])
+        assert (code, out) == (2, b"")
+        assert err == b"mseq: validation error: observations must be finite\n"
+
+    @pytest.mark.parametrize("command, needle", [
+        (["jmax"], None), (["optimal"], None),
+        (["risk", "--d", "399"], b"non-finite"),
+        (["simulate", "--d", "380", "--reps", "5", "--seed", "1"], b"D = 380"),
+    ], ids=["jmax", "optimal", "risk", "simulate"])
+    def test_underflowing_spectrum_squares(self, tmp_path, command, needle):
+        # s_j = exp(-j): s_j^2 underflows to 0 from j = 373 on, so the cap
+        # sigma^2/s_j^2 and 1/s_j^2 are infinite; noise of about 1e163
+        # overflows the squared error of a replication
+        doc = json.loads((DATA / "power_problem.json").read_text())
+        doc["spectrum"] = {"kind": "exponential", "p": 1.0, "n_max": 400}
+        doc["class"]["kappa"] = 1.0
+        doc["N"] = 400
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli([command[0], "--config", str(config),
+                                  *command[1:]])
+        if needle is None:
+            assert (code, err) == (0, b"")
+        else:
+            assert (code, out) == (2, b"")
+            assert_one_line_error(err, needle)
+
+    @pytest.mark.parametrize("values, weights, q, command, needle", [
+        # closed-form risk 2e298 is finite, but (e - mean)^2 overflows
+        ([1.0, 1e-150, 1e-150, 1e-150], [1.0] * 4, 1.0,
+         ["simulate", "--d", "3", "--reps", "5", "--seed", "1"], b"D = 3"),
+        # the spike Q/a_1 = 1e310 overflows
+        ([1.0, 0.5, 0.25], [1e-160, 1.0, 2.0], 1e150,
+         ["simulate", "--d", "0", "--reps", "5", "--seed", "1"], b"finite"),
+        # 1/s_j^2 = 1e308, so rho^2 overflows at D = 3
+        ([1.0, 1e-154, 1e-154, 1e-154], [1.0] * 4, 1.0,
+         ["risk", "--d", "3"], b"non-finite"),
+    ], ids=["simulate-variance", "simulate-spike", "risk-noise-sum"])
+    def test_overflow_is_one_line(self, tmp_path, values, weights, q, command,
+                                  needle):
+        config = explicit_config(tmp_path, values, weights, 0.1, q)
+        code, out, err = run_cli([command[0], "--config", str(config),
+                                  *command[1:]])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, needle)
 
 
 class TestOutputContracts:

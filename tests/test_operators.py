@@ -71,15 +71,14 @@ class TestSequenceMapping:
         x = rng.standard_normal(32)
         z = to_sequence(t @ x, model)
         want = model.right.T @ x
-        np.testing.assert_allclose(z.values, want, rtol=0, atol=1e-10)
-        assert z.provenance == "mapped_from_operator"
+        np.testing.assert_allclose(z, want, rtol=0, atol=1e-10)
 
     def test_basis_image(self):
         model = decompose(make_integration_operator(8))
         z = to_sequence(model.left[:, 0], model)
         want = np.zeros(8)
         want[0] = 1.0 / model.singular_values[0]
-        np.testing.assert_allclose(z.values, want, atol=1e-12)
+        np.testing.assert_allclose(z, want, atol=1e-12)
 
     def test_noise_amplification(self, rng):
         # white ambient noise becomes coordinate noise with std sigma/s_j
@@ -88,7 +87,7 @@ class TestSequenceMapping:
         sigma = 0.3
         draws = np.empty((10_000, 8))
         for r in range(draws.shape[0]):
-            draws[r] = to_sequence(sigma * rng.standard_normal(8), model).values
+            draws[r] = to_sequence(sigma * rng.standard_normal(8), model)
         got = draws.std(axis=0, ddof=1)
         want = sigma / model.singular_values
         assert np.all(np.abs(got - want) <= 4.0 * want / np.sqrt(draws.shape[0]))
@@ -120,7 +119,7 @@ class TestReconstruct:
         y = rng.standard_normal(16)
         z = to_sequence(y, model)
         for d in (1, 5, 16):
-            want = model.right[:, :d] @ z.values[:d]
+            want = model.right[:, :d] @ z[:d]
             np.testing.assert_array_equal(reconstruct(y, model, d), want)
 
     def test_level_beyond_rank_rejected(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from minimax_seq import (
-    Element,
     SequenceProblem,
     SimulationConfig,
     ValidationError,
@@ -29,32 +28,30 @@ class TestSampleObservations:
         p = toy_problem(sigma=0.0)
         theta = least_favorable(p, 3)
         obs = sample_observations(theta, p, 42)
-        np.testing.assert_array_equal(obs.values, theta.coeffs)
+        np.testing.assert_array_equal(obs, theta)
 
     def test_fixed_seed_reproduces(self):
         p = toy_problem()
         theta = least_favorable(p, 3)
         a = sample_observations(theta, p, (9, 4))
         b = sample_observations(theta, p, (9, 4))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.provenance == "simulated"
-        assert a.seed == (9, 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_replications_differ(self):
         p = toy_problem()
         theta = least_favorable(p, 3)
         a = sample_observations(theta, p, (9, 4))
         b = sample_observations(theta, p, (9, 5))
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_noise_scale_matches_amplification(self):
         # empirical std of z_k - theta_k over many draws is sigma/s_k
         p = toy_problem(sigma=0.2, n=8)
-        theta = Element(np.zeros(8))
+        theta = np.zeros(8)
         draws = 100_000
         acc = np.empty((draws, 8))
         for r in range(draws):
-            acc[r] = sample_observations(theta, p, (77, r)).values
+            acc[r] = sample_observations(theta, p, (77, r))
         got_var = acc.var(axis=0, ddof=1)
         want_var = (p.sigma / p.spectrum.values) ** 2
         # sample variance of R normals has std ~ var * sqrt(2/(R-1))
@@ -63,8 +60,9 @@ class TestSampleObservations:
 
     def test_length_mismatch_rejected(self):
         p = toy_problem(n=8)
-        with pytest.raises(ValidationError):
-            sample_observations(Element(np.zeros(9)), p, 0)
+        for theta in (np.zeros(9), np.zeros(7), np.zeros((8, 1))):
+            with pytest.raises(ValidationError, match="element length"):
+                sample_observations(theta, p, 0)
 
 
 class TestMonteCarloRisk:
@@ -80,9 +78,8 @@ class TestMonteCarloRisk:
     def test_noiseless_tail_is_exact(self, rng):
         p = toy_problem(sigma=0.0)
         coeffs = rng.uniform(-0.1, 0.1, p.n) / p.ellipsoid.weights
-        theta = Element(coeffs)
         d = 5
-        est = monte_carlo_risk(p, theta, d, SimulationConfig(100, 1, p.n))
+        est = monte_carlo_risk(p, coeffs, d, SimulationConfig(100, 1, p.n))
         tail = math.fsum((coeffs[d:] ** 2).tolist())
         assert est.mean_sq_error == tail
         assert est.std_error == 0.0
@@ -113,7 +110,7 @@ class TestMonteCarloRisk:
         errors = []
         for r in range(50):
             obs = sample_observations(theta, p, (1234, r))
-            diff = theta.coeffs - estimate(obs, 3).coeffs
+            diff = theta - estimate(obs, 3)
             errors.append(math.fsum((diff * diff).tolist()))
         assert est.mean_sq_error == math.fsum(errors) / 50
 
@@ -125,7 +122,7 @@ class TestEmpiricalWorstCase:
         candidates = [least_favorable(p, k) for k in range(d, p.n)]
         config = SimulationConfig(200, 5, p.n)
         worst, risk = empirical_worst_case(p, d, candidates, config)
-        np.testing.assert_array_equal(worst.coeffs, least_favorable(p, d).coeffs)
+        np.testing.assert_array_equal(worst, least_favorable(p, d))
 
     def test_single_candidate(self):
         p = toy_problem()
@@ -136,7 +133,7 @@ class TestEmpiricalWorstCase:
 
     def test_least_favorable_beats_zero(self):
         p = toy_problem(sigma=0.01)
-        zero = Element(np.zeros(p.n))
+        zero = np.zeros(p.n)
         spike = least_favorable(p, 4)
         worst, _ = empirical_worst_case(p, 4, [zero, spike],
                                         SimulationConfig(100, 11, p.n))
@@ -144,10 +141,12 @@ class TestEmpiricalWorstCase:
 
     def test_outside_candidate_rejected(self):
         p = toy_problem()
-        outside = Element(np.full(p.n, 1.0))
-        with pytest.raises(ValidationError, match="candidate 1"):
-            empirical_worst_case(p, 2, [least_favorable(p, 2), outside],
-                                 SimulationConfig(10, 1, p.n))
+        for outside, message in [(np.full(p.n, 1.0), "candidate 1"),
+                                 (np.zeros(p.n - 1), "element length"),
+                                 (np.zeros((p.n, 1)), "element length")]:
+            with pytest.raises(ValidationError, match=message):
+                empirical_worst_case(p, 2, [least_favorable(p, 2), outside],
+                                     SimulationConfig(10, 1, p.n))
 
     def test_common_random_numbers_make_comparison_exact(self):
         # under shared streams the risk gap between two spikes is exactly

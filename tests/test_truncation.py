@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_seq import (
-    Observations,
     SaturationWarning,
     SequenceProblem,
     ValidationError,
@@ -220,20 +219,21 @@ class TestLeastFavorable:
         el = least_favorable(toy_problem(), 2)
         want = np.zeros(50)
         want[2] = 1.0 / 3.0
-        np.testing.assert_array_equal(el.coeffs, want)
+        np.testing.assert_array_equal(el, want)
+        assert not el.flags.writeable
 
     def test_on_ellipsoid_boundary(self):
         p = toy_problem()
         for d in (0, 3, 17):
             el = least_favorable(p, d)
-            radius_sq = float(np.sum(p.ellipsoid.weights ** 2 * el.coeffs ** 2))
+            radius_sq = float(np.sum(p.ellipsoid.weights ** 2 * el ** 2))
             assert radius_sq == pytest.approx(p.ellipsoid.radius ** 2, rel=1e-12)
 
     def test_bias_at_spike_matches_closed_form(self):
         p = toy_problem()
         d = 4
         el = least_favorable(p, d)
-        tail = float(np.sum(el.coeffs[d:] ** 2))
+        tail = float(np.sum(el[d:] ** 2))
         assert tail == pytest.approx(truncation_risk(p, d).bias_sq, rel=1e-15)
 
 
@@ -275,17 +275,17 @@ class TestSubsetTruncation:
 
 class TestEstimate:
     def test_zero_level(self):
-        obs = Observations([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(estimate(obs, 0).coeffs, np.zeros(3))
+        obs = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(estimate(obs, 0), np.zeros(3))
 
     def test_full_level_copies(self):
-        obs = Observations([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(estimate(obs, 3).coeffs, obs.values)
+        obs = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(estimate(obs, 3), obs)
 
     def test_projection(self):
-        obs = Observations([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(estimate(obs, 2).coeffs, [1.0, 2.0, 0.0])
+        obs = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(estimate(obs, 2), [1.0, 2.0, 0.0])
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            estimate(Observations([1.0, 2.0]), 3)
+            estimate(np.array([1.0, 2.0]), 3)

@@ -43,7 +43,7 @@ from .problem import (
     ellipsoid_from_source_set,
     ensure_usable,
 )
-from .truncation import _exact_prefix_sums, _scan_levels, optimal_truncation
+from .truncation import _exact_prefix_sums, _noise, _scan_levels, optimal_truncation
 
 __all__ = [
     "RMS_FACTOR",
@@ -67,6 +67,8 @@ _REL_TOL = 1e-9
 
 
 def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
+    if sigma == 0.0:  # not 0/0 where s_i^2 underflows
+        return np.zeros(spectrum.n_max)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite cap is legal
         return (float(sigma) ** 2) / spectrum.values ** 2
 
@@ -131,23 +133,23 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     exact maximizer of J over {r >= 0 : sum a_i^2 r_i <= Q^2}.
     """
     ensure_usable(problem)
-    with np.errstate(over="ignore"):  # a_i^2 = inf (exponential classes) is legal
-        a2 = problem.ellipsoid.weights ** 2
     caps = _caps(problem.spectrum, problem.sigma)
-    order = np.argsort(a2, kind="stable")
-
     r = np.zeros(problem.n)
     remaining = problem.ellipsoid.radius ** 2
-    for i in order:
-        cost = a2[i] * caps[i]
-        if cost <= remaining:
-            r[i] = caps[i]
-            remaining -= cost
-        elif remaining > 0.0:
-            r[i] = remaining / a2[i]
-            remaining = 0.0
-        else:
-            break
+    # a_i^2 = inf (exponential classes) is legal and sorts last: each such
+    # coordinate gets r_i = 0, also through a cost inf * 0 = NaN at a zero cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = problem.ellipsoid.weights ** 2
+        for i in np.argsort(a2, kind="stable"):
+            cost = a2[i] * caps[i]
+            if cost <= remaining:
+                r[i] = caps[i]
+                remaining -= cost
+            elif remaining > 0.0:
+                r[i] = remaining / a2[i]
+                remaining = 0.0
+            else:
+                break
 
     value = math.fsum(np.minimum(r, caps).tolist())
     budget_used = _budget(a2, r)
@@ -158,8 +160,7 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     return KnapsackSolution(r, value, set_p, set_qeq, budget_used, problem)
 
 
-def gateaux_derivative_J(solution: KnapsackSolution, r,
-                         spectrum: SingularSpectrum, sigma: float) -> float:
+def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
     """One-sided derivative of J at r* toward the feasible point r.
 
     Non-positive (up to rounding) for every feasible r exactly when r* is
@@ -169,8 +170,6 @@ def gateaux_derivative_J(solution: KnapsackSolution, r,
     n = len(solution.r_star)
     if arr.shape != (n,):
         raise ValidationError(f"r has shape {arr.shape}, expected ({n},)")
-    if spectrum.n_max != n:
-        raise ValidationError("spectrum length does not match the solution")
     if np.any(arr < 0.0):
         raise ValidationError("r must be non-negative")
     q2 = solution.problem.ellipsoid.radius ** 2
@@ -181,9 +180,11 @@ def gateaux_derivative_J(solution: KnapsackSolution, r,
             f"r infeasible: sum a_i^2 r_i = {budget!r} exceeds Q^2 = {q2!r}")
 
     h = arr - solution.r_star
-    outside_p = [float(h[i - 1]) for i in range(1, n + 1) if i not in solution.set_p]
-    neg_parts = [max(-float(h[i - 1]), 0.0) for i in sorted(solution.set_qeq)]
-    return math.fsum(outside_p) - math.fsum(neg_parts)
+    outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
+    in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
+    return (math.fsum(h[outside_p].tolist())
+            - math.fsum(np.maximum(-h[in_qeq], 0.0).tolist()))
 
 
 def sample_feasible_rectangles(problem: SequenceProblem, count: int,
@@ -192,11 +193,11 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
     sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream."""
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(seed), np.uint64(0x666561)], dtype=np.uint64)))
-    with np.errstate(over="ignore"):
-        a2 = problem.ellipsoid.weights ** 2
     q2 = problem.ellipsoid.radius ** 2
     d = gen.uniform(0.0, 1.0, size=(count, problem.n))
-    scale = gen.uniform(0.0, 1.0, size=count) * q2 / (d @ a2)
+    with np.errstate(divide="ignore", over="ignore"):
+        a2 = problem.ellipsoid.weights ** 2
+        scale = gen.uniform(0.0, 1.0, size=count) * q2 / (d @ a2)
     return d * scale[:, None]
 
 
@@ -207,10 +208,7 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
     if count < 1:
         raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     directions = sample_feasible_rectangles(solution.problem, count, seed)
-    spectrum = solution.problem.spectrum
-    sigma = solution.problem.sigma
-    return max(gateaux_derivative_J(solution, row, spectrum, sigma)
-               for row in directions)
+    return max(gateaux_derivative_J(solution, row) for row in directions)
 
 
 def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
@@ -250,7 +248,7 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     s = spectrum.values
     sig2 = float(sigma) ** 2
 
-    variances = map(sig2.__mul__, _exact_prefix_sums(1.0 / x ** 2 for x in s))
+    variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best = _scan_levels(
         n, lambda d: phi(float(s[d] ** 2)) ** 2, variances, operator.add)
     if best_d == n - 1:

@@ -121,6 +121,10 @@ def _parse_grid(text: str) -> tuple:
 def _cmd_risk(args) -> int:
     problem = _load_config(args)
     result = truncation.truncation_risk(problem, args.d)
+    if not math.isfinite(result.total):
+        raise ValidationError(
+            f"risk at level D = {args.d} is non-finite: bias_sq = "
+            f"{float(result.bias_sq)!r}, variance = {float(result.variance)!r}")
     sys.stdout.write(reports.emit_report(result))
     return EXIT_OK
 

@@ -224,7 +224,12 @@ def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> Ellipsoid
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     j = np.arange(1, n_max + 1, dtype=np.float64)
-    return EllipsoidClass(j ** float(kappa), float(radius), "power", float(kappa))
+    with np.errstate(over="ignore"):  # reported below, as one ValidationError
+        weights = j ** float(kappa)
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(
+            f"j^kappa overflows at j={n_max} for kappa={kappa!r}; reduce n_max")
+    return EllipsoidClass(weights, float(radius), "power", float(kappa))
 
 
 def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
@@ -331,14 +336,21 @@ def validate_problem(problem: SequenceProblem) -> ValidationReport:
     # messages print Python floats (1.0, not np.float64(1.0))
     for j in np.nonzero(~(s > 0.0))[0].tolist():
         v.append((j + 1, "spectrum positive", f"s_{j + 1} = {float(s[j])!r}"))
-    for j in np.nonzero(np.diff(s) > 0.0)[0].tolist():
+    # compared, not subtracted: inf - inf would warn
+    for j in np.nonzero(s[1:] > s[:-1])[0].tolist():
         v.append((j + 2, "spectrum non-increasing",
                   f"s_{j + 2} = {float(s[j + 1])!r} > s_{j + 1} = {float(s[j])!r}"))
     for j in np.nonzero(~(a > 0.0))[0].tolist():
         v.append((j + 1, "a positive", f"a_{j + 1} = {float(a[j])!r}"))
-    for j in np.nonzero(np.diff(a) < 0.0)[0].tolist():
+    for j in np.nonzero(a[1:] < a[:-1])[0].tolist():
         v.append((j + 2, "a non-decreasing",
                   f"a_{j + 2} = {float(a[j + 1])!r} < a_{j + 1} = {float(a[j])!r}"))
+    # +inf passes the sign rules; only the first index is named
+    for x, name, rule in ((s, "s", "spectrum finite"), (a, "a", "a finite")):
+        big = np.nonzero(x == math.inf)[0]
+        if big.size:
+            j = int(big[0])
+            v.append((j + 1, rule, f"{name}_{j + 1} = inf"))
     # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf (exponential classes) is fine
     with np.errstate(over="ignore"):
         tiny = np.nonzero((a > 0.0) & ~(a * a > 0.0))[0]

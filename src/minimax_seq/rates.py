@@ -38,7 +38,7 @@ from .problem import (
     make_power_class,
     make_power_spectrum,
 )
-from .truncation import _exact_prefix_sums, _scan_levels
+from .truncation import _exact_prefix_sums, _noise, _scan_levels
 
 __all__ = [
     "REGIME_TAGS",
@@ -161,8 +161,8 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    spreads = map(sig2.__mul__,
-                  map(math.sqrt, _exact_prefix_sums(1.0 / x ** 4 for x in s)))
+    spreads = _noise(sig2, map(math.sqrt,
+                               _exact_prefix_sums(1.0 / x ** 4 for x in s)))
     best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, max)
     if best_d == n - 1:
         warnings.warn(f"testing radius optimum hit D = N-1 = {best_d}",
@@ -180,7 +180,7 @@ def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    spreads = itertools.chain((0.0,), (sig2 / x ** 2 for x in s))
+    spreads = itertools.chain((0.0,), (sig2 / x ** 2 if sig2 else 0.0 for x in s))
     best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, operator.add)
     if best_d == n - 1:
         warnings.warn(f"deterministic rate optimum hit D = N-1 = {best_d}",

@@ -14,6 +14,7 @@ on summation order and are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import warnings
@@ -92,7 +93,8 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     q = problem.ellipsoid.radius
     with np.errstate(over="ignore"):  # a_(D+1)^2 = inf gives bias 0
         bias_sq = q ** 2 / a[D] ** 2
-    variance = problem.sigma ** 2 * rho_squared(problem.spectrum, D)
+    sig2 = problem.sigma ** 2
+    variance = sig2 * rho_squared(problem.spectrum, D) if sig2 else 0.0
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
 
 
@@ -140,6 +142,12 @@ def _exact_prefix_sums(terms):
         yield total
 
 
+def _noise(sig2: float, values):
+    """sig2 * v for each v in ``values``; exactly 0 when sig2 = 0, where an
+    infinite v (a noise sum that overflows) would give 0 * inf = NaN."""
+    return itertools.repeat(0.0) if sig2 == 0.0 else map(sig2.__mul__, values)
+
+
 def _scan_levels(n: int, bias_sq, spreads, combine) -> tuple[int, float]:
     """Level D in 0..n-1 minimizing combine(bias_sq(D), spread_D), where
     spread_D is the D-th value drawn from the iterable ``spreads``; returns
@@ -151,14 +159,17 @@ def _scan_levels(n: int, bias_sq, spreads, combine) -> tuple[int, float]:
     for levels reached.  The scans whose noise is a sum over the prefix draw
     it from _exact_prefix_sums, so a level costs O(1) amortised work and the
     result is the one an fsum over each whole prefix gives, bit for bit.
+    A term that overflows, or divides by an s_j^2 that underflows, is inf;
+    every lazy term is drawn inside this one errstate, so none warns.
     """
     best_d, best = 0, math.inf
-    for d, spread in zip(range(n), spreads):
-        if spread > best:
-            break
-        value = combine(bias_sq(d), spread)
-        if value < best:
-            best_d, best = d, value
+    with np.errstate(divide="ignore", over="ignore"):
+        for d, spread in zip(range(n), spreads):
+            if spread > best:
+                break
+            value = combine(bias_sq(d), spread)
+            if value < best:
+                best_d, best = d, value
     return best_d, best
 
 
@@ -178,7 +189,7 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     q2 = problem.ellipsoid.radius ** 2
     sig2 = problem.sigma ** 2
 
-    variances = map(sig2.__mul__, _exact_prefix_sums(1.0 / x ** 2 for x in s))
+    variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best_total = _scan_levels(
         n, lambda d: q2 / a[d] ** 2, variances, operator.add)
     if best_d == n - 1:
@@ -223,7 +234,8 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
     a = problem.ellipsoid.weights
     s = problem.spectrum.values
     bias_sq = problem.ellipsoid.radius ** 2 / a[k] ** 2
-    variance = problem.sigma ** 2 * math.fsum(1.0 / s[j - 1] ** 2 for j in idx)
+    sig2 = problem.sigma ** 2
+    variance = sig2 * math.fsum(1.0 / s[j - 1] ** 2 for j in idx) if sig2 else 0.0
     return bias_sq + variance
 
 

@@ -1,10 +1,13 @@
 import json
 import math
 import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from cli_helpers import DATA, GOLDEN, GOLDEN_CASES, run_cli, run_golden_case
+from minimax_seq import cli
 
 
 def assert_one_line_error(err: bytes, needle: bytes) -> None:
@@ -145,15 +148,16 @@ class TestExitCodes:
         assert err.count(b"a squared positive") == 1
 
     def test_overflowing_class_generator_is_one_line(self, tmp_path):
-        # exp(10*j) overflows at j = 71; numpy must not warn on stderr
-        doc = json.loads((DATA / "power_problem.json").read_text())
-        doc["class"] = {"kind": "exponential", "kappa": 10.0, "Q": 1.0}
-        doc["spectrum"]["n_max"] = doc["N"] = 100
-        config = tmp_path / "problem.json"
-        config.write_text(json.dumps(doc))
-        code, out, err = run_cli(["optimal", "--config", str(config)])
-        assert (code, out) == (2, b"")
-        assert_one_line_error(err, b"overflows")
+        # exp(10*j) overflows at j = 71, j^400 at j = 6; numpy must not warn
+        for kind, kappa, n in (("exponential", 10.0, 100), ("power", 400.0, 10)):
+            doc = json.loads((DATA / "power_problem.json").read_text())
+            doc["class"] = {"kind": kind, "kappa": kappa, "Q": 1.0}
+            doc["spectrum"]["n_max"] = doc["N"] = n
+            config = tmp_path / "problem.json"
+            config.write_text(json.dumps(doc))
+            code, out, err = run_cli(["optimal", "--config", str(config)])
+            assert (code, out) == (2, b"")
+            assert_one_line_error(err, b"overflows")
 
     @pytest.mark.parametrize("command", [["jmax"], ["optimal"],
                                          ["risk", "--d", "399"]])
@@ -173,6 +177,63 @@ class TestExitCodes:
             assert doc["certificate"]["ok"] is True
         elif command[0] == "risk":
             assert doc["bias_sq"] == 0.0
+
+    @pytest.mark.parametrize("values, weights, needle", [
+        ([math.inf, 1.0], [1.0, 2.0], b"spectrum finite (index 1): s_1 = inf"),
+        ([1.0, 0.5, 0.25], [1.0, math.inf, math.inf],
+         b"a finite (index 2): a_2 = inf"),
+    ])
+    def test_infinite_values_are_validation_error(self, tmp_path, values,
+                                                  weights, needle):
+        config = explicit_config(tmp_path, values, weights, 0.1)  # Infinity
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, needle)
+
+    @pytest.mark.parametrize("command", [["optimal"], ["jmax"],
+                                         ["risk", "--d", "399"]],
+                             ids=["optimal", "jmax", "risk"])
+    def test_noiseless_overflowing_noise_sum_is_zero(self, tmp_path, command):
+        # 1/s_j^2 overflows from j = 355 on; with sigma = 0 every cap,
+        # variance and spread is 0, so the best level is D = N-1
+        doc = {"spectrum": {"kind": "exponential", "p": 1.0, "n_max": 400},
+               "class": {"kind": "power", "kappa": 1.0, "Q": 1.0},
+               "sigma": 0.0, "N": 400}
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli([command[0], "--config", str(config),
+                                  *command[1:]])
+        assert b"RuntimeWarning" not in err
+        doc = json.loads(out)
+        if command[0] == "optimal":
+            assert (code, doc["D_star"]) == (3, 399)
+        elif command[0] == "jmax":
+            assert (code, err, doc["value"]) == (0, b"", 0.0)
+            assert doc["certificate"]["ok"] is True
+        else:
+            assert (code, err, doc["variance"]) == (0, b"", 0.0)
+
+    def test_extreme_explicit_configs_never_warn(self, tmp_path, capsys):
+        # spectrum, weights, Q and sigma from 1e-200 to 1e200 (sigma = 0 on
+        # about one config in seven), N <= 5, through four commands in-process
+        rng = np.random.default_rng(20240817)
+        codes = set()
+        with warnings.catch_warnings(record=True):  # SaturationWarnings
+            warnings.simplefilter("error", RuntimeWarning)
+            for _ in range(100):
+                n = int(rng.integers(1, 6))
+                values = np.sort(10.0 ** rng.uniform(-200, 200, n))[::-1]
+                weights = np.sort(10.0 ** rng.uniform(-200, 200, n))
+                sigma = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-200, 200)
+                config = explicit_config(tmp_path, values.tolist(), weights.tolist(),
+                                         float(sigma), 10.0 ** rng.uniform(-200, 200))
+                d = str(rng.integers(0, n))
+                for argv in (["optimal"], ["jmax", "--directions", "20"],
+                             ["risk", "--d", d],
+                             ["simulate", "--d", d, "--reps", "5", "--seed", "1"]):
+                    codes.add(cli.run([argv[0], "--config", str(config), *argv[1:]]))
+        capsys.readouterr()
+        assert codes <= {0, 2, 3}
 
     @pytest.mark.parametrize("command", ["optimal", "jmax"])
     def test_zero_dimension_is_validation_error(self, tmp_path, command):
@@ -280,7 +341,13 @@ class TestExitCodes:
         # 1/s_j^2 = 1e308, so rho^2 overflows at D = 3
         ([1.0, 1e-154, 1e-154, 1e-154], [1.0] * 4, 1.0,
          ["risk", "--d", "3"], b"non-finite"),
-    ], ids=["simulate-variance", "simulate-spike", "risk-noise-sum"])
+        ([1.0, 1e-154, 1e-154, 1e-154], [1.0] * 4, 1.0,
+         ["risk", "--d", "3"], b"risk at level D = 3 is non-finite"),
+        # Q^2/a_1^2 = 1e300/1e-320 overflows
+        ([1.0, 0.5, 0.25], [1e-160, 1.0, 2.0], 1e150,
+         ["risk", "--d", "0"], b"risk at level D = 0 is non-finite: bias_sq = inf"),
+    ], ids=["simulate-variance", "simulate-spike", "risk-noise-sum",
+            "risk-noise-sum-level", "risk-bias-level"])
     def test_overflow_is_one_line(self, tmp_path, values, weights, q, command,
                                   needle):
         config = explicit_config(tmp_path, values, weights, 0.1, q)

@@ -206,6 +206,13 @@ class TestValidation:
                             make_exponential_class(200.0, 3), 0.1, 3)
         assert validate_problem(p).passed
 
+    def test_infinite_values_flagged_once(self):
+        # +inf passes the sign and order rules; numpy must not warn on inf - inf
+        p = SequenceProblem(explicit_spectrum([math.inf, math.inf, 1.0]),
+                            explicit_class([1.0, math.inf, math.inf], 1.0), 0.1, 3)
+        assert validate_problem(p).violations == (
+            (1, "spectrum finite", "s_1 = inf"), (2, "a finite", "a_2 = inf"))
+
     def test_zero_dimension_flagged(self):
         p = SequenceProblem(explicit_spectrum([]), explicit_class([], 1.0), 0.1, 0)
         assert [v[1] for v in validate_problem(p).violations] == ["N at least 1"]

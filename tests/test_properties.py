@@ -6,6 +6,7 @@ budget (sum a_j^2 sigma^2/s_j^2 > Q^2), so sigma is drawn between one and
 six decades above the noise level at which that sum equals Q^2.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from minimax_seq import (
     certify_maximizer,
     explicit_class,
     explicit_spectrum,
+    gateaux_derivative_J,
     make_exponential_class,
     make_exponential_spectrum,
     make_power_class,
@@ -28,12 +30,16 @@ from minimax_seq import (
     minimax_sandwich,
     problem_from_json,
     problem_to_json,
+    sample_feasible_rectangles,
 )
 
 KINDS = ("power", "exponential", "explicit")
 # a legal class whose a_j^2 overflows from j = 355 on
 OVERFLOWING_WEIGHTS = SequenceProblem(make_power_spectrum(1.0, 400),
                                       make_exponential_class(1.0, 400), 0.1, 400)
+# a legal noiseless problem whose 1/s_j^2 overflows from j = 355 on
+NOISELESS_UNDERFLOW = SequenceProblem(make_exponential_spectrum(1.0, 400),
+                                      make_power_class(1.0, 400), 0.0, 400)
 
 
 @st.composite
@@ -108,3 +114,57 @@ def test_json_round_trip_is_bit_exact(problem):
     assert back.ellipsoid.weights.tobytes() == problem.ellipsoid.weights.tobytes()
     assert (back.ellipsoid.radius, back.sigma, back.n) == (
         problem.ellipsoid.radius, problem.sigma, problem.n)
+
+
+def reference_derivative(solution, r):
+    """The certificate's per-coordinate form: the fsum of h_i over i not in P
+    minus the fsum of max(-h_i, 0) over Q_eq, with h = r - r*."""
+    h = np.asarray(r, dtype=np.float64) - solution.r_star
+    n = len(solution.r_star)
+    outside_p = [float(h[i - 1]) for i in range(1, n + 1) if i not in solution.set_p]
+    neg_parts = [max(-float(h[i - 1]), 0.0) for i in sorted(solution.set_qeq)]
+    return math.fsum(outside_p) - math.fsum(neg_parts)
+
+
+@st.composite
+def tied_problems(draw):
+    """Dyadic explicit values with repeats, so costs tie and coordinates sit
+    exactly at their caps."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]), min_size=n, max_size=n))
+    a = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    return SequenceProblem(explicit_spectrum(sorted(s, reverse=True)),
+                           explicit_class(sorted(a), radius),
+                           draw(st.sampled_from([0.125, 0.5, 1.0])), n)
+
+
+@given(st.one_of(problems(), tied_problems()), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(OVERFLOWING_WEIGHTS, False, False, 0)
+@example(NOISELESS_UNDERFLOW, False, False, 0)
+@example(NOISELESS_UNDERFLOW, False, True, 1)
+@settings(max_examples=150, deadline=None)
+def test_certificate_matches_per_coordinate_reference(problem, noiseless,
+                                                      replaced, seed):
+    """The masked fsums read the reference's bits, signed zeros included,
+    also for a solution whose r* and sets are not the water-filling's."""
+    if noiseless:
+        problem = SequenceProblem(problem.spectrum, problem.ellipsoid, 0.0,
+                                  problem.n)
+    solution = maximize_J_over_ellipsoid(problem)
+    rng = np.random.default_rng(seed)
+    if replaced:
+        in_p = rng.random(problem.n) < 0.5
+        in_qeq = in_p & (rng.random(problem.n) < 0.5)
+        solution = dataclasses.replace(
+            solution, r_star=solution.r_star * rng.integers(0, 3, problem.n) / 2,
+            set_p=frozenset((np.nonzero(in_p)[0] + 1).tolist()),
+            set_qeq=frozenset((np.nonzero(in_qeq)[0] + 1).tolist()))
+    rows = sample_feasible_rectangles(problem, 20, seed)
+    want = [reference_derivative(solution, row) for row in rows]
+    got = [gateaux_derivative_J(solution, row) for row in rows]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert certify_maximizer(solution, count=20, seed=seed).hex() == max(want).hex()
+    at_r_star = gateaux_derivative_J(solution, solution.r_star)
+    assert at_r_star.hex() == reference_derivative(solution, solution.r_star).hex()

@@ -15,6 +15,7 @@ from minimax_seq import (
     explicit_class,
     explicit_spectrum,
     least_favorable,
+    make_exponential_spectrum,
     make_power_class,
     make_power_spectrum,
     optimal_truncation,
@@ -206,6 +207,23 @@ class TestOptimalTruncation:
             d_star, bound = optimal_truncation(p)
         assert d_star == 11
         assert bound == pytest.approx(1.0 / 12.0)
+
+    def test_noiseless_overflowing_noise_sum_is_zero(self):
+        # 1/s_j^2 overflows from j = 355 on; with sigma = 0 each noise term is
+        # still exactly 0 (not 0 * inf = NaN), so every scan reaches D = N-1
+        n = 400
+        p = SequenceProblem(make_exponential_spectrum(1.0, n),
+                            make_power_class(1.0, n), 0.0, n)
+        bias = 1.0 / n ** 2
+        with pytest.warns(SaturationWarning):
+            assert optimal_truncation(p) == (n - 1, math.sqrt(bias))
+        with pytest.warns(SaturationWarning):
+            assert radius_sq(p) == (n - 1, bias)
+        with pytest.warns(SaturationWarning):
+            assert deterministic_rate_sq(p) == (n - 1, bias)
+        risk = truncation_risk(p, n - 1)
+        assert (risk.variance, risk.total) == (0.0, bias)
+        assert subset_truncation_risk(p, range(1, n)) == bias
 
     def test_constant_weights_tie_break_smallest(self):
         p = SequenceProblem(make_power_spectrum(1.0, 6),

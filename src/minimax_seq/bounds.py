@@ -147,6 +147,11 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
                 remaining -= cost
             elif remaining > 0.0:
                 r[i] = remaining / a2[i]
+                if r[i] == math.inf:
+                    raise ValidationError(
+                        f"r_star is non-finite at index {i + 1}: the budget left, "
+                        f"{float(remaining)!r}, over a_{i + 1}^2 = {float(a2[i])!r} "
+                        "overflows")
                 remaining = 0.0
             else:
                 break

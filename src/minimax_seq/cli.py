@@ -77,11 +77,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("rates", help="fit a rate to a sweep CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--regime", choices=rates.REGIME_TAGS, default=None,
-                   help="override regime recorded in the CSV")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--in", dest="infile", required=True,
+                   help="sweep CSV written by mseq sweep")
 
     p = sub.add_parser("invert", help="spectral cut-off reconstruction")
     p.add_argument("--matrix", required=True, help="operator CSV (or MSEQ1 .bin)")
@@ -179,18 +176,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    rows, meta = reports.read_sweep_csv(args.infile)
-    tag = args.regime or meta.get("regime")
-    if tag is None:
-        raise ValidationError(
-            "regime not recorded in the CSV; pass --regime/--p/--kappa")
-    p = args.p if args.p is not None else float(meta.get("p", "nan"))
-    kappa = args.kappa if args.kappa is not None else float(meta.get("kappa", "nan"))
-    if not (math.isfinite(p) and math.isfinite(kappa)):
-        raise ValidationError("p and kappa must come from the CSV or flags")
-    grid = tuple(row.sigma for row in rows)
-    spec = rates.RegimeSpec.from_tag(tag, p, kappa, grid,
-                                     radius=float(meta.get("Q", "1")))
+    rows, spec = reports.read_sweep_csv(args.infile)
     fit = rates.fit_rate(rows, spec)
     doc = reports.document(fit)
     doc["label"] = rates.classify_illposedness(fit).value
@@ -236,9 +222,13 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SaturationWarning)
-            return _COMMANDS[args.command](args)
+            try:
+                return _COMMANDS[args.command](args)
+            finally:  # one line each, before any error message
+                for w in caught:
+                    sys.stderr.write(f"mseq: warning: {w.message}\n")
     except ValidationError as exc:
         sys.stderr.write(f"mseq: validation error: {exc}\n")
         return EXIT_VALIDATION

@@ -78,12 +78,15 @@ class SingularSpectrum:
     values: np.ndarray
     kind: str
     param: float | None
-    n_max: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.ndim != 1 or self.n_max != self.values.size:
-            raise ValidationError("spectrum values must be 1-d with length n_max")
+        if self.values.ndim != 1:
+            raise ValidationError("spectrum values must be 1-d")
+
+    @property
+    def n_max(self) -> int:
+        return self.values.size
 
     def __len__(self) -> int:
         return self.n_max
@@ -193,7 +196,7 @@ def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
     if values[-1] <= 0.0:
         raise ValidationError(
             f"j^-p underflows to 0 at j={n_max} for p={p!r}; reduce n_max")
-    return SingularSpectrum(values, "power", float(p), int(n_max))
+    return SingularSpectrum(values, "power", float(p))
 
 
 def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
@@ -208,13 +211,12 @@ def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
         raise ValidationError(
             f"exp(-p*j) underflows to 0 at j={n_max} for p={p!r}; reduce n_max"
         )
-    return SingularSpectrum(values, "exponential", float(p), int(n_max))
+    return SingularSpectrum(values, "exponential", float(p))
 
 
 def explicit_spectrum(values: Sequence[float]) -> SingularSpectrum:
     """Wrap explicitly given singular values (validated via validate_problem)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return SingularSpectrum(arr, "explicit", None, arr.size)
+    return SingularSpectrum(values, "explicit", None)
 
 
 def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 
@@ -33,6 +34,9 @@ SCHEMA_HEADER = "# minimax-seq v1"
 SWEEP_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 _SWEEP_TYPES = tuple(int if f.type in (int, "int") else float
                      for f in dataclasses.fields(SweepRow))
+# line 2 of the sweep CSV, as sweep_csv_text writes it
+_META_FORMAT = "# regime=<tag> p=<float> kappa=<float> Q=<float>"
+_META_LINE = re.compile(r"# regime=(\S+) p=(\S+) kappa=(\S+) Q=(\S+)")
 
 
 def format_float(x: float) -> str:
@@ -111,33 +115,30 @@ def write_sweep_csv(rows, spec: RegimeSpec, path: str) -> None:
         fh.write(sweep_csv_text(rows, spec))
 
 
-def read_sweep_csv(path: str) -> tuple[list[SweepRow], dict]:
-    """Read a sweep CSV; returns rows plus metadata parsed from '#' lines."""
-    meta: dict = {}
-    rows: list[SweepRow] = []
-    header_seen = False
+def read_sweep_csv(path: str) -> tuple[list[SweepRow], RegimeSpec]:
+    """The inverse of sweep_csv_text: the rows, and the regime of line 2 with
+    the rows' sigmas as its grid (N is not recorded, so it is the default)."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not ASCII text: {exc}") from exc
-    if not lines or lines[0] != SCHEMA_HEADER:
+    # a file shorter than 3 lines reads as blank lines, which the checks reject
+    schema, meta_line, column_line, *body = lines + [""] * (3 - len(lines))
+    if schema != SCHEMA_HEADER:
         raise ValidationError(
             f"{path}: missing schema header {SCHEMA_HEADER!r}")
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            for piece in line[1:].split():
-                if "=" in piece:
-                    key, val = piece.split("=", 1)
-                    meta[key] = val
-            continue
-        if not header_seen:
-            if line != ",".join(SWEEP_COLUMNS):
-                raise ValidationError(f"{path}: unexpected column header {line!r}")
-            header_seen = True
-            continue
+    meta = _META_LINE.fullmatch(meta_line)
+    if meta is None:
+        raise ValidationError(f"{path}: line 2 is not {_META_FORMAT!r}: {meta_line!r}")
+    try:
+        p, kappa, radius = map(float, meta.group(2, 3, 4))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed metadata {meta_line!r}: {exc}") from exc
+    if column_line != ",".join(SWEEP_COLUMNS):
+        raise ValidationError(f"{path}: unexpected column header {column_line!r}")
+    rows = []
+    for line in body:
         parts = line.split(",")
         if len(parts) != len(SWEEP_COLUMNS):
             raise ValidationError(f"{path}: malformed row {line!r}")
@@ -145,6 +146,5 @@ def read_sweep_csv(path: str) -> tuple[list[SweepRow], dict]:
             rows.append(SweepRow(*(convert(x) for convert, x in zip(_SWEEP_TYPES, parts))))
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed row {line!r}: {exc}") from exc
-    if not header_seen:
-        raise ValidationError(f"{path}: no column header found")
-    return rows, meta
+    return rows, RegimeSpec.from_tag(meta.group(1), p, kappa,
+                                     [row.sigma for row in rows], radius=radius)

@@ -66,20 +66,25 @@ def _checked_vector(x, n: int) -> np.ndarray:
     return arr
 
 
-def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
-    """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0).
+def _inverse_square_sum(s: np.ndarray, positions) -> float:
+    """Exactly rounded sum of 1/s_j^2 over the 0-based ``positions``.
 
     A sum that overflows, or holds an s_j^2 that underflows, reads as inf,
     as in _exact_prefix_sums.
     """
-    if not 0 <= n <= spectrum.n_max:
-        raise ValidationError(f"n = {n} out of range 0..{spectrum.n_max}")
-    s = spectrum.values
     with np.errstate(divide="ignore", over="ignore"):
         try:
-            return math.fsum(1.0 / s[j] ** 2 for j in range(n))
+            return math.fsum(1.0 / s[j] ** 2 for j in positions)
         except OverflowError:
             return math.inf
+
+
+def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
+    """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0);
+    inf when the sum overflows."""
+    if not 0 <= n <= spectrum.n_max:
+        raise ValidationError(f"n = {n} out of range 0..{spectrum.n_max}")
+    return _inverse_square_sum(spectrum.values, range(n))
 
 
 def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
@@ -180,7 +185,7 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     smaller level, and stops early once the variance term alone exceeds the
     incumbent (the variance is non-decreasing in D).  Warns when the best
     level sits at the end of the finite range, which signals that N is too
-    small to trust the minimum.
+    small to trust the minimum.  A risk that is inf at every level raises.
     """
     ensure_usable(problem)
     n = problem.n
@@ -192,6 +197,10 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best_total = _scan_levels(
         n, lambda d: q2 / a[d] ** 2, variances, operator.add)
+    if best_total == math.inf:
+        raise ValidationError(
+            f"upper bound is non-finite: the truncation risk is inf at every "
+            f"level D = 0..{n - 1}")
     if best_d == n - 1:
         warnings.warn(
             f"optimal level hit the end of the range (D* = N-1 = {best_d}); "
@@ -219,7 +228,8 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
     P uses 1-based indices within {1..N} and must leave the complement
     non-empty.  The risk is Q^2/a_k^2 + sigma^2 * sum_{j in P} 1/s_j^2 with
     k the smallest index outside P; it is never below the risk of the
-    initial segment of the same size.
+    initial segment of the same size.  A noise sum that overflows reads as
+    inf, as in rho_squared.
     """
     n = problem.n
     idx = sorted(set(int(j) for j in P))
@@ -232,10 +242,10 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
         in_p[j - 1] = True
     k = int(np.nonzero(~in_p)[0][0])  # 0-based position of min complement
     a = problem.ellipsoid.weights
-    s = problem.spectrum.values
     bias_sq = problem.ellipsoid.radius ** 2 / a[k] ** 2
     sig2 = problem.sigma ** 2
-    variance = sig2 * math.fsum(1.0 / s[j - 1] ** 2 for j in idx) if sig2 else 0.0
+    variance = (sig2 * _inverse_square_sum(problem.spectrum.values, np.flatnonzero(in_p))
+                if sig2 else 0.0)
     return bias_sq + variance
 
 

@@ -71,6 +71,17 @@ class TestExitCodes:
         code, _, _ = run_cli(["optimal", "--config", "/nonexistent.json"])
         assert code == 2
 
+    def test_warnings_are_one_line_each(self):
+        code, out, err = run_cli(["optimal", "--config",
+                                  str(DATA / "saturating_problem.json")])
+        assert code == 3
+        assert out == (b'{"sigma":1.0000000000000001e-09,"D_star":7,'
+                       b'"upper":0.015625000000004479,"lower":0.0071022727272747627,'
+                       b'"j_star":2.0400000000000001e-16,"chain_ok":false}\n')
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith(b"mseq: warning: ") for line in lines)
+
     def test_saturation_exit_code(self):
         code, out, _ = run_cli(["optimal", "--config",
                                 str(DATA / "saturating_problem.json")])
@@ -280,6 +291,29 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, b"finite")
 
+    # the reader accepts only what sweep_csv_text writes
+    @pytest.mark.parametrize("old, new, needle", [
+        ("p=1", "p=abc", b"'abc'"),
+        ("Q=1", "Q=zz", b"'zz'"),
+        ("# regime=pp p=1 kappa=2 Q=1\n", "", b"line 2"),
+        ("p=1 kappa=2", "kappa=2 p=1", b"line 2"),
+        ("kappa=2", "kap=2", b"line 2"),
+        ("Q=1", "Q=1 N=64", b"line 2"),
+        (" Q=1", "", b"line 2"),
+        ("\n0.0031", "\n\n0.0031", b"malformed row ''"),
+        ("\n0.0031", "\n# note\n0.0031", b"malformed row '# note'"),
+    ], ids=["p-abc", "Q-zz", "no-metadata", "out-of-order", "unknown-key",
+            "extra-key", "three-keys", "blank-line", "comment-line"])
+    def test_malformed_sweep_csv_is_validation_error(self, tmp_path, old, new,
+                                                     needle):
+        text = (GOLDEN / "sweep.golden").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "sweep.csv"
+        path.write_text(text.replace(old, new))
+        code, out, err = run_cli(["rates", "--in", str(path)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, needle)
+
     def test_non_integer_level_in_sweep_csv_is_validation_error(self, tmp_path):
         lines = (GOLDEN / "sweep.golden").read_text().splitlines()
         fields = lines[3].split(",")
@@ -346,8 +380,20 @@ class TestExitCodes:
         # Q^2/a_1^2 = 1e300/1e-320 overflows
         ([1.0, 0.5, 0.25], [1e-160, 1.0, 2.0], 1e150,
          ["risk", "--d", "0"], b"risk at level D = 0 is non-finite: bias_sq = inf"),
+        # Q^2/a_j^2 overflows at both levels, so the best risk is inf
+        ([1.0, 0.5], [1e-160, 1e-155], 1e150,
+         ["optimal"], b"upper bound is non-finite"),
+        # the same at N = 1, where D* = N-1 would also warn
+        ([1.0], [1e-160], 1e150, ["optimal"], b"upper bound is non-finite"),
+        # s_j^2 underflows, so the caps, the noise and the bias at D = 0 are inf
+        ([1e-160, 1e-160], [1e-150, 1.0], 1e10,
+         ["optimal"], b"upper bound is non-finite"),
+        # the water-filling pivot 1e20/1e-300 overflows
+        ([1e-160, 1e-160], [1e-150, 1.0], 1e10,
+         ["jmax"], b"r_star is non-finite at index 1"),
     ], ids=["simulate-variance", "simulate-spike", "risk-noise-sum",
-            "risk-noise-sum-level", "risk-bias-level"])
+            "risk-noise-sum-level", "risk-bias-level", "optimal-upper-bias",
+            "optimal-upper-one-level", "optimal-upper-noise", "jmax-r-star"])
     def test_overflow_is_one_line(self, tmp_path, values, weights, q, command,
                                   needle):
         config = explicit_config(tmp_path, values, weights, 0.1, q)

@@ -6,6 +6,7 @@ import pytest
 import minimax_seq.problem as problem_mod
 from minimax_seq import (
     SequenceProblem,
+    SingularSpectrum,
     ValidationError,
     custom_index,
     deterministic_rate_sq,
@@ -51,6 +52,13 @@ class TestSpectrumConstructors:
     def test_exponential_pair(self):
         sp = make_exponential_spectrum(0.5, 2)
         np.testing.assert_allclose(sp.values, [math.exp(-0.5), math.exp(-1.0)])
+
+    def test_length_is_the_length_of_values(self):
+        sp = SingularSpectrum([1.0, 0.5, 0.25], "explicit", None)
+        assert sp.n_max == len(sp) == 3
+        assert make_power_spectrum(1.0, 7).n_max == 7
+        with pytest.raises(ValidationError, match="1-d"):
+            SingularSpectrum(np.ones((2, 2)), "explicit", None)
 
     @pytest.mark.parametrize("p,n", [(0.0, 3), (-1.0, 3), (1.0, 0), (math.inf, 3)])
     def test_invalid_parameters(self, p, n):

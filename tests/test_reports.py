@@ -79,16 +79,17 @@ class TestEmitReport:
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
-        spec = RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-2, 1e-3, 1e-4), n=64)
+        spec = RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-2, 1e-3, 1e-4),
+                                   radius=0.5, n=64)
         rows = sweep(spec)
         path = str(tmp_path / "sweep.csv")
         write_sweep_csv(rows, spec, path)
-        got, meta = read_sweep_csv(path)
+        got, got_spec = read_sweep_csv(path)
         assert got == rows
         assert all(type(row.d_star) is int for row in got)
-        assert meta["regime"] == "pp"
-        assert float(meta["p"]) == 1.0
-        assert float(meta["kappa"]) == 2.0
+        assert (got_spec.tag, got_spec.p, got_spec.kappa, got_spec.radius) == \
+            (spec.tag, spec.p, spec.kappa, spec.radius)
+        assert got_spec.sigma_grid == tuple(row.sigma for row in rows)
 
     def test_header_versioned(self):
         spec = RegimeSpec.from_tag("ee", 1.0, 1.0, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))

@@ -280,6 +280,24 @@ class TestSubsetTruncation:
             assert subset_truncation_risk(p, subset) >= \
                 truncation_risk(p, size).total
 
+    def test_overflowing_noise_sum_is_infinite(self):
+        # s_j = exp(-j): 1/s_j^2 overflows from j = 355 on; as in rho_squared
+        # the noise sum reads as inf, with no RuntimeWarning
+        n = 400
+        p = SequenceProblem(make_exponential_spectrum(1.0, n),
+                            make_power_class(1.0, n), 0.1, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert subset_truncation_risk(p, range(1, 400)) == math.inf
+            assert subset_truncation_risk(p, range(1, 360)) == math.inf
+            # the largest finite initial segment, bit for bit
+            assert subset_truncation_risk(p, range(1, 355)) == \
+                truncation_risk(p, 354).total < math.inf
+            # finite terms 1e308 whose sum overflows in fsum
+            flat = SequenceProblem(explicit_spectrum([1e-154] * 4),
+                                   explicit_class([1.0] * 4, 1.0), 0.1, 4)
+            assert subset_truncation_risk(flat, {1, 2}) == math.inf
+
     def test_full_set_rejected(self):
         with pytest.raises(ValidationError):
             subset_truncation_risk(toy_problem(n=4), {1, 2, 3, 4})

@@ -6,17 +6,22 @@ stream keyed (m, r), and coordinate k reads position k of that stream.
 Values therefore depend only on the key tuple, never on evaluation order
 or degree of parallelism, and repeated runs are bit-identical.  Averages
 accumulate in fixed replication order through math.fsum.
+
+Monte Carlo draws its replications in blocks from one Philox bit
+generator per block, re-keyed to the start of each replication's stream,
+so a block holds exactly the bits of its one-at-a-time draws.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import SequenceProblem, ValidationError, ensure_usable
-from .truncation import _checked_vector, estimate
+from .truncation import _checked_vector
 
 __all__ = [
     "SimulationConfig",
@@ -26,6 +31,19 @@ __all__ = [
     "empirical_worst_case",
 ]
 
+# noise values per Monte Carlo block: 64 replications at N = 64, one at N > 4096
+_BLOCK_DOUBLES = 4096
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int; bools and non-integral numbers are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -34,6 +52,8 @@ class SimulationConfig:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("replications", "master_seed", "n"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -50,26 +70,43 @@ class RiskEstimate:
     seed: int
 
 
-def _stream(seed) -> np.random.Generator:
-    """Philox generator keyed by an integer or an (int, int) pair."""
+def _key(seed) -> tuple[int, int]:
+    """The Philox key of ``seed``: an integer m reads (m, 0), a pair stays."""
     if isinstance(seed, tuple):
         if len(seed) != 2:
             raise ValidationError("seed tuple must have two components")
-        key = np.array([np.uint64(seed[0]), np.uint64(seed[1])], dtype=np.uint64)
-    else:
-        key = np.array([np.uint64(seed), np.uint64(0)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        return int(np.uint64(seed[0])), int(np.uint64(seed[1]))
+    return int(np.uint64(seed)), 0
 
 
-def sample_observations(theta, problem: SequenceProblem, seed) -> np.ndarray:
+def sample_observations(theta, problem: SequenceProblem, seed,
+                        count: int | None = None) -> np.ndarray:
     """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from the stream keyed by seed.
 
-    ``seed`` is an integer or an (int, int) pair; identical inputs give
-    identical observations, returned as a read-only array.
+    ``seed`` is an integer m, read as the key (m, 0), or an (m, r) pair;
+    identical inputs give identical observations, returned as a read-only
+    array.  With ``count=None`` the result has shape (N,).  With
+    ``count=k`` it is a (k, N) block whose row i equals the single draw
+    keyed (m, r + i): one Philox bit generator is re-keyed through its
+    public state before each row, to the start of that row's stream.
     """
     theta = _checked_vector(theta, problem.n)
-    xi = _stream(seed).standard_normal(problem.n)
+    m, r0 = _key(seed)
+    xi = np.empty((1 if count is None else count, problem.n))
+    bitgen = np.random.Philox(key=m)
+    gen = np.random.Generator(bitgen)
+    key = [m, r0]
+    start = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for i, row in enumerate(xi):
+        key[1] = r0 + i
+        bitgen.state = start
+        gen.standard_normal(out=row)
     z = theta + (problem.sigma / problem.spectrum.values) * xi
+    if count is None:
+        z = z[0]
     z.flags.writeable = False
     return z
 
@@ -79,7 +116,9 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     """Average squared estimation error over config.replications draws.
 
     Replication r uses the stream keyed (master_seed, r), so the estimate
-    is independent of evaluation order and reproducible bit-for-bit.
+    is independent of evaluation order and reproducible bit-for-bit.  The
+    draws come in blocks of at most _BLOCK_DOUBLES noise values, so memory
+    stays bounded for any replication count.
     """
     ensure_usable(problem)
     n = problem.n
@@ -90,13 +129,18 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
         raise ValidationError(f"level D = {D} out of range 0..{n}")
     theta = _checked_vector(theta, n)
     reps = config.replications
+    rows = max(1, _BLOCK_DOUBLES // n)
     errors = []
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below
-            for r in range(reps):
-                z = sample_observations(theta, problem, (config.master_seed, r))
-                d = theta - estimate(z, D)
-                errors.append(math.fsum((d * d).tolist()))
+            for r0 in range(0, reps, rows):
+                z = sample_observations(theta, problem, (config.master_seed, r0),
+                                        count=min(rows, reps - r0))
+                # theta - estimate(z, D), row by row
+                d = np.empty_like(z)
+                d[:, :D] = theta[:D] - z[:, :D]
+                d[:, D:] = theta[D:]
+                errors.extend(map(math.fsum, (d * d).tolist()))
         total = math.fsum(errors)
         if not math.isfinite(total):  # a squared error is inf or NaN
             raise OverflowError

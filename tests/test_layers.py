@@ -4,7 +4,16 @@ benchmark run, so every name must resolve here."""
 
 import importlib
 import json
+import math
 from pathlib import Path
+
+from minimax_seq import (
+    SequenceProblem,
+    least_favorable,
+    make_power_class,
+    make_power_spectrum,
+    simulate,
+)
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
@@ -22,3 +31,25 @@ def test_every_wrapped_name_is_a_library_callable():
         if not callable(target):
             missing.append(name)
     assert missing == []
+
+
+def test_monte_carlo_draws_through_sample_observations(monkeypatch):
+    """The traced run counts simulate.sample_observations calls and fails when
+    a workload that runs Monte Carlo records none: one call per block."""
+    calls = []
+    original = simulate.sample_observations
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("count"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample_observations", counting)
+    n, reps = 64, 1000
+    problem = SequenceProblem(make_power_spectrum(1.0, n),
+                              make_power_class(1.0, n), 0.1, n)
+    simulate.monte_carlo_risk(problem, least_favorable(problem, 3), 3,
+                              simulate.SimulationConfig(reps, 7, n))
+    rows = max(1, simulate._BLOCK_DOUBLES // n)
+    assert len(calls) >= 1
+    assert len(calls) == math.ceil(reps / rows)
+    assert sum(calls) == reps

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minimax_seq import (
     SequenceProblem,
@@ -9,13 +11,18 @@ from minimax_seq import (
     ValidationError,
     empirical_worst_case,
     estimate,
+    explicit_class,
+    explicit_spectrum,
     least_favorable,
+    make_exponential_class,
+    make_exponential_spectrum,
     make_power_class,
     make_power_spectrum,
     monte_carlo_risk,
     sample_observations,
     truncation_risk,
 )
+from minimax_seq.simulate import _BLOCK_DOUBLES
 
 
 def toy_problem(sigma=0.1, n=16):
@@ -159,3 +166,112 @@ class TestEmpiricalWorstCase:
         want_gap = truncation_risk(p, d).bias_sq - truncation_risk(p, d + 1).bias_sq
         assert r1.mean_sq_error - r2.mean_sq_error == pytest.approx(
             want_gap, rel=1e-9)
+
+
+class TestSimulationConfig:
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 1, 8), "replications"),
+        ((True, 1, 8), "replications"),
+        ((3, 1.5, 8), "master_seed"),
+        ((3, False, 8), "master_seed"),
+        ((3, 1, 8.0), "n"),
+        ((3, 1, "8"), "n"),
+    ])
+    def test_non_integers_rejected(self, args, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SimulationConfig(*args)
+
+    def test_numpy_integers_stored_as_int(self):
+        p = toy_problem(n=8)
+        config = SimulationConfig(np.int64(3), np.uint64(5), np.int32(8))
+        assert [type(v) for v in (config.replications, config.master_seed,
+                                  config.n)] == [int, int, int]
+        est = monte_carlo_risk(p, least_favorable(p, 2), 2, config)
+        assert type(est.mean_sq_error) is float
+        assert type(est.std_error) is float
+        assert type(est.replications) is int
+
+
+KINDS = ("power", "exponential", "explicit")
+
+
+@st.composite
+def mc_cases(draw):
+    """(problem, theta, D, config) with R at the edges of the block size."""
+    n = draw(st.integers(1, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spectrum_kind, class_kind = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))
+    if spectrum_kind == "power":
+        spectrum = make_power_spectrum(draw(st.floats(0.25, 2.0)), n)
+    elif spectrum_kind == "exponential":
+        spectrum = make_exponential_spectrum(draw(st.floats(0.05, min(1.0, 50 / n))), n)
+    else:
+        spectrum = explicit_spectrum(np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1])
+    if class_kind == "power":
+        ellipsoid = make_power_class(draw(st.floats(0.25, 3.0)), n)
+    elif class_kind == "exponential":
+        ellipsoid = make_exponential_class(draw(st.floats(0.05, min(2.0, 300 / n))), n)
+    else:
+        ellipsoid = explicit_class(np.sort(10.0 ** rng.uniform(0.0, 3.0, n)), 1.0)
+    sigma = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    problem = SequenceProblem(spectrum, ellipsoid, sigma, n)
+    d = draw(st.sampled_from([0, n, int(rng.integers(0, n + 1))]))
+    if draw(st.booleans()):
+        theta = least_favorable(problem, int(rng.integers(0, n)))
+    else:  # strictly inside the ellipsoid
+        theta = rng.uniform(-1.0, 1.0, n) / (ellipsoid.weights * math.sqrt(n))
+    rows = max(1, _BLOCK_DOUBLES // n)
+    reps = draw(st.sampled_from([1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1]))
+    config = SimulationConfig(reps, draw(st.integers(0, 2 ** 64 - 1)), n)
+    return problem, theta, d, config
+
+
+def reference_risk(problem, theta, D, config):
+    """monte_carlo_risk one replication at a time: (mean, std_error)."""
+    errors = []
+    for r in range(config.replications):
+        z = sample_observations(theta, problem, (config.master_seed, r))
+        d = theta - estimate(z, D)
+        errors.append(math.fsum((d * d).tolist()))
+    reps = len(errors)
+    if min(errors) == max(errors):
+        return errors[0], 0.0
+    mean = math.fsum(errors) / reps
+    var = math.fsum((e - mean) ** 2 for e in errors) / (reps - 1)
+    return mean, math.sqrt(var / reps)
+
+
+def fresh_stream_draw(theta, problem, m, r):
+    """A single draw from a newly built generator keyed (m, r)."""
+    key = np.array([m, r], dtype=np.uint64)
+    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(problem.n)
+    return theta + (problem.sigma / problem.spectrum.values) * xi
+
+
+_TOY = toy_problem(n=64)
+
+
+@given(mc_cases())
+@example((toy_problem(sigma=0.0), least_favorable(toy_problem(), 2), 16,
+          SimulationConfig(300, 3, 16)))
+@example((_TOY, least_favorable(_TOY, 3), 0, SimulationConfig(129, 2 ** 64 - 1, 64)))
+@settings(max_examples=60, deadline=None)
+def test_blocked_monte_carlo_matches_one_draw_per_replication(case):
+    problem, theta, d, config = case
+    est = monte_carlo_risk(problem, theta, d, config)
+    mean, std_error = reference_risk(problem, theta, d, config)
+    assert (est.mean_sq_error.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
+
+
+@given(mc_cases(), st.integers(1, 70), st.integers(0, 2 ** 63))
+@settings(max_examples=60, deadline=None)
+def test_block_rows_equal_single_draws(case, count, r0):
+    problem, theta, _, config = case
+    m = config.master_seed
+    block = sample_observations(theta, problem, (m, r0), count=count)
+    assert block.shape == (count, problem.n)
+    assert not block.flags.writeable
+    for i, row in enumerate(block):
+        single = sample_observations(theta, problem, (m, r0 + i))
+        assert row.tobytes() == single.tobytes()
+        assert row.tobytes() == fresh_stream_draw(theta, problem, m, r0 + i).tobytes()

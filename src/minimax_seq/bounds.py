@@ -43,6 +43,7 @@ from .problem import (
     ellipsoid_from_source_set,
     ensure_usable,
 )
+from .simulate import _BLOCK_DOUBLES
 from .truncation import _exact_prefix_sums, _noise, _scan_levels, optimal_truncation
 
 __all__ = [
@@ -165,6 +166,35 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     return KnapsackSolution(r, value, set_p, set_qeq, budget_used, problem)
 
 
+def _certificate_terms(solution: KnapsackSolution):
+    """a_i^2, the mask of the coordinates outside P and the mask of Q_eq."""
+    n = len(solution.r_star)
+    outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
+    in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
+    with np.errstate(over="ignore"):
+        a2 = solution.problem.ellipsoid.weights ** 2
+    return a2, outside_p, in_qeq
+
+
+def _check_budget(a2: np.ndarray, r: np.ndarray, q2: float) -> None:
+    with np.errstate(over="ignore"):
+        budget = _budget(a2, r)
+    if budget > q2 * (1.0 + _REL_TOL):
+        raise ValidationError(
+            f"r infeasible: sum a_i^2 r_i = {budget!r} exceeds Q^2 = {q2!r}")
+
+
+def _split(h: np.ndarray, outside_p: np.ndarray, in_qeq: np.ndarray):
+    """The derivative's terms along the last axis of h = r - r*: h_i over
+    the coordinates outside P, and max(-h_i, 0) over Q_eq."""
+    return h[..., outside_p], np.maximum(-h[..., in_qeq], 0.0)
+
+
+def _derivative(gain: np.ndarray, loss: np.ndarray) -> float:
+    return math.fsum(gain.tolist()) - math.fsum(loss.tolist())
+
+
 def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
     """One-sided derivative of J at r* toward the feasible point r.
 
@@ -177,19 +207,9 @@ def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
         raise ValidationError(f"r has shape {arr.shape}, expected ({n},)")
     if np.any(arr < 0.0):
         raise ValidationError("r must be non-negative")
-    q2 = solution.problem.ellipsoid.radius ** 2
-    with np.errstate(over="ignore"):
-        budget = _budget(solution.problem.ellipsoid.weights ** 2, arr)
-    if budget > q2 * (1.0 + _REL_TOL):
-        raise ValidationError(
-            f"r infeasible: sum a_i^2 r_i = {budget!r} exceeds Q^2 = {q2!r}")
-
-    h = arr - solution.r_star
-    outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
-    in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
-    return (math.fsum(h[outside_p].tolist())
-            - math.fsum(np.maximum(-h[in_qeq], 0.0).tolist()))
+    a2, outside_p, in_qeq = _certificate_terms(solution)
+    _check_budget(a2, arr, solution.problem.ellipsoid.radius ** 2)
+    return _derivative(*_split(arr - solution.r_star, outside_p, in_qeq))
 
 
 def sample_feasible_rectangles(problem: SequenceProblem, count: int,
@@ -209,11 +229,56 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
 def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
                       seed: int = 0) -> float:
     """Largest directional derivative over ``count`` sampled feasible
-    directions; at a true maximizer this stays at or below rounding noise."""
+    directions; at a true maximizer this stays at or below rounding noise.
+
+    The result has the bits, and the errors, of
+    ``max(gateaux_derivative_J(solution, row) for row in rows)``.  Rows go
+    in blocks of at most _BLOCK_DOUBLES values.  Each row's budget and
+    derivative v are first summed in numpy, with the rigorous error bound
+    e = gamma * (sum |h_out| + sum max(-h_qeq, 0)) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 4.2).  The exact fsums then
+    run, in row order, only where that bound cannot decide: the budget on
+    rows whose sum may exceed Q^2 (1 + 1e-9), the derivative on rows that
+    are non-finite or near overflow and on rows with v + e at or above the
+    largest v - e so far (row 0 always is), since every other row's
+    derivative is below the running maximum.
+    """
     if count < 1:
         raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
-    directions = sample_feasible_rectangles(solution.problem, count, seed)
-    return max(gateaux_derivative_J(solution, row) for row in directions)
+    rows = sample_feasible_rectangles(solution.problem, count, seed)
+    a2, outside_p, in_qeq = _certificate_terms(solution)
+    n = len(solution.r_star)
+    q2 = solution.problem.ellipsoid.radius ** 2
+    # at least twice the n-term summation bound n * 2^-53, leaving room for the
+    # budget products, the fsums and the rounding of v +- e
+    gamma = (n + 8) * 2.0 ** -52
+    budget_floor = q2 * (1.0 + _REL_TOL) / (1.0 + gamma)
+    best, floor = None, -math.inf  # floor: the largest v - e so far
+    step = max(1, _BLOCK_DOUBLES // n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, step):
+            block = rows[start:start + step]
+            negative = (block < 0.0).any(axis=1)
+            over = np.where(block > 0.0, block * a2, 0.0).sum(axis=1) >= budget_floor
+            gain, loss = _split(block - solution.r_star, outside_p, in_qeq)
+            v = gain.sum(axis=1) - loss.sum(axis=1)
+            size = np.abs(gain).sum(axis=1) + loss.sum(axis=1)
+            e = gamma * size
+            low = v - e
+            floors = np.maximum.accumulate(np.where(low > floor, low, floor))
+            # a non-finite row has a NaN or inf size; fsum may overflow near 2^1024
+            exact = ~(size < 2.0 ** 1023) | (v + e >= floors)
+            for i in np.flatnonzero(negative | over | exact).tolist():
+                if negative[i]:
+                    raise ValidationError("r must be non-negative")
+                if over[i]:
+                    _check_budget(a2, block[i], q2)
+                if exact[i]:
+                    d = _derivative(gain[i], loss[i])
+                    if best is None or d > best:
+                        best = d
+            floor = floors[-1]
+    return best
 
 
 def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 saturation/resolution error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import sys
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # argparse parsers are reusable, so build one per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -45,6 +45,14 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(name: str, value) -> int:
+    """value as a plain int that fits in 64 unsigned bits, a Philox key word."""
+    value = _integer(name, value)
+    if not 0 <= value < 2 ** 64:
+        raise ValidationError(f"{name} must fit in 64 unsigned bits")
+    return value
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     replications: int
@@ -56,8 +64,7 @@ class SimulationConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValidationError("master_seed must fit in 64 unsigned bits")
+        _seed("master_seed", self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -75,16 +82,17 @@ def _key(seed) -> tuple[int, int]:
     if isinstance(seed, tuple):
         if len(seed) != 2:
             raise ValidationError("seed tuple must have two components")
-        return int(np.uint64(seed[0])), int(np.uint64(seed[1]))
-    return int(np.uint64(seed)), 0
+        return _seed("seed[0]", seed[0]), _seed("seed[1]", seed[1])
+    return _seed("seed", seed), 0
 
 
 def sample_observations(theta, problem: SequenceProblem, seed,
                         count: int | None = None) -> np.ndarray:
     """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from the stream keyed by seed.
 
-    ``seed`` is an integer m, read as the key (m, 0), or an (m, r) pair;
-    identical inputs give identical observations, returned as a read-only
+    ``seed`` is an integer m, read as the key (m, 0), or an (m, r) pair of
+    integers, each in [0, 2^64); anything else raises ValidationError.
+    Identical inputs give identical observations, returned as a read-only
     array.  With ``count=None`` the result has shape (N,).  With
     ``count=k`` it is a (k, N) block whose row i equals the single draw
     keyed (m, r + i): one Philox bit generator is re-keyed through its
@@ -93,6 +101,8 @@ def sample_observations(theta, problem: SequenceProblem, seed,
     theta = _checked_vector(theta, problem.n)
     m, r0 = _key(seed)
     xi = np.empty((1 if count is None else count, problem.n))
+    if r0 + len(xi) > 2 ** 64:
+        raise ValidationError("seed[1] + count - 1 must fit in 64 unsigned bits")
     bitgen = np.random.Philox(key=m)
     gen = np.random.Generator(bitgen)
     key = [m, r0]

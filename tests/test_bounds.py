@@ -25,6 +25,7 @@ from minimax_seq import (
     source_set_bound,
     truncation_risk,
 )
+from minimax_seq import bounds
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -170,6 +171,59 @@ class TestGateauxCertificate:
             gateaux_derivative_J(sol, too_big)
         with pytest.raises(ValidationError, match="non-negative"):
             gateaux_derivative_J(sol, -sol.r_star - 1e-3)
+
+    @staticmethod
+    def zero_solution(n):
+        """r* = 0 with P and Q_eq empty, so the derivative toward r is sum r."""
+        p = SequenceProblem(explicit_spectrum(np.ones(n)),
+                            explicit_class(np.ones(n), 2.0), 1.0, n)
+        return dataclasses.replace(maximize_J_over_ellipsoid(p), r_star=np.zeros(n),
+                                   set_p=frozenset(), set_qeq=frozenset())
+
+    @staticmethod
+    def per_row(solution, rows):
+        try:
+            return max(gateaux_derivative_J(solution, row) for row in rows)
+        except ValidationError as exc:
+            return f"ValidationError: {exc}"
+
+    def certify_rows(self, monkeypatch, solution, rows):
+        monkeypatch.setattr(bounds, "sample_feasible_rectangles",
+                            lambda problem, count, seed: rows[:count])
+        try:
+            return certify_maximizer(solution, count=len(rows))
+        except ValidationError as exc:
+            return f"ValidationError: {exc}"
+
+    def test_row_that_float_sums_rank_low_still_wins(self, monkeypatch):
+        # float sums give 1 + 2^-52 for row 0 and 1.0 for row 1, whose
+        # exact sum 1 + 1.5 * 2^-52 rounds up to 1 + 2^-51
+        u = 2.0 ** -53
+        rows = np.array([[1.0, 2 * u, 0.0, 0.0], [1.0, u, u, u]])
+        solution = self.zero_solution(4)
+        got = self.certify_rows(monkeypatch, solution, rows)
+        assert got == self.per_row(solution, rows) == 1.0 + 4 * u
+
+    def test_first_error_in_row_order(self, monkeypatch):
+        # rows past the first block (8 rows of 512) fail in either order
+        solution = self.zero_solution(512)
+        rows = np.full((40, 512), 1e-3)
+        for negative_row, infeasible_row in ((21, 30), (30, 21)):
+            bad = rows.copy()
+            bad[negative_row, 7] = -1e-3
+            bad[infeasible_row] = 1.0
+            got = self.certify_rows(monkeypatch, solution, bad)
+            assert got == self.per_row(solution, bad)
+            assert ("non-negative" in got) == (negative_row < infeasible_row)
+
+    def test_nan_counts_only_at_row_0(self, monkeypatch):
+        # max() keeps a NaN first value, and no later NaN replaces a number
+        solution = self.zero_solution(2)
+        for rows, want in (([[math.nan, 0.0], [1.0, 0.0]], "nan"),
+                           ([[1.0, 0.0], [math.nan, 0.0]], "1.0")):
+            rows = np.array(rows)
+            got = self.certify_rows(monkeypatch, solution, rows)
+            assert repr(got) == repr(self.per_row(solution, rows)) == want
 
     def test_sampled_directions_are_feasible(self):
         p = toy_problem()

@@ -36,6 +36,24 @@ def test_golden_output(name, tmp_path):
     assert out == want
 
 
+def test_one_parser_serves_every_command_in_a_process(tmp_path, capsys):
+    # a usage error, two --help runs, then a valid jmax, all in-process
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.run(["jmax"]) == cli.EXIT_USAGE
+    assert "the following arguments are required" in capsys.readouterr().err
+    helps = []
+    for _ in range(2):
+        assert cli.run(["--help"]) == cli.EXIT_OK
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: mseq")
+    jmax = {c[0]: c for c in GOLDEN_CASES}["jmax"]
+    assert cli.run(jmax[1](tmp_path)) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.encode() == (GOLDEN / "jmax.golden").read_bytes()
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("name", [c[0] for c in GOLDEN_CASES])
 def test_repeat_runs_byte_identical(name, tmp_path):
     (tmp_path / "a").mkdir()

@@ -12,12 +12,14 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minimax_seq import (
     SaturationWarning,
     SequenceProblem,
+    ValidationError,
     certify_maximizer,
     explicit_class,
     explicit_spectrum,
@@ -139,16 +141,29 @@ def tied_problems(draw):
                            draw(st.sampled_from([0.125, 0.5, 1.0])), n)
 
 
+# 63 certificate blocks of 8 rows at count = 500
+MANY_BLOCKS = SequenceProblem(make_power_spectrum(1.0, 512),
+                              make_power_class(1.0, 512), 1e-3, 512)
+# Q^2/(d @ a^2) overflows, so every sampled row is infeasible
+HUGE_BUDGET = SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                              explicit_class([1e-160, 1e-155], 1e150), 0.1, 2)
+
+
 @given(st.one_of(problems(), tied_problems()), st.booleans(), st.booleans(),
-       st.integers(0, 2 ** 32 - 1))
-@example(OVERFLOWING_WEIGHTS, False, False, 0)
-@example(NOISELESS_UNDERFLOW, False, False, 0)
-@example(NOISELESS_UNDERFLOW, False, True, 1)
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+@example(OVERFLOWING_WEIGHTS, False, False, 0, 20)
+@example(NOISELESS_UNDERFLOW, False, False, 0, 20)
+@example(NOISELESS_UNDERFLOW, False, True, 1, 20)
+@example(MANY_BLOCKS, False, False, 0, 500)
+@example(MANY_BLOCKS, False, True, 2, 500)
+@example(OVERFLOWING_WEIGHTS, False, True, 3, 1)
+@example(HUGE_BUDGET, False, False, 0, 20)
 @settings(max_examples=150, deadline=None)
 def test_certificate_matches_per_coordinate_reference(problem, noiseless,
-                                                      replaced, seed):
+                                                      replaced, seed, count):
     """The masked fsums read the reference's bits, signed zeros included,
-    also for a solution whose r* and sets are not the water-filling's."""
+    also for a solution whose r* and sets are not the water-filling's; the
+    blocked certificate returns the per-row maximum, or raises its error."""
     if noiseless:
         problem = SequenceProblem(problem.spectrum, problem.ellipsoid, 0.0,
                                   problem.n)
@@ -161,10 +176,16 @@ def test_certificate_matches_per_coordinate_reference(problem, noiseless,
             solution, r_star=solution.r_star * rng.integers(0, 3, problem.n) / 2,
             set_p=frozenset((np.nonzero(in_p)[0] + 1).tolist()),
             set_qeq=frozenset((np.nonzero(in_qeq)[0] + 1).tolist()))
-    rows = sample_feasible_rectangles(problem, 20, seed)
+    rows = sample_feasible_rectangles(problem, count, seed)
+    try:
+        got = [gateaux_derivative_J(solution, row) for row in rows]
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            certify_maximizer(solution, count=count, seed=seed)
+        assert str(raised.value) == str(exc)
+        return
     want = [reference_derivative(solution, row) for row in rows]
-    got = [gateaux_derivative_J(solution, row) for row in rows]
     assert [x.hex() for x in got] == [x.hex() for x in want]
-    assert certify_maximizer(solution, count=20, seed=seed).hex() == max(want).hex()
+    assert certify_maximizer(solution, count=count, seed=seed).hex() == max(want).hex()
     at_r_star = gateaux_derivative_J(solution, solution.r_star)
     assert at_r_star.hex() == reference_derivative(solution, solution.r_star).hex()

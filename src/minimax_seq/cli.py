@@ -105,8 +105,11 @@ def _parse_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be LO:HI:POINTS, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    points = int(parts[2])
+    try:
+        lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise ValidationError(
+            f"grid {text!r}: LO and HI must be numbers, POINTS an integer") from exc
     if lo <= 0 or hi <= 0 or points < 1:
         raise ValidationError("grid endpoints must be positive, points >= 1")
     if points == 1:

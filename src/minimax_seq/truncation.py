@@ -7,9 +7,11 @@ Its worst-case squared risk over the ellipsoid has the closed form
 
 (squared bias plus accumulated noise variance), attained at the spike
 element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
-exactly rounded value of its exact sum (math.fsum, or the running sum of
-_exact_prefix_sums, which reads the same bits), so results do not depend
-on summation order and are reproducible bit for bit.
+exactly rounded value of its exact sum, so results do not depend on
+summation order and are reproducible bit for bit.  A total is one
+math.fsum; the level scans' running prefix sums (_exact_prefix_sums) keep
+the exact sum as an integer count of 2^-k, the finest power of two among
+the terms (k <= 1074), and read the same bits.
 """
 
 from __future__ import annotations
@@ -103,48 +105,39 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
 
 
-# Unfolded terms a running prefix sum holds before it folds them into an
-# exact expansion; a readout is one math.fsum over the expansion and them.
-_FOLD = 32
-
-
 def _exact_prefix_sums(terms):
     """Yield 0.0, then the exactly rounded sum of each prefix of ``terms``
     (non-negative floats): the k-th value is math.fsum(terms[:k]) bit for bit,
-    at O(1) amortised cost per term instead of O(k).
+    at O(1) cost per term instead of O(k).
 
-    ``partials`` is an exact expansion of the terms folded so far (a few
-    floats whose exact sum is theirs) followed by the unfolded tail.  Its
-    exact sum is the exact prefix sum, and math.fsum rounds the exact sum of
-    its input correctly (Shewchuk's partials), so one fsum over it reads the
-    same bits as an fsum over the whole prefix.  Once _FOLD terms have been
-    added since the last fold, the list is replaced by its own expansion:
-    r_0 = fsum(list), then r_k = fsum(list + [-r_0, ..., -r_{k-1}]) until
-    r_k == 0.  Each r_k is the rounded exact remainder, so r_0 + ... + r_{k-1}
-    is the list's exact sum; each remainder is at most 2^-53 of the one
-    before, so the expansion is short (usually 1-3 floats).
+    Every finite double is n / 2^k for integers n and 0 <= k <= 1074, so the
+    running sum is kept exactly as the integer ``total`` over ``unit``, the
+    largest such 2^k so far (an integer count of 2^-1074 at the finest);
+    a finer term rescales ``total``.  Each readout is one int/int division,
+    which CPython rounds correctly, subnormals included, as fsum rounds the
+    exact sum.  A term is drawn only when its prefix is read.
 
-    A prefix that holds an infinite term, or whose fsum overflows, reads as
-    inf: with no negative term, fsum overflows only once the exact sum has
-    reached the overflow threshold (to within one rounding), and every later
-    prefix is at least as large.
+    A prefix that holds an infinite term, or whose sum rounds past the
+    largest double, reads as inf (as_integer_ratio or the division raises
+    OverflowError), and so does every later prefix: with no negative term
+    the exact sum only grows.
     """
-    fsum, inf = math.fsum, math.inf
-    total, partials, fold_at = 0.0, [], _FOLD
-    yield total
-    for term in terms:
-        if total != inf:
-            partials.append(term)
-            try:
-                total = fsum(partials)
-            except OverflowError:
-                total = inf
-            if len(partials) >= fold_at and total != inf:
-                expansion = [total]
-                while remainder := fsum(partials + [-r for r in expansion]):
-                    expansion.append(remainder)
-                partials, fold_at = expansion, len(expansion) + _FOLD
-        yield total
+    total, unit, bits = 0, 1, 1  # bits = unit.bit_length()
+    yield 0.0
+    terms = iter(terms)
+    try:
+        for term in terms:
+            n, d = term.as_integer_ratio()
+            k = d.bit_length()
+            if k > bits:
+                total <<= k - bits
+                unit, bits = d, k
+            total += n << (bits - k)
+            yield total / unit
+    except OverflowError:
+        yield math.inf
+        for _ in terms:
+            yield math.inf
 
 
 def _noise(sig2: float, values):
@@ -162,8 +155,9 @@ def _scan_levels(n: int, bias_sq, spreads, combine) -> tuple[int, float]:
     once the spread alone exceeds the incumbent and draws no further value
     from spreads.  Ties go to the smaller level; bias_sq is evaluated only
     for levels reached.  The scans whose noise is a sum over the prefix draw
-    it from _exact_prefix_sums, so a level costs O(1) amortised work and the
-    result is the one an fsum over each whole prefix gives, bit for bit.
+    it from _exact_prefix_sums, an exact integer count of a power of two,
+    so a level costs O(1) work and the result is the one an fsum over each
+    whole prefix gives, bit for bit.
     A term that overflows, or divides by an s_j^2 that underflows, is inf;
     every lazy term is drawn inside this one errstate, so none warns.
     """

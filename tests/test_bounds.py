@@ -280,3 +280,27 @@ class TestSourceSetBound:
         bias = power_index(3.0, 2.0)(float(sp.values[d] ** 2)) ** 2
         assert bound_sq - bias == pytest.approx(
             0.05 ** 2 * rho_squared(sp, d), rel=1e-12)
+
+    def test_invalid_spectrum_raises_before_it_scans(self):
+        # the scan alone would reach D* = N-1 and warn before the error
+        sp = explicit_spectrum([1.0, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                source_set_bound(power_index(1.0, 1.0), sp, 0.1)
+
+    def test_nan_spectrum_is_validation_error(self):
+        sp = explicit_spectrum([1.0, math.nan, 0.25])
+        with pytest.raises(ValidationError):
+            source_set_bound(power_index(1.0, 1.0), sp, 0.1)
+
+    def test_runs_one_scan(self, monkeypatch):
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return optimal_truncation(problem)
+
+        monkeypatch.setattr(bounds, "optimal_truncation", counting)
+        source_set_bound(power_index(1.0, 1.0), make_power_spectrum(1.0, 60), 0.01)
+        assert calls == []

@@ -276,6 +276,9 @@ class TestExitCodes:
         (["--q", "-1", "--grid", "1e-2:1e-3:5"], b"Q > 0"),
         (["--n", "0", "--grid", "1e-2:1e-3:5"], b"at least 1"),
         (["--grid", "1e-100:1e-200:5"], b"sigma^2"),  # sigma^2 underflows
+        (["--grid", "abc:1e-3:5"], b"'abc:1e-3:5'"),  # not numbers
+        (["--grid", "1e-2:1e-4:x"], b"'1e-2:1e-4:x'"),
+        (["--grid", "1e-2:1e-4:2.5"], b"'1e-2:1e-4:2.5'"),
     ])
     def test_unrepresentable_sweep_input_is_validation_error(self, tmp_path,
                                                              flags, needle):

@@ -21,18 +21,24 @@ from minimax_seq import (
     SequenceProblem,
     ValidationError,
     certify_maximizer,
+    ellipsoid_from_source_set,
+    exp_power_index,
     explicit_class,
     explicit_spectrum,
     gateaux_derivative_J,
+    log_power_index,
     make_exponential_class,
     make_exponential_spectrum,
     make_power_class,
     make_power_spectrum,
     maximize_J_over_ellipsoid,
     minimax_sandwich,
+    optimal_truncation,
+    power_index,
     problem_from_json,
     problem_to_json,
     sample_feasible_rectangles,
+    source_set_bound,
 )
 
 KINDS = ("power", "exponential", "explicit")
@@ -189,3 +195,47 @@ def test_certificate_matches_per_coordinate_reference(problem, noiseless,
     assert certify_maximizer(solution, count=count, seed=seed).hex() == max(want).hex()
     at_r_star = gateaux_derivative_J(solution, solution.r_star)
     assert at_r_star.hex() == reference_derivative(solution, solution.r_star).hex()
+
+
+@st.composite
+def source_sets(draw):
+    """(phi, spectrum, sigma): power or exponential spectra with the power,
+    log-power or exp-power index function.  Where phi is undefined at some
+    s_j^2 (log-power at s_1 = 1) or vanishes there, both routes raise."""
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        spectrum = make_power_spectrum(draw(st.floats(0.25, 3.0)), n)
+    else:  # s_N^2 > 0
+        spectrum = make_exponential_spectrum(draw(st.floats(0.05, min(1.5, 350 / n))), n)
+    kind = draw(st.sampled_from(["power", "log_power", "exp_power"]))
+    kappa = draw(st.floats(0.25, 3.0))
+    if kind == "power":
+        phi = power_index(kappa, draw(st.floats(0.25, 3.0)))
+    elif kind == "log_power":
+        phi = log_power_index(kappa)
+    else:
+        phi = exp_power_index(draw(st.floats(0.05, 2.0)), draw(st.floats(0.5, 3.0)))
+    sigma = draw(st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)))
+    return phi, spectrum, sigma
+
+
+@given(source_sets())
+@settings(max_examples=150, deadline=None)
+def test_source_set_bound_matches_ellipsoid_route(case):
+    """source_set_bound scans phi^2(s_(D+1)^2) + sigma^2 rho_D^2; the
+    ellipsoid route, with weights 1/phi(s_j^2) and Q = 1, gives the same
+    value up to the rounding of 1/(1/phi)^2, or both raise."""
+    phi, spectrum, sigma = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        try:
+            problem = SequenceProblem(
+                spectrum, ellipsoid_from_source_set(phi, spectrum), sigma,
+                spectrum.n_max)
+            _, rms = optimal_truncation(problem)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                source_set_bound(phi, spectrum, sigma)
+            return
+        _, bound_sq, _ = source_set_bound(phi, spectrum, sigma)
+    assert math.isclose(bound_sq, rms ** 2, rel_tol=1e-12, abs_tol=1e-300)

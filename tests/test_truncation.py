@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -92,8 +94,8 @@ def _argmin(values):
 # (ties) are common; the continuous range covers generic spectra, and the
 # wide one (about 1e-30..1, with noise levels down to 1e-40) sums terms of
 # very different magnitudes.  Sizes reach a few hundred levels, so the
-# running prefix sums of the scans fold many times; the entries come from a
-# drawn seed, because drawing hundreds of floats one by one is slow.
+# running prefix sums of the scans read many values; the entries come from
+# a drawn seed, because drawing hundreds of floats one by one is slow.
 _DYADIC = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
@@ -142,20 +144,43 @@ _TERM = st.one_of(
 )
 
 
+_MAX = sys.float_info.max  # (2^53 - 1) * 2^971
+
+
 class TestExactPrefixSums:
     @given(st.lists(_TERM, max_size=300))
     @example([1e308, 1e308, 1.0])  # fsum overflows at the second term
-    @example([1.0] * 40 + [1e308, 1e308])  # overflow after a fold
+    @example([1.0] * 40 + [1e308, 1e308])  # overflow after many finite terms
     @example([1e308, 1e308, math.inf])  # fsum overflows, not inf + 1e308
     @example([math.inf] + [1.0] * 40)
-    @example([1.0, 1e-300, 3.0] * 50)  # expansions of several floats
+    @example([1.0, 1e-300, 3.0] * 50)  # sums that no double holds exactly
     @example([2.0 ** -1074] * 70 + [1e300] * 70)
+    # max + 2^970 lies halfway to 2^1024 and rounds to even: inf
+    @example([_MAX, 2.0 ** 970])
+    @example([_MAX, 2.0 ** 969])  # a quarter of the way: rounds down to max
+    @example([_MAX, 2.0 ** 969, 2.0 ** 969])  # two quarters make the half: inf
+    @example([2.0 ** -1074] * 5)  # a subnormal run
+    @example([1e300, 0.1, 2.0 ** -1074, 3.0])  # finer terms rescale the count
+    @example(list(np.array([0.1, 1e-300, 3.0, 2.0 ** -1074, 1e308])))  # np.float64
     @settings(max_examples=300, deadline=None)
     def test_readout_is_fsum_of_every_prefix(self, terms):
         """Every value the running sum reads out is math.fsum of the prefix,
-        bit for bit, through and past each fold."""
+        bit for bit, also where the sum rounds to or past the largest double
+        and where it is subnormal."""
         got = list(_exact_prefix_sums(iter(terms)))
         assert [x.hex() for x in got] == [x.hex() for x in _prefix_fsums(terms)]
+
+    @pytest.mark.parametrize("terms", [[1.0, 2.0, 3.0, 4.0, 5.0],
+                                       [1.0, math.inf, 1.0, 1.0, 1.0],
+                                       [_MAX, _MAX, 1.0, 1.0, 1.0]])
+    def test_reading_k_plus_1_values_draws_at_most_k_terms(self, terms):
+        """A term is drawn only when its prefix is read, also once the sum
+        reads inf, so a scan that stops early computes no further term."""
+        for k in range(len(terms) + 1):
+            drawn = []
+            sums = _exact_prefix_sums(drawn.append(t) or t for t in terms)
+            list(itertools.islice(sums, k + 1))
+            assert len(drawn) <= k
 
 
 class TestOptimalTruncation:

@@ -313,7 +313,8 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     Returns (D*, bound_sq, bound_sq / 4.84) where bound_sq minimizes
     phi^2(s_{D+1}^2) + sigma^2 * rho_D^2 over D.  The problem is first
     validated on the ellipsoid route (weights 1/phi(s_j^2), Q = 1), whose
-    optimal_truncation gives the same value up to rounding.
+    optimal_truncation gives the same value up to rounding.  A bias
+    phi^2(s_{D+1}^2) that overflows raises ValidationError naming D.
     """
     n = spectrum.n_max
     ensure_usable(SequenceProblem(
@@ -321,9 +322,16 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     s = spectrum.values
     sig2 = float(sigma) ** 2
 
+    def bias_sq(d: int) -> float:
+        try:
+            return phi(float(s[d] ** 2)) ** 2
+        except OverflowError:  # a Python float power raises instead of inf
+            raise ValidationError(
+                f"source-set bias phi(s_{d + 1}^2)^2 overflows at level D = {d}"
+            ) from None
+
     variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
-    best_d, best = _scan_levels(
-        n, lambda d: phi(float(s[d] ** 2)) ** 2, variances, operator.add)
+    best_d, best = _scan_levels(n, bias_sq, variances, operator.add)
     if best_d == n - 1:
         warnings.warn(
             f"source-set optimum hit the end of the range (D* = {best_d})",

@@ -101,6 +101,11 @@ def _load_config(args) -> SequenceProblem:
     return problem
 
 
+# most noise levels one sweep grid may hold; a larger POINTS is rejected
+# before the grid is allocated
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
@@ -112,6 +117,9 @@ def _parse_grid(text: str) -> tuple:
             f"grid {text!r}: LO and HI must be numbers, POINTS an integer") from exc
     if lo <= 0 or hi <= 0 or points < 1:
         raise ValidationError("grid endpoints must be positive, points >= 1")
+    if points > _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid POINTS = {points} exceeds the maximum {_MAX_GRID_POINTS}")
     if points == 1:
         return (max(lo, hi),)
     top, bottom = max(lo, hi), min(lo, hi)

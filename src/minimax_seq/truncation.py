@@ -11,7 +11,8 @@ exactly rounded value of its exact sum, so results do not depend on
 summation order and are reproducible bit for bit.  A total is one
 math.fsum; the level scans' running prefix sums (_exact_prefix_sums) keep
 the exact sum as an integer count of 2^-k, the finest power of two among
-the terms (k <= 1074), and read the same bits.
+the terms (k <= 1074), and read the same bits; so do the row sums of a
+2-d array (_row_fsums), certified in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -138,6 +139,56 @@ def _exact_prefix_sums(terms):
         yield math.inf
         for _ in terms:
             yield math.inf
+
+
+# rows whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
+# below, the unit u*tau of the split nears the subnormals; above, x + tau
+# could overflow
+_SPAN_MIN, _SPAN_MAX = 2.0 ** -900, 2.0 ** 1020
+
+
+def _row_fsums(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of the 2-d float64 array x, bit for bit.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, Part I", 2008): with tau a power of two at least
+    (n + 2) * max|x| over a row of n values, q = (x + tau) - tau holds
+    multiples of u*tau (u = 2^-53) whose sum t1 is exact in any order, and
+    x - q is exact; numpy's sum t2 of x - q is within
+    eta = gamma_{n-1} * n * u * tau of its exact sum (Higham, §4.2).
+    TwoSum splits t1 + t2 into r + t exactly, so the exact row sum lies
+    in r + t +- eta, and r is its correctly rounded value, fsum's result,
+    when |t| + eta is below half the smaller gap from r to a neighbour.
+    Every other row (one with a non-finite value or with (n + 2) * max|x|
+    outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or r = 0, whose sign
+    fsum decides) reads math.fsum of the row, in row order, so fsum's own
+    OverflowError or ValueError is raised as it would be.
+    """
+    rows, n = x.shape
+    if n == 0:
+        return np.zeros(rows)
+    u = 2.0 ** -53
+    # gamma_{n-1} * n * u, rounded up by the factor (1 + 8u)
+    eta_unit = (n - 1) * n * u * u / (1.0 - (n - 1) * u) * (1.0 + 8 * u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = np.abs(x).max(axis=1) * (n + 2)
+        tau = np.ldexp(1.0, np.frexp(span)[1])[:, None]  # tau > span
+        q = x + tau
+        q -= tau
+        t1 = q.sum(axis=1)
+        t2 = (x - q).sum(axis=1)
+        r = t1 + t2
+        b = r - t1
+        t = (t1 - (r - b)) + (t2 - b)
+        # half the gap from |r| down to its neighbour, the smaller of r's
+        # two gaps (0 when r = 0)
+        a = np.abs(r)
+        half_gap = 0.5 * (a - np.nextafter(a, 0.0))
+        ok = ((span >= _SPAN_MIN) & (span <= _SPAN_MAX)
+              & (np.abs(t) + eta_unit * tau[:, 0] < half_gap))
+    for i in np.flatnonzero(~ok):
+        r[i] = math.fsum(x[i].tolist())
+    return r
 
 
 def _noise(sig2: float, values):

@@ -10,7 +10,8 @@ on every 40th problem a budget Q^2 so large against a^2 that every
 sampled row is infinite and the certificate raises (its message is
 hashed instead).  Direction counts run from 1 to 1000, with count = 1 on
 every 50th problem and count = 1000 on every 75th.  A change that keeps
-the certificate's contract prints the same digest as its parent.
+the certificate's contract prints the same digest as its parent;
+tests/test_fingerprints.py pins the line.
 """
 
 import hashlib
@@ -68,7 +69,7 @@ def generated_cases(seed: int = 12):
         yield maximize_J_over_ellipsoid(problem), count, rng.getrandbits(32)
 
 
-def main() -> None:
+def digest_line() -> str:
     digest = hashlib.sha256()
     raised = 0
     for solution, count, seed in generated_cases():
@@ -77,8 +78,8 @@ def main() -> None:
         except ValidationError as exc:
             line, raised = f"ValidationError: {exc}", raised + 1
         digest.update(f"{line}\n".encode())
-    print(f"{PROBLEMS} certificates ({raised} raised) sha256 {digest.hexdigest()}")
+    return f"{PROBLEMS} certificates ({raised} raised) sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
-    main()
+    print(digest_line())

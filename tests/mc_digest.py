@@ -8,7 +8,8 @@ classes, N from 1 to 64, sigma = 0 on every 7th, D = 0 on every third
 and D = N on the next, R from 1 to 299 with R = 1 on every 50th, spike
 and random interior theta) and the 12 estimates of acceptance criterion 1
 (seed 20240817, R = 10^4).  A change that keeps the random-stream
-contract prints the same digest as its parent.
+contract prints the same digest as its parent; tests/test_fingerprints.py
+pins the line.
 """
 
 import hashlib
@@ -65,7 +66,7 @@ def criterion_1_cases():
                SimulationConfig(10_000, 20240817, problem.n))
 
 
-def main() -> None:
+def digest_line() -> str:
     digest = hashlib.sha256()
     count = 0
     for cases in (generated_cases(), criterion_1_cases()):
@@ -73,8 +74,8 @@ def main() -> None:
             est = monte_carlo_risk(problem, theta, d, config)
             digest.update(f"{est.mean_sq_error.hex()} {est.std_error.hex()}\n".encode())
             count += 1
-    print(f"{count} estimates sha256 {digest.hexdigest()}")
+    return f"{count} estimates sha256 {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
-    main()
+    print(digest_line())

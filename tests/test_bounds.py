@@ -289,6 +289,13 @@ class TestSourceSetBound:
             with pytest.raises(ValidationError):
                 source_set_bound(power_index(1.0, 1.0), sp, 0.1)
 
+    def test_overflowing_bias_is_validation_error(self):
+        # phi(s_1^2) = (1e200)^1.56 is finite, its square is not; the
+        # Python float power raised a bare OverflowError
+        sp = explicit_spectrum([1e100])
+        with pytest.raises(ValidationError, match=r"level D = 0$"):
+            source_set_bound(power_index(1.56, 1.0), sp, 0.1)
+
     def test_nan_spectrum_is_validation_error(self):
         sp = explicit_spectrum([1.0, math.nan, 0.25])
         with pytest.raises(ValidationError):

@@ -288,6 +288,23 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, needle)
 
+    def test_grid_points_beyond_the_maximum_are_validation_error(
+            self, tmp_path, monkeypatch, capsys):
+        # 99999999999 points would ask np.logspace for about 745 GiB; the
+        # count is rejected first, so the grid is never built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(cli.np, "logspace", no_grid)
+        for points in (cli._MAX_GRID_POINTS + 1, 99999999999):
+            code = cli.run(["sweep", "--regime", "pp", "--p", "1", "--kappa", "2",
+                            "--grid", f"1e-2:1e-4:{points}",
+                            "--out", str(tmp_path / "s.csv")])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert_one_line_error(err.encode(), f"POINTS = {points}".encode())
+        assert not (tmp_path / "s.csv").exists()
+
     def test_config_that_is_not_utf8_is_validation_error(self, tmp_path):
         config = tmp_path / "problem.json"
         config.write_bytes(b"\xff\xfe" + (DATA / "power_problem.json").read_bytes())

@@ -1,0 +1,29 @@
+"""The three bit fingerprints, pinned.
+
+Each digest script hashes the results of one layer over a fixed set of
+generated problems (see its docstring).  A change that keeps the layer's
+contract prints the same line; a deliberate contract change updates the
+pinned line here and says so in CHANGES.md.
+"""
+
+import jmax_digest
+import mc_digest
+import scan_digest
+
+
+def test_monte_carlo_fingerprint():
+    assert mc_digest.digest_line() == (
+        "1112 estimates sha256 "
+        "e5a7dcdf9143c0e48aea2f7eeb8ba210c4a4c0f38d0ca2328521a7fee956052d")
+
+
+def test_certificate_fingerprint():
+    assert jmax_digest.digest_line() == (
+        "1200 certificates (30 raised) sha256 "
+        "3589d6669d5cb9e8d4080cdbdeea2ed8d9346f29fe638ec2c84c53c2df67aeab")
+
+
+def test_level_scan_fingerprint():
+    assert scan_digest.digest_line() == (
+        "1200 problems, 4800 scans (487 raised) sha256 "
+        "083b29e05d7307e2edcf1b9e9ce7b65fdeb0ffcc98b39a7954f498eeaf25dfa9")

@@ -40,6 +40,7 @@ from minimax_seq import (
     sample_feasible_rectangles,
     source_set_bound,
 )
+from minimax_seq.truncation import _row_fsums
 
 KINDS = ("power", "exponential", "explicit")
 # a legal class whose a_j^2 overflows from j = 355 on
@@ -239,3 +240,86 @@ def test_source_set_bound_matches_ellipsoid_route(case):
             return
         _, bound_sq, _ = source_set_bound(phi, spectrum, sigma)
     assert math.isclose(bound_sq, rms ** 2, rel_tol=1e-12, abs_tol=1e-300)
+
+
+ROW_KINDS = ("positive", "signed", "scaled", "dyadic", "near_tie", "cancel",
+             "zeros", "subnormal", "huge", "nonfinite")
+
+
+def _row(kind: str, width: int, rng) -> np.ndarray:
+    """One generated row of ``width`` values of the given kind."""
+    if width == 0:
+        return np.zeros(0)
+    if kind == "positive":
+        return rng.random(width) * 10.0 ** rng.uniform(-300.0, 300.0)
+    if kind == "signed":
+        return rng.standard_normal(width) * 2.0 ** rng.integers(-80, 80, width)
+    if kind == "scaled":  # one scale from the subnormals to near 2^1023
+        return rng.standard_normal(width) * 2.0 ** rng.integers(-1074, 1012)
+    if kind == "dyadic":  # small integers times powers of two: ties are common
+        return rng.integers(-9, 10, width) * 2.0 ** rng.integers(-60, 3, width)
+    if kind == "near_tie":
+        # b + h, with h half of one of b's gaps, plus dust that cancels up to
+        # its rounding: the exact sum lies within numpy's rounding of a tie
+        b = 1.0 if rng.random() < 0.5 else 1.0 + rng.random()
+        h = rng.choice([-1.0, 1.0]) * math.ulp(b) / rng.choice([2.0, 4.0])
+        pairs = max(width - 2, 0) // 2
+        dust = rng.standard_normal(pairs) * h * 2.0 ** rng.integers(-40, 8)
+        lost = rng.integers(-1, 2, pairs) * 2.0 ** -52
+        row = np.concatenate([[b, h][:width], dust, -dust * (1.0 + lost),
+                              [0.0] * (max(width - 2, 0) % 2)])
+        scale = rng.choice([0, rng.integers(-1060, -880), rng.integers(980, 1010)])
+        return rng.permutation(row) * 2.0 ** scale
+    if kind == "cancel":  # values and their negatives, shuffled: the sum is 0
+        half = rng.standard_normal(width // 2) * 10.0 ** rng.uniform(-20.0, 20.0)
+        return rng.permutation(np.concatenate([half, -half, [0.0] * (width % 2)]))
+    if kind == "zeros":  # all +0.0, all -0.0, or mixed
+        return rng.choice([[0.0], [-0.0], [0.0, -0.0]][rng.integers(3)], width)
+    if kind == "subnormal":
+        return rng.integers(-7, 8, width) * 2.0 ** -1074
+    if kind == "huge":  # sums near and past the largest double
+        return rng.choice([-1.0, 1.0, 1.0, 1.0], width) * 2.0 ** 1023 * (
+            1.0 - rng.integers(0, 4, width) * 2.0 ** -53)
+    row = rng.standard_normal(width)  # nonfinite
+    spots = rng.integers(0, width, rng.integers(1, 3))
+    row[spots] = rng.choice([math.inf, -math.inf, math.nan], spots.size)
+    return row
+
+
+def _fsum_rows(x):
+    """[math.fsum(row) ...] as hex strings, or the type fsum raises first."""
+    try:
+        return [math.fsum(row).hex() for row in x.tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def row_arrays(draw):
+    """2-d float64 arrays whose rows mix the kinds above, widths 0 to 4099."""
+    width = draw(st.sampled_from([0, 1, 2, 3, 5, 16, 64, 513, 4096, 4099]))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), max_size=3 if width > 512 else 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array([_row(kind, width, rng) for kind in kinds]).reshape(len(kinds), width)
+
+
+@given(row_arrays())
+@example(np.zeros((3, 0)))
+@example(np.array([[-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [-2.0 ** -1074, 0.0]]))
+@example(np.array([[1.0, 2.0 ** -53], [1.0, 3 * 2.0 ** -53], [2.0 ** 1023, 2.0 ** 1023]]))
+# numpy's sum drops 2^-135, below the tie 1 - 2^-54: the smaller gap decides
+@example(np.array([[1.0, -2.0 ** -54, -2.0 ** -135], [-1.0, 2.0 ** -54, 2.0 ** -135]]))
+@example(np.array([[1.0, 2.0], [math.inf, -math.inf]]))
+@example(np.array([[2.0 ** 1023, 2.0 ** 1023], [math.inf, -math.inf]]))  # row order
+@example(np.array([[math.inf, -math.inf], [2.0 ** 1023, 2.0 ** 1023]]))
+@example(np.array([[math.inf, 1.0], [math.nan, 1.0], [-math.inf, -math.inf]]))
+@settings(max_examples=300, deadline=None)
+def test_row_fsums_are_fsum_of_every_row(x):
+    """_row_fsums gives math.fsum of each row bit for bit, and raises the
+    type that the first raising row's fsum raises."""
+    want = _fsum_rows(x)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _row_fsums(x)
+    else:
+        assert [v.hex() for v in _row_fsums(x).tolist()] == want

@@ -28,7 +28,7 @@ from minimax_seq import (
     testing_radius_sq as radius_sq,
     truncation_risk,
 )
-from minimax_seq.truncation import _exact_prefix_sums
+from minimax_seq.truncation import _exact_prefix_sums, _row_fsums
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -181,6 +181,18 @@ class TestExactPrefixSums:
             sums = _exact_prefix_sums(drawn.append(t) or t for t in terms)
             list(itertools.islice(sums, k + 1))
             assert len(drawn) <= k
+
+
+class TestRowFsums:
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 512), (1, 4096)])
+    def test_squared_errors_are_certified_without_fsum(self, monkeypatch, shape):
+        """Rows of squared normal draws, the Monte Carlo case, all pass the
+        certificate; no row falls back to math.fsum.  (The bits are checked
+        against fsum in test_properties.py.)"""
+        x = np.random.default_rng(3).standard_normal(shape) ** 2
+        want = [math.fsum(row) for row in x.tolist()]
+        monkeypatch.setattr(math, "fsum", None)  # a fallback would raise
+        assert _row_fsums(x).tolist() == want
 
 
 class TestOptimalTruncation:

@@ -43,8 +43,14 @@ from .problem import (
     ellipsoid_from_source_set,
     ensure_usable,
 )
-from .simulate import _BLOCK_DOUBLES
-from .truncation import _exact_prefix_sums, _noise, _scan_levels, optimal_truncation
+from .truncation import (
+    _BLOCK_DOUBLES,
+    _exact_prefix_sums,
+    _noise,
+    _row_fsums,
+    _scan_levels,
+    optimal_truncation,
+)
 
 __all__ = [
     "RMS_FACTOR",
@@ -219,12 +225,17 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [np.uint64(seed), np.uint64(0x666561)], dtype=np.uint64)))
     q2 = problem.ellipsoid.radius ** 2
-    d = gen.uniform(0.0, 1.0, size=(count, problem.n))
+    d = gen.random((count, problem.n))
     with np.errstate(divide="ignore", over="ignore"):
         a2 = problem.ellipsoid.weights ** 2
-        scale = gen.uniform(0.0, 1.0, size=count) * q2 / (d @ a2)
+        scale = gen.random(count) * q2 / (d @ a2)
     d *= scale[:, None]
     return d
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first True in mask, or default when there is none."""
+    return int(mask.argmax()) if mask.any() else default
 
 
 def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
@@ -234,52 +245,30 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
 
     The result has the bits, and the errors, of
     ``max(gateaux_derivative_J(solution, row) for row in rows)``.  Rows go
-    in blocks of at most _BLOCK_DOUBLES values.  Each row's budget and
-    derivative v are first summed in numpy, with the rigorous error bound
-    e = gamma * (sum |h_out| + sum max(-h_qeq, 0)) (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 4.2).  The exact fsums then
-    run, in row order, only where that bound cannot decide: the budget on
-    rows whose sum may exceed Q^2 (1 + 1e-9), the derivative on rows that
-    are non-finite or near overflow and on rows with v + e at or above the
-    largest v - e so far (row 0 always is), since every other row's
-    derivative is below the running maximum.
+    in blocks of at most _BLOCK_DOUBLES values, and every row's budget and
+    two derivative sums are the exact fsums, read for a whole block at once
+    by _row_fsums.  A block stops at its first negative row, then at its
+    first infeasible one; the rows before it are summed, and
+    gateaux_derivative_J raises that row's error.
     """
     if count < 1:
         raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     rows = sample_feasible_rectangles(solution.problem, count, seed)
     a2, outside_p, in_qeq = _certificate_terms(solution)
-    n = len(solution.r_star)
     q2 = solution.problem.ellipsoid.radius ** 2
-    # at least twice the n-term summation bound n * 2^-53, leaving room for the
-    # budget products, the fsums and the rounding of v +- e
-    gamma = (n + 8) * 2.0 ** -52
-    budget_floor = q2 * (1.0 + _REL_TOL) / (1.0 + gamma)
-    best, floor = None, -math.inf  # floor: the largest v - e so far
-    step = max(1, _BLOCK_DOUBLES // n)
+    derivatives = []
+    step = max(1, _BLOCK_DOUBLES // len(solution.r_star))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, step):
             block = rows[start:start + step]
-            negative = (block < 0.0).any(axis=1)
-            over = np.where(block > 0.0, block * a2, 0.0).sum(axis=1) >= budget_floor
-            gain, loss = _split(block - solution.r_star, outside_p, in_qeq)
-            v = gain.sum(axis=1) - loss.sum(axis=1)
-            size = np.abs(gain).sum(axis=1) + loss.sum(axis=1)
-            e = gamma * size
-            low = v - e
-            floors = np.maximum.accumulate(np.where(low > floor, low, floor))
-            # a non-finite row has a NaN or inf size; fsum may overflow near 2^1024
-            exact = ~(size < 2.0 ** 1023) | (v + e >= floors)
-            for i in np.flatnonzero(negative | over | exact).tolist():
-                if negative[i]:
-                    raise ValidationError("r must be non-negative")
-                if over[i]:
-                    _check_budget(a2, block[i], q2)
-                if exact[i]:
-                    d = _derivative(gain[i], loss[i])
-                    if best is None or d > best:
-                        best = d
-            floor = floors[-1]
-    return best
+            stop = _first((block < 0.0).any(axis=1), len(block))
+            budgets = _row_fsums(np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0))
+            stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
+            gain, loss = _split(block[:stop] - solution.r_star, outside_p, in_qeq)
+            derivatives.extend((_row_fsums(gain) - _row_fsums(loss)).tolist())
+            if stop < len(block):
+                gateaux_derivative_J(solution, block[stop])  # raises
+    return max(derivatives)
 
 
 def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
@@ -314,7 +303,8 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     phi^2(s_{D+1}^2) + sigma^2 * rho_D^2 over D.  The problem is first
     validated on the ellipsoid route (weights 1/phi(s_j^2), Q = 1), whose
     optimal_truncation gives the same value up to rounding.  A bias
-    phi^2(s_{D+1}^2) that overflows raises ValidationError naming D.
+    phi^2(s_{D+1}^2) that overflows reads as inf, as that route's Q^2/a^2
+    does; a risk that is inf at every level raises ValidationError.
     """
     n = spectrum.n_max
     ensure_usable(SequenceProblem(
@@ -326,12 +316,14 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
         try:
             return phi(float(s[d] ** 2)) ** 2
         except OverflowError:  # a Python float power raises instead of inf
-            raise ValidationError(
-                f"source-set bias phi(s_{d + 1}^2)^2 overflows at level D = {d}"
-            ) from None
+            return math.inf
 
     variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
     best_d, best = _scan_levels(n, bias_sq, variances, operator.add)
+    if best == math.inf:  # level 0 has no noise, so its bias overflowed
+        raise ValidationError(
+            "source-set bound is non-finite: the risk is inf at every level, "
+            "and the bias phi(s_1^2)^2 overflows at level D = 0")
     if best_d == n - 1:
         warnings.warn(
             f"source-set optimum hit the end of the range (D* = {best_d})",

@@ -12,10 +12,8 @@ generator per block, re-keyed to the start of each replication's stream,
 so a block holds exactly the bits of its one-at-a-time draws.  Each
 block's squared errors are summed per replication by the certified
 array kernel truncation._row_fsums, which returns math.fsum's bits (rows
-it cannot certify read fsum itself).  A replication costs about 6.6 µs
-at N = 64 (7.9 µs with one fsum per row) and 30 µs at N = 512 (43 µs),
-best of 15 runs of R = 800 on 2 shared cores; the normal draw is now
-most of it.
+it cannot certify read fsum itself).  The normal draw is most of a
+replication's cost.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import SequenceProblem, ValidationError, ensure_usable
-from .truncation import _checked_vector, _row_fsums
+from .truncation import _BLOCK_DOUBLES, _checked_vector, _row_fsums
 
 __all__ = [
     "SimulationConfig",
@@ -36,10 +34,6 @@ __all__ = [
     "monte_carlo_risk",
     "empirical_worst_case",
 ]
-
-# noise values per Monte Carlo block: 64 replications at N = 64, one at N > 4096
-_BLOCK_DOUBLES = 4096
-
 
 def _integer(name: str, value) -> int:
     """value as a plain int; bools and non-integral numbers are rejected."""

@@ -141,6 +141,10 @@ def _exact_prefix_sums(terms):
             yield math.inf
 
 
+# values per block for the callers of _row_fsums (Monte Carlo, the jmax
+# certificate): 256 rows at N = 64, one row at N > 16384
+_BLOCK_DOUBLES = 16384
+
 # rows whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
 # below, the unit u*tau of the split nears the subnormals; above, x + tau
 # could overflow

@@ -14,6 +14,7 @@ from minimax_seq import (
     explicit_spectrum,
     gateaux_derivative_J,
     hyperrectangle_J,
+    make_exponential_class,
     make_power_class,
     make_power_spectrum,
     maximize_J_over_ellipsoid,
@@ -26,6 +27,7 @@ from minimax_seq import (
     truncation_risk,
 )
 from minimax_seq import bounds
+from minimax_seq.truncation import _BLOCK_DOUBLES
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -205,16 +207,29 @@ class TestGateauxCertificate:
         assert got == self.per_row(solution, rows) == 1.0 + 4 * u
 
     def test_first_error_in_row_order(self, monkeypatch):
-        # rows past the first block (8 rows of 512) fail in either order
-        solution = self.zero_solution(512)
-        rows = np.full((40, 512), 1e-3)
-        for negative_row, infeasible_row in ((21, 30), (30, 21)):
+        # rows past the first block fail in either order, in two blocks
+        # and in one
+        n = 512
+        block = _BLOCK_DOUBLES // n
+        solution = self.zero_solution(n)
+        rows = np.full((5 * block, n), 1e-3)
+        first, second, third = 2 * block + 5, 3 * block + 6, 3 * block + 14
+        for negative_row, infeasible_row in ((first, second), (second, first),
+                                             (second, third), (third, second)):
             bad = rows.copy()
             bad[negative_row, 7] = -1e-3
             bad[infeasible_row] = 1.0
             got = self.certify_rows(monkeypatch, solution, bad)
             assert got == self.per_row(solution, bad)
             assert ("non-negative" in got) == (negative_row < infeasible_row)
+
+    def test_rows_after_the_first_error_are_not_summed(self, monkeypatch):
+        # row 1's budget and gain sums overflow in fsum, but row 0 fails first
+        solution = self.zero_solution(2)
+        rows = np.array([[-1.0, 0.0], [1e308, 1e308]])
+        got = self.certify_rows(monkeypatch, solution, rows)
+        assert got == self.per_row(solution, rows) == (
+            "ValidationError: r must be non-negative")
 
     def test_nan_counts_only_at_row_0(self, monkeypatch):
         # max() keeps a NaN first value, and no later NaN replaces a number
@@ -224,6 +239,19 @@ class TestGateauxCertificate:
             rows = np.array(rows)
             got = self.certify_rows(monkeypatch, solution, rows)
             assert repr(got) == repr(self.per_row(solution, rows)) == want
+
+    def test_exponential_class_needs_no_fsum(self, monkeypatch):
+        """Every sampled direction of an exponential class is about 0, so
+        the derivatives tie within rounding; the row kernel still certifies
+        every row's sums, and no row falls back to math.fsum."""
+        n = 40
+        p = SequenceProblem(make_power_spectrum(1.0, n),
+                            make_exponential_class(1.0, n), 0.1, n)
+        solution = maximize_J_over_ellipsoid(p)
+        want = max(gateaux_derivative_J(solution, row)
+                   for row in sample_feasible_rectangles(p, 1000, 0))
+        monkeypatch.setattr(math, "fsum", None)  # a fallback would raise
+        assert certify_maximizer(solution, count=1000, seed=0).hex() == want.hex()
 
     def test_sampled_directions_are_feasible(self):
         p = toy_problem()

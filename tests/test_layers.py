@@ -14,6 +14,7 @@ from minimax_seq import (
     make_power_spectrum,
     simulate,
 )
+from minimax_seq.truncation import _BLOCK_DOUBLES
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
@@ -49,7 +50,7 @@ def test_monte_carlo_draws_through_sample_observations(monkeypatch):
                               make_power_class(1.0, n), 0.1, n)
     simulate.monte_carlo_risk(problem, least_favorable(problem, 3), 3,
                               simulate.SimulationConfig(reps, 7, n))
-    rows = max(1, simulate._BLOCK_DOUBLES // n)
+    rows = max(1, _BLOCK_DOUBLES // n)
     assert len(calls) >= 1
     assert len(calls) == math.ceil(reps / rows)
     assert sum(calls) == reps

@@ -22,7 +22,7 @@ from minimax_seq import (
     sample_observations,
     truncation_risk,
 )
-from minimax_seq.simulate import _BLOCK_DOUBLES
+from minimax_seq.truncation import _BLOCK_DOUBLES
 
 
 def toy_problem(sigma=0.1, n=16):

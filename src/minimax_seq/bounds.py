@@ -13,8 +13,8 @@ r_i} and r* maximizes J over the rectangles contained in the ellipsoid
 (sum_i a_i^2 r_i <= Q^2).  J is concave and separable, so the maximizer
 is found exactly by fractional water-filling: cap each coordinate at
 c_i = sigma^2/s_i^2 (excess never raises J), then spend the budget Q^2 in
-ascending order of the per-unit cost a_i^2, with at most one fractional
-coordinate at the pivot.
+index order, since the weights are non-decreasing, with at most one
+fractional coordinate at the pivot.
 
 Optimality is certified through the one-sided directional derivative of J
 at r* toward a feasible r, which is non-positive at a true maximizer:
@@ -23,6 +23,7 @@ at r* toward a feasible r, which is non-positive at a true maximizer:
 
 with P = {i : r*_i >= c_i} (fully capped coordinates) and
 Q_eq = {i : r*_i = c_i}.  The fractional pivot belongs to neither set.
+One kernel, _derivatives, serves gateaux_derivative_J and certify_maximizer.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .problem import (
     SequenceProblem,
     SingularSpectrum,
     ValidationError,
+    _seed,
     ellipsoid_from_source_set,
     ensure_usable,
 )
@@ -72,19 +74,14 @@ SQUARED_FACTOR = 4.84
 
 _REL_TOL = 1e-9
 
+_MAX_DIRECTION_VALUES = 1 << 25  # most certificate directions x N per draw
+
 
 def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
     if sigma == 0.0:  # not 0/0 where s_i^2 underflows
         return np.zeros(spectrum.n_max)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite cap is legal
         return (float(sigma) ** 2) / spectrum.values ** 2
-
-
-def _budget(a2: np.ndarray, r: np.ndarray) -> float:
-    """sum a_i^2 r_i over r_i > 0, so that inf * 0 adds no NaN; fsum skips
-    +0.0 terms, so the bits are those of the full sum."""
-    used = r > 0.0
-    return math.fsum((a2[used] * r[used]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,71 +131,65 @@ def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
 def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     """Water-fill the budget Q^2 across capped coordinates to maximize J.
 
-    Coordinates are filled to their caps c_i = sigma^2/s_i^2 in ascending
-    order of a_i^2 (stable on ties); the first coordinate the budget cannot
-    cover gets a fractional fill, later ones get zero.  The result is the
-    exact maximizer of J over {r >= 0 : sum a_i^2 r_i <= Q^2}.
+    Coordinates are filled to their caps c_i = sigma^2/s_i^2 in index
+    order, which is ascending order of a_i^2; the first coordinate the
+    budget left (subtracted left to right) cannot cover gets a fractional
+    fill, later ones get zero.  The result is the exact maximizer of J over
+    {r >= 0 : sum a_i^2 r_i <= Q^2}.
     """
     ensure_usable(problem)
     caps = _caps(problem.spectrum, problem.sigma)
     r = np.zeros(problem.n)
-    remaining = problem.ellipsoid.radius ** 2
-    # a_i^2 = inf (exponential classes) is legal and sorts last: each such
+    # a_i^2 = inf (exponential classes) is legal and comes last: each such
     # coordinate gets r_i = 0, also through a cost inf * 0 = NaN at a zero cap
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = problem.ellipsoid.weights ** 2
-        for i in np.argsort(a2, kind="stable"):
-            cost = a2[i] * caps[i]
-            if cost <= remaining:
-                r[i] = caps[i]
-                remaining -= cost
-            elif remaining > 0.0:
-                r[i] = remaining / a2[i]
-                if r[i] == math.inf:
-                    raise ValidationError(
-                        f"r_star is non-finite at index {i + 1}: the budget left, "
-                        f"{float(remaining)!r}, over a_{i + 1}^2 = {float(a2[i])!r} "
-                        "overflows")
-                remaining = 0.0
-            else:
-                break
+        cost = a2 * caps
+        left = np.subtract.accumulate(
+            np.concatenate(([problem.ellipsoid.radius ** 2], cost)))
+        k = _first(~(cost <= left[:-1]), problem.n)
+        r[:k] = caps[:k]
+        if k < problem.n and left[k] > 0.0:
+            r[k] = left[k] / a2[k]
+            if r[k] == math.inf:
+                raise ValidationError(
+                    f"r_star is non-finite at index {k + 1}: the budget left, "
+                    f"{float(left[k])!r}, over a_{k + 1}^2 = {float(a2[k])!r} "
+                    "overflows")
 
     value = math.fsum(np.minimum(r, caps).tolist())
-    budget_used = _budget(a2, r)
-    at_cap = r == caps
-    set_p = frozenset(int(i) + 1 for i in np.nonzero(r >= caps)[0])
-    set_qeq = frozenset(int(i) + 1 for i in np.nonzero(at_cap)[0])
+    used = r > 0.0  # so that inf * 0 adds no NaN; fsum skips +0.0 terms
+    budget_used = math.fsum((a2[used] * r[used]).tolist())
+    set_p = frozenset((np.flatnonzero(r >= caps) + 1).tolist())
+    set_qeq = frozenset((np.flatnonzero(r == caps) + 1).tolist())
     r.flags.writeable = False
     return KnapsackSolution(r, value, set_p, set_qeq, budget_used, problem)
 
 
-def _certificate_terms(solution: KnapsackSolution):
-    """a_i^2, the mask of the coordinates outside P and the mask of Q_eq."""
-    n = len(solution.r_star)
+def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
+    """The derivative toward each row of the 2-d block rows, with the bits
+    and errors of math.fsum on one row at a time: each row's budget and
+    two derivative sums are read by _row_fsums.  The block stops at its
+    first negative row, then at its first infeasible one; the rows before
+    it are summed, and then that row raises its error."""
+    n, q2 = len(solution.r_star), solution.problem.ellipsoid.radius ** 2
     outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
     in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         a2 = solution.problem.ellipsoid.weights ** 2
-    return a2, outside_p, in_qeq
-
-
-def _check_budget(a2: np.ndarray, r: np.ndarray, q2: float) -> None:
-    with np.errstate(over="ignore"):
-        budget = _budget(a2, r)
-    if budget > q2 * (1.0 + _REL_TOL):
-        raise ValidationError(
-            f"r infeasible: sum a_i^2 r_i = {budget!r} exceeds Q^2 = {q2!r}")
-
-
-def _split(h: np.ndarray, outside_p: np.ndarray, in_qeq: np.ndarray):
-    """The derivative's terms along the last axis of h = r - r*: h_i over
-    the coordinates outside P, and max(-h_i, 0) over Q_eq."""
-    return h[..., outside_p], np.maximum(-h[..., in_qeq], 0.0)
-
-
-def _derivative(gain: np.ndarray, loss: np.ndarray) -> float:
-    return math.fsum(gain.tolist()) - math.fsum(loss.tolist())
+        stop = _first((rows < 0.0).any(axis=1), len(rows))
+        budgets = _row_fsums(np.where(rows[:stop] > 0.0, rows[:stop] * a2, 0.0))
+        stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
+        h = rows[:stop] - solution.r_star
+        out = (_row_fsums(h[:, outside_p])
+               - _row_fsums(np.maximum(-h[:, in_qeq], 0.0)))
+    if stop < len(budgets):
+        raise ValidationError(f"r infeasible: sum a_i^2 r_i = "
+                              f"{float(budgets[stop])!r} exceeds Q^2 = {q2!r}")
+    if stop < len(rows):
+        raise ValidationError("r must be non-negative")
+    return out
 
 
 def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
@@ -211,19 +202,19 @@ def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
     n = len(solution.r_star)
     if arr.shape != (n,):
         raise ValidationError(f"r has shape {arr.shape}, expected ({n},)")
-    if np.any(arr < 0.0):
-        raise ValidationError("r must be non-negative")
-    a2, outside_p, in_qeq = _certificate_terms(solution)
-    _check_budget(a2, arr, solution.problem.ellipsoid.radius ** 2)
-    return _derivative(*_split(arr - solution.r_star, outside_p, in_qeq))
+    return float(_derivatives(solution, arr[None])[0])
 
 
 def sample_feasible_rectangles(problem: SequenceProblem, count: int,
                                seed: int) -> np.ndarray:
     """Draw ``count`` random feasible rectangles (rows r with
-    sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream."""
+    sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream; ``seed``
+    must fit in 64 unsigned bits, ``count * N`` be <= _MAX_DIRECTION_VALUES."""
+    if count * problem.n > _MAX_DIRECTION_VALUES:
+        raise ValidationError(f"certificate directions x N = {count} x {problem.n} "
+                              f"exceeds the maximum {_MAX_DIRECTION_VALUES} values")
     gen = np.random.Generator(np.random.Philox(key=np.array(
-        [np.uint64(seed), np.uint64(0x666561)], dtype=np.uint64)))
+        [np.uint64(_seed("seed", seed)), np.uint64(0x666561)], dtype=np.uint64)))
     q2 = problem.ellipsoid.radius ** 2
     d = gen.random((count, problem.n))
     with np.errstate(divide="ignore", over="ignore"):
@@ -244,30 +235,16 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
     directions; at a true maximizer this stays at or below rounding noise.
 
     The result has the bits, and the errors, of
-    ``max(gateaux_derivative_J(solution, row) for row in rows)``.  Rows go
-    in blocks of at most _BLOCK_DOUBLES values, and every row's budget and
-    two derivative sums are the exact fsums, read for a whole block at once
-    by _row_fsums.  A block stops at its first negative row, then at its
-    first infeasible one; the rows before it are summed, and
-    gateaux_derivative_J raises that row's error.
+    ``max(gateaux_derivative_J(solution, row) for row in rows)``: the rows
+    go through the same kernel in blocks of at most _BLOCK_DOUBLES values.
     """
     if count < 1:
         raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     rows = sample_feasible_rectangles(solution.problem, count, seed)
-    a2, outside_p, in_qeq = _certificate_terms(solution)
-    q2 = solution.problem.ellipsoid.radius ** 2
-    derivatives = []
     step = max(1, _BLOCK_DOUBLES // len(solution.r_star))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, step):
-            block = rows[start:start + step]
-            stop = _first((block < 0.0).any(axis=1), len(block))
-            budgets = _row_fsums(np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0))
-            stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
-            gain, loss = _split(block[:stop] - solution.r_star, outside_p, in_qeq)
-            derivatives.extend((_row_fsums(gain) - _row_fsums(loss)).tolist())
-            if stop < len(block):
-                gateaux_derivative_J(solution, block[stop])  # raises
+    derivatives = []
+    for start in range(0, count, step):
+        derivatives += _derivatives(solution, rows[start:start + step]).tolist()
     return max(derivatives)
 
 

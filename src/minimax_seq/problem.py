@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -58,6 +59,24 @@ class SaturationError(RuntimeError):
 
 class SaturationWarning(UserWarning):
     """An optimizer hit the boundary of the finite search range."""
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int; bools and non-integral numbers are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(name: str, value) -> int:
+    """value as a plain int that fits in 64 unsigned bits, a Philox key word."""
+    value = _integer(name, value)
+    if not 0 <= value < 2 ** 64:
+        raise ValidationError(f"{name} must fit in 64 unsigned bits")
+    return value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -87,6 +87,9 @@ class RegimeSpec:
         # the rules validate_problem applies to every problem the sweep builds
         if not self.n >= 1:
             raise ValidationError(f"regime needs start dimension N at least 1, got {self.n!r}")
+        if self.n > _MAX_N:
+            raise ValidationError(
+                f"regime start dimension N = {self.n} exceeds the maximum {_MAX_N}")
         q = self.radius
         if not (q > 0.0 and 0.0 < q * q < math.inf):
             raise ValidationError(
@@ -231,8 +234,8 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
       entries (elementwise j^-p, j^kappa, exp(-p*j), exp(kappa*j); checked
       on an AVX-512 machine for 3000 random (p, N) pairs and all four
       generators);
-    - the weights are non-decreasing, so the stable water-filling order
-      visits the added coordinates last; when the water-filling is
+    - the weights are non-decreasing, so the water-filling runs in index
+      order and visits the added coordinates last; when the water-filling is
       unsaturated the budget runs out before them, they get r = 0, and the
       fsum of J(r*) is unchanged;
     - for the generated weights the scanned risks have no second dip after

@@ -19,12 +19,17 @@ replication's cost.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import SequenceProblem, ValidationError, ensure_usable
+from .problem import (
+    SequenceProblem,
+    ValidationError,
+    _integer,
+    _seed,
+    ensure_usable,
+)
 from .truncation import _BLOCK_DOUBLES, _checked_vector, _row_fsums
 
 __all__ = [
@@ -34,23 +39,6 @@ __all__ = [
     "monte_carlo_risk",
     "empirical_worst_case",
 ]
-
-def _integer(name: str, value) -> int:
-    """value as a plain int; bools and non-integral numbers are rejected."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _seed(name: str, value) -> int:
-    """value as a plain int that fits in 64 unsigned bits, a Philox key word."""
-    value = _integer(name, value)
-    if not 0 <= value < 2 ** 64:
-        raise ValidationError(f"{name} must fit in 64 unsigned bits")
-    return value
 
 
 @dataclass(frozen=True)

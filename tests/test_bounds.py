@@ -28,6 +28,7 @@ from minimax_seq import (
 )
 from minimax_seq import bounds
 from minimax_seq.truncation import _BLOCK_DOUBLES
+from test_properties import reference_derivative
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -184,10 +185,23 @@ class TestGateauxCertificate:
 
     @staticmethod
     def per_row(solution, rows):
-        try:
-            return max(gateaux_derivative_J(solution, row) for row in rows)
-        except ValidationError as exc:
-            return f"ValidationError: {exc}"
+        """The rows one at a time, independently of the certificate's
+        kernel: the negativity check, a math.fsum budget, then the
+        per-coordinate derivative; the maximum, or the first row's error."""
+        with np.errstate(over="ignore"):
+            a2 = solution.problem.ellipsoid.weights ** 2
+        q2 = solution.problem.ellipsoid.radius ** 2
+        derivatives = []
+        for row in rows:
+            if np.any(row < 0.0):
+                return "ValidationError: r must be non-negative"
+            used = row > 0.0
+            budget = math.fsum((a2[used] * row[used]).tolist())
+            if budget > q2 * (1.0 + 1e-9):
+                return (f"ValidationError: r infeasible: sum a_i^2 r_i = "
+                        f"{budget!r} exceeds Q^2 = {q2!r}")
+            derivatives.append(reference_derivative(solution, row))
+        return max(derivatives)
 
     def certify_rows(self, monkeypatch, solution, rows):
         monkeypatch.setattr(bounds, "sample_feasible_rectangles",
@@ -230,6 +244,20 @@ class TestGateauxCertificate:
         got = self.certify_rows(monkeypatch, solution, rows)
         assert got == self.per_row(solution, rows) == (
             "ValidationError: r must be non-negative")
+
+    def test_rows_before_the_first_error_are_summed(self, monkeypatch):
+        # row 0 is feasible (budget 2e108 <= Q^2 = 1e120), but its gain sum
+        # overflows in fsum, and that error comes before row 1's
+        p = SequenceProblem(explicit_spectrum(np.ones(2)),
+                            explicit_class([1e-100, 1e-100], 1e60), 1.0, 2)
+        solution = dataclasses.replace(
+            maximize_J_over_ellipsoid(p), r_star=np.zeros(2),
+            set_p=frozenset(), set_qeq=frozenset())
+        rows = np.array([[1e308, 1e308], [-1.0, 0.0]])
+        with pytest.raises(OverflowError):
+            self.per_row(solution, rows)
+        with pytest.raises(OverflowError):
+            self.certify_rows(monkeypatch, solution, rows)
 
     def test_nan_counts_only_at_row_0(self, monkeypatch):
         # max() keeps a NaN first value, and no later NaN replaces a number

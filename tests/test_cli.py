@@ -121,6 +121,18 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, b"direction")
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--seed", "-1"], b"seed must fit in 64 unsigned bits"),
+        (["--seed", "100000000000000000000000"], b"seed must fit in 64 unsigned bits"),
+        # 100000000000 x 50 directions would ask for 36.4 TiB
+        (["--directions", "100000000000"], b"maximum %d values" % (1 << 25)),
+    ])
+    def test_certificate_draw_out_of_range_is_validation_error(self, flags, needle):
+        code, out, err = run_cli(["jmax", "--config",
+                                  str(DATA / "power_problem.json"), *flags])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, needle)
+
     @pytest.mark.parametrize("where, key, value", [
         ("spectrum", "p", None),  # None: the key is removed
         ("spectrum", "p", "x"),
@@ -279,6 +291,8 @@ class TestExitCodes:
         (["--grid", "abc:1e-3:5"], b"'abc:1e-3:5'"),  # not numbers
         (["--grid", "1e-2:1e-4:x"], b"'1e-2:1e-4:x'"),
         (["--grid", "1e-2:1e-4:2.5"], b"'1e-2:1e-4:2.5'"),
+        (["--n", "100000000000000000000", "--grid", "1e-2:1e-3:5"],
+         b"N = 100000000000000000000 exceeds the maximum 1048576"),
     ])
     def test_unrepresentable_sweep_input_is_validation_error(self, tmp_path,
                                                              flags, needle):

@@ -148,6 +148,73 @@ def tied_problems(draw):
                            draw(st.sampled_from([0.125, 0.5, 1.0])), n)
 
 
+def sorted_loop_water_filling(problem):
+    """The water-filling as a stable sort of a_i^2 and a loop over the
+    coordinates: (r*, value, budget_used, P, Q_eq), with 1-based index
+    sets.  A pivot r_k that overflows raises ValidationError."""
+    n = problem.n
+    if problem.sigma == 0.0:
+        caps = np.zeros(n)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            caps = (float(problem.sigma) ** 2) / problem.spectrum.values ** 2
+    r = np.zeros(n)
+    remaining = problem.ellipsoid.radius ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = problem.ellipsoid.weights ** 2
+        for i in np.argsort(a2, kind="stable"):
+            cost = a2[i] * caps[i]
+            if cost <= remaining:
+                r[i] = caps[i]
+                remaining -= cost
+            elif remaining > 0.0:
+                r[i] = remaining / a2[i]
+                if r[i] == math.inf:
+                    raise ValidationError(
+                        f"r_star is non-finite at index {i + 1}: the budget left, "
+                        f"{float(remaining)!r}, over a_{i + 1}^2 = {float(a2[i])!r} "
+                        "overflows")
+                remaining = 0.0
+            else:
+                break
+    used = r > 0.0
+    return (r, math.fsum(np.minimum(r, caps).tolist()),
+            math.fsum((a2[used] * r[used]).tolist()),
+            {i + 1 for i in range(n) if r[i] >= caps[i]},
+            {i + 1 for i in range(n) if r[i] == caps[i]})
+
+
+# the pivot 1e20/1e-300 overflows
+PIVOT_OVERFLOW = SequenceProblem(explicit_spectrum([1e-160, 1e-160]),
+                                 explicit_class([1e-150, 1.0], 1e10), 0.1, 2)
+
+
+@given(st.one_of(problems(), tied_problems()), st.booleans())
+@example(OVERFLOWING_WEIGHTS, False)
+@example(OVERFLOWING_WEIGHTS, True)
+@example(NOISELESS_UNDERFLOW, False)
+@example(PIVOT_OVERFLOW, False)
+@settings(max_examples=200, deadline=None)
+def test_water_filling_matches_sorted_loop(problem, noiseless):
+    """The index-order array fill has the bits and the pivot error of a
+    stable sort of a_i^2 followed by a loop over the coordinates."""
+    if noiseless:
+        problem = SequenceProblem(problem.spectrum, problem.ellipsoid, 0.0,
+                                  problem.n)
+    try:
+        r, value, budget_used, set_p, set_qeq = sorted_loop_water_filling(problem)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            maximize_J_over_ellipsoid(problem)
+        assert str(raised.value) == str(exc)
+        return
+    solution = maximize_J_over_ellipsoid(problem)
+    assert solution.r_star.tobytes() == r.tobytes()
+    assert solution.value.hex() == value.hex()
+    assert solution.budget_used.hex() == budget_used.hex()
+    assert (solution.set_p, solution.set_qeq) == (set_p, set_qeq)
+
+
 # 16 certificate blocks of 32 rows at count = 500
 MANY_BLOCKS = SequenceProblem(make_power_spectrum(1.0, 512),
                               make_power_class(1.0, 512), 1e-3, 512)

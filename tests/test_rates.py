@@ -149,6 +149,7 @@ class TestSweep:
         ("radius", 1e200, "Q^2"), ("radius", -1.0, "Q > 0"),
         ("radius", math.nan, "Q > 0"), ("n", 0, "at least 1"),
         ("grid", (1e-100, 1e-200), "sigma^2"), ("grid", (math.nan,), "sigma^2"),
+        ("n", 2 ** 20 + 1, "N = 1048577 exceeds the maximum 1048576"),
     ])
     def test_spec_rejects_unrepresentable_inputs(self, field, value, needle):
         args = {"radius": 1.0, "n": 64, "grid": (1e-3,)}

@@ -1,15 +1,14 @@
 """Monte Carlo validation of the closed-form risks.
 
-Noise is drawn from counter-based Philox streams keyed by
-(seed, replication): replication r of a run with master seed m reads the
-stream keyed (m, r), and coordinate k reads position k of that stream.
-Values therefore depend only on the key tuple, never on evaluation order
-or degree of parallelism, and repeated runs are bit-identical.  Averages
+Noise is drawn from counter-based Philox streams.  A Monte Carlo run with
+master seed m reads the one stream keyed m, in replication order:
+replication r holds the normals r*N .. r*N + N - 1 of that stream, and
+coordinate k of a replication reads the k-th of its N.  Values therefore
+depend only on the seed, and repeated runs are bit-identical.  Averages
 accumulate in fixed replication order through math.fsum.
 
-Monte Carlo draws its replications in blocks from one Philox bit
-generator per block, re-keyed to the start of each replication's stream,
-so a block holds exactly the bits of its one-at-a-time draws.  Each
+Monte Carlo draws its replications in blocks, each the next rows of the
+same generator, so the bits do not depend on the block size.  Each
 block's squared errors are summed per replication by the certified
 array kernel truncation._row_fsums, which returns math.fsum's bits (rows
 it cannot certify read fsum itself).  The normal draw is most of a
@@ -65,46 +64,31 @@ class RiskEstimate:
     seed: int
 
 
-def _key(seed) -> tuple[int, int]:
-    """The Philox key of ``seed``: an integer m reads (m, 0), a pair stays."""
-    if isinstance(seed, tuple):
-        if len(seed) != 2:
-            raise ValidationError("seed tuple must have two components")
-        return _seed("seed[0]", seed[0]), _seed("seed[1]", seed[1])
-    return _seed("seed", seed), 0
-
-
 def sample_observations(theta, problem: SequenceProblem, seed,
                         count: int | None = None) -> np.ndarray:
-    """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from the stream keyed by seed.
+    """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from a Philox stream.
 
-    ``seed`` is an integer m, read as the key (m, 0), or an (m, r) pair of
-    integers, each in [0, 2^64); anything else raises ValidationError.
+    ``seed`` is an integer m in [0, 2^64), which keys a new stream
+    ``Philox(key=m)``, or a ``np.random.Generator``, whose stream continues
+    where its last draw stopped; any other seed raises ValidationError.
     Identical inputs give identical observations, returned as a read-only
     array.  With ``count=None`` the result has shape (N,).  With
-    ``count=k`` it is a (k, N) block whose row i equals the single draw
-    keyed (m, r + i): one Philox bit generator is re-keyed through its
-    public state before each row, to the start of that row's stream.
+    ``count=k``, an integer k >= 1, it is a (k, N) block holding the next
+    k*N normals in row order, so row 0 of a block keyed m is the single
+    draw keyed m, and successive calls on one Generator give the rows of
+    one call with their summed count.
     """
     theta = _checked_vector(theta, problem.n)
-    m, r0 = _key(seed)
-    xi = np.empty((1 if count is None else count, problem.n))
-    if r0 + len(xi) > 2 ** 64:
-        raise ValidationError("seed[1] + count - 1 must fit in 64 unsigned bits")
-    bitgen = np.random.Philox(key=m)
-    gen = np.random.Generator(bitgen)
-    key = [m, r0]
-    start = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for i, row in enumerate(xi):
-        key[1] = r0 + i
-        bitgen.state = start
-        gen.standard_normal(out=row)
-    z = theta + (problem.sigma / problem.spectrum.values) * xi
-    if count is None:
-        z = z[0]
+    shape = problem.n
+    if count is not None:
+        count = _integer("count", count)
+        if count < 1:
+            raise ValidationError(f"count must be >= 1, got {count!r}")
+        shape = (count, problem.n)
+    gen = seed
+    if not isinstance(gen, np.random.Generator):
+        gen = np.random.Generator(np.random.Philox(key=_seed("seed", seed)))
+    z = theta + (problem.sigma / problem.spectrum.values) * gen.standard_normal(shape)
     z.flags.writeable = False
     return z
 
@@ -113,12 +97,12 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                      config: SimulationConfig) -> RiskEstimate:
     """Average squared estimation error over config.replications draws.
 
-    Replication r uses the stream keyed (master_seed, r), so the estimate
-    is independent of evaluation order and reproducible bit-for-bit.  The
-    draws come in blocks of at most _BLOCK_DOUBLES noise values, so memory
-    stays bounded for any replication count; each replication's squared
-    error is the math.fsum of its row, read for a whole block at once by
-    _row_fsums.
+    The replications read one Philox stream keyed master_seed in order,
+    so the estimate is reproducible bit-for-bit.  The draws come in blocks
+    of at most _BLOCK_DOUBLES noise values from that one generator, so
+    memory stays bounded for any replication count and the bits do not
+    depend on the block size; each replication's squared error is the
+    math.fsum of its row, read for a whole block at once by _row_fsums.
     """
     ensure_usable(problem)
     n = problem.n
@@ -130,11 +114,12 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     theta = _checked_vector(theta, n)
     reps = config.replications
     rows = max(1, _BLOCK_DOUBLES // n)
+    gen = np.random.Generator(np.random.Philox(key=config.master_seed))
     errors = []
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below
             for r0 in range(0, reps, rows):
-                z = sample_observations(theta, problem, (config.master_seed, r0),
+                z = sample_observations(theta, problem, gen,
                                         count=min(rows, reps - r0))
                 # theta - estimate(z, D), row by row
                 d = np.empty_like(z)

@@ -14,7 +14,7 @@ import scan_digest
 def test_monte_carlo_fingerprint():
     assert mc_digest.digest_line() == (
         "1112 estimates sha256 "
-        "e5a7dcdf9143c0e48aea2f7eeb8ba210c4a4c0f38d0ca2328521a7fee956052d")
+        "e27f7c7c9a20212087b47d184e0e30eb43b554483a28e7c7012636bfe0b1e0d7")
 
 
 def test_certificate_fingerprint():

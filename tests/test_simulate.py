@@ -20,6 +20,7 @@ from minimax_seq import (
     make_power_spectrum,
     monte_carlo_risk,
     sample_observations,
+    simulate,
     truncation_risk,
 )
 from minimax_seq.truncation import _BLOCK_DOUBLES
@@ -40,15 +41,14 @@ class TestSampleObservations:
     def test_fixed_seed_reproduces(self):
         p = toy_problem()
         theta = least_favorable(p, 3)
-        a = sample_observations(theta, p, (9, 4))
-        b = sample_observations(theta, p, (9, 4))
+        a = sample_observations(theta, p, 9, count=5)
+        b = sample_observations(theta, p, 9, count=5)
         np.testing.assert_array_equal(a, b)
 
     def test_different_replications_differ(self):
         p = toy_problem()
         theta = least_favorable(p, 3)
-        a = sample_observations(theta, p, (9, 4))
-        b = sample_observations(theta, p, (9, 5))
+        a, b = sample_observations(theta, p, 9, count=2)
         assert not np.array_equal(a, b)
 
     def test_noise_scale_matches_amplification(self):
@@ -56,9 +56,7 @@ class TestSampleObservations:
         p = toy_problem(sigma=0.2, n=8)
         theta = np.zeros(8)
         draws = 100_000
-        acc = np.empty((draws, 8))
-        for r in range(draws):
-            acc[r] = sample_observations(theta, p, (77, r))
+        acc = sample_observations(theta, p, 77, count=draws)
         got_var = acc.var(axis=0, ddof=1)
         want_var = (p.sigma / p.spectrum.values) ** 2
         # sample variance of R normals has std ~ var * sqrt(2/(R-1))
@@ -72,32 +70,34 @@ class TestSampleObservations:
                 sample_observations(theta, p, 0)
 
     @pytest.mark.parametrize("seed, message", [
+        ((9, 4), "seed must be an integer"),
         (-1, "seed must fit in 64 unsigned bits"),
         (2 ** 64, "seed must fit in 64 unsigned bits"),
-        ((1, -1), r"seed\[1\] must fit in 64 unsigned bits"),
-        ((2 ** 64, 0), r"seed\[0\] must fit in 64 unsigned bits"),
-        ((1.5, 2), r"seed\[0\] must be an integer"),
         (2.0, "seed must be an integer"),
         (True, "seed must be an integer"),
-        ((1, True), r"seed\[1\] must be an integer"),
     ])
     def test_invalid_seeds_rejected(self, seed, message):
         p = toy_problem(n=8)
         with pytest.raises(ValidationError, match=message):
             sample_observations(np.zeros(8), p, seed)
 
-    def test_stream_index_past_64_bits_rejected(self):
+    @pytest.mark.parametrize("count, message", [
+        (0, "count must be >= 1"),
+        (-1, "count must be >= 1"),
+        (2.5, "count must be an integer"),
+        (True, "count must be an integer"),
+        ("3", "count must be an integer"),
+    ])
+    def test_invalid_counts_rejected(self, count, message):
         p = toy_problem(n=8)
-        last = sample_observations(np.zeros(8), p, (3, 2 ** 64 - 2), count=2)
-        assert last.shape == (2, 8)
-        with pytest.raises(ValidationError, match="count - 1 must fit"):
-            sample_observations(np.zeros(8), p, (3, 2 ** 64 - 2), count=3)
+        with pytest.raises(ValidationError, match=message):
+            sample_observations(np.zeros(8), p, 0, count=count)
 
     def test_seed_extremes_and_numpy_integers_keep_their_stream(self):
         p = toy_problem(n=8)
-        for m, r in [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1), (np.uint64(5), np.int64(7))]:
-            got = sample_observations(np.zeros(8), p, (m, r))
-            want = fresh_stream_draw(np.zeros(8), p, int(m), int(r))
+        for m in (0, 2 ** 64 - 1, np.uint64(5), np.int64(7)):
+            got = sample_observations(np.zeros(8), p, m)
+            want = fresh_stream_draw(np.zeros(8), p, int(m))
             assert got.tobytes() == want.tobytes()
 
 
@@ -138,17 +138,28 @@ class TestMonteCarloRisk:
         assert (a.mean_sq_error, a.std_error) == (b.mean_sq_error, b.std_error)
 
     def test_replications_use_keyed_streams(self):
-        # the r-th replication must equal a standalone draw keyed (seed, r)
+        # replication r must equal row r of one draw keyed by the master seed
         p = toy_problem()
         theta = least_favorable(p, 3)
         config = SimulationConfig(50, 1234, p.n)
         est = monte_carlo_risk(p, theta, 3, config)
         errors = []
-        for r in range(50):
-            obs = sample_observations(theta, p, (1234, r))
+        for obs in sample_observations(theta, p, 1234, count=50):
             diff = theta - estimate(obs, 3)
             errors.append(math.fsum((diff * diff).tolist()))
         assert est.mean_sq_error == math.fsum(errors) / 50
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_block_size_keeps_the_bits(self, monkeypatch, n, block):
+        p = toy_problem(n=n)
+        theta = least_favorable(p, n - 1)
+        config = SimulationConfig(300, 2024, n)
+        want = monte_carlo_risk(p, theta, n // 2, config)
+        monkeypatch.setattr(simulate, "_BLOCK_DOUBLES", block)
+        got = monte_carlo_risk(p, theta, n // 2, config)
+        assert ((got.mean_sq_error.hex(), got.std_error.hex())
+                == (want.mean_sq_error.hex(), want.std_error.hex()))
 
 
 class TestEmpiricalWorstCase:
@@ -256,10 +267,10 @@ def mc_cases(draw):
 
 
 def reference_risk(problem, theta, D, config):
-    """monte_carlo_risk one replication at a time: (mean, std_error)."""
+    """monte_carlo_risk from one draw and one fsum per row: (mean, std_error)."""
     errors = []
-    for r in range(config.replications):
-        z = sample_observations(theta, problem, (config.master_seed, r))
+    for z in sample_observations(theta, problem, config.master_seed,
+                                 count=config.replications):
         d = theta - estimate(z, D)
         errors.append(math.fsum((d * d).tolist()))
     reps = len(errors)
@@ -270,9 +281,9 @@ def reference_risk(problem, theta, D, config):
     return mean, math.sqrt(var / reps)
 
 
-def fresh_stream_draw(theta, problem, m, r):
-    """A single draw from a newly built generator keyed (m, r)."""
-    key = np.array([m, r], dtype=np.uint64)
+def fresh_stream_draw(theta, problem, m):
+    """A single draw from a newly built generator keyed by the words (m, 0)."""
+    key = np.array([m, 0], dtype=np.uint64)
     xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(problem.n)
     return theta + (problem.sigma / problem.spectrum.values) * xi
 
@@ -292,15 +303,24 @@ def test_blocked_monte_carlo_matches_one_draw_per_replication(case):
     assert (est.mean_sq_error.hex(), est.std_error.hex()) == (mean.hex(), std_error.hex())
 
 
-@given(mc_cases(), st.integers(1, 70), st.integers(0, 2 ** 63))
+@given(mc_cases(), st.integers(1, 70), st.data())
 @settings(max_examples=60, deadline=None)
-def test_block_rows_equal_single_draws(case, count, r0):
+def test_block_rows_equal_single_draws(case, count, data):
     problem, theta, _, config = case
     m = config.master_seed
-    block = sample_observations(theta, problem, (m, r0), count=count)
+    block = sample_observations(theta, problem, m, count=count)
     assert block.shape == (count, problem.n)
     assert not block.flags.writeable
-    for i, row in enumerate(block):
-        single = sample_observations(theta, problem, (m, r0 + i))
-        assert row.tobytes() == single.tobytes()
-        assert row.tobytes() == fresh_stream_draw(theta, problem, m, r0 + i).tobytes()
+    single = sample_observations(theta, problem, m)
+    assert single.shape == (problem.n,)
+    assert block[0].tobytes() == single.tobytes()
+    assert single.tobytes() == fresh_stream_draw(theta, problem, m).tobytes()
+    # split calls on one Generator continue its stream: None draws one row
+    gen = np.random.Generator(np.random.Philox(key=m))
+    parts, left = [], count
+    while left:
+        k = data.draw(st.sampled_from([None, *range(1, left + 1)]))
+        part = sample_observations(theta, problem, gen, count=k)
+        parts.append(part.reshape(-1, problem.n))
+        left -= k or 1
+    assert np.concatenate(parts).tobytes() == block.tobytes()

@@ -41,6 +41,7 @@ from .problem import (
     SequenceProblem,
     SingularSpectrum,
     ValidationError,
+    _integer,
     _seed,
     ellipsoid_from_source_set,
     ensure_usable,
@@ -208,8 +209,12 @@ def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
 def sample_feasible_rectangles(problem: SequenceProblem, count: int,
                                seed: int) -> np.ndarray:
     """Draw ``count`` random feasible rectangles (rows r with
-    sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream; ``seed``
-    must fit in 64 unsigned bits, ``count * N`` be <= _MAX_DIRECTION_VALUES."""
+    sum a_i^2 r_i <= Q^2), reproducibly from a counter-based stream; ``count``
+    must be an integer >= 1, ``seed`` fit in 64 unsigned bits, and
+    ``count * N`` be <= _MAX_DIRECTION_VALUES."""
+    count = _integer("count", count)
+    if count < 1:
+        raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     if count * problem.n > _MAX_DIRECTION_VALUES:
         raise ValidationError(f"certificate directions x N = {count} x {problem.n} "
                               f"exceeds the maximum {_MAX_DIRECTION_VALUES} values")
@@ -238,12 +243,10 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
     ``max(gateaux_derivative_J(solution, row) for row in rows)``: the rows
     go through the same kernel in blocks of at most _BLOCK_DOUBLES values.
     """
-    if count < 1:
-        raise ValidationError(f"certificate needs at least 1 direction, got {count!r}")
     rows = sample_feasible_rectangles(solution.problem, count, seed)
     step = max(1, _BLOCK_DOUBLES // len(solution.r_star))
     derivatives = []
-    for start in range(0, count, step):
+    for start in range(0, len(rows), step):
         derivatives += _derivatives(solution, rows[start:start + step]).tolist()
     return max(derivatives)
 

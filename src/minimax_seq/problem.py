@@ -18,6 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 
+_MAX_N = 1 << 20  # the largest length a generator builds
+
+
 class ValidationError(ValueError):
     """Invalid parameters, malformed inputs, or violated preconditions."""
 
@@ -77,6 +81,14 @@ def _seed(name: str, value) -> int:
     if not 0 <= value < 2 ** 64:
         raise ValidationError(f"{name} must fit in 64 unsigned bits")
     return value
+
+
+def _indices(n_max) -> np.ndarray:
+    """j = 1..n_max as float64; a length above _MAX_N is rejected before
+    anything is allocated."""
+    if n_max > _MAX_N:
+        raise ValidationError(f"n_max = {n_max!r} exceeds the maximum {_MAX_N}")
+    return np.arange(1, n_max + 1, dtype=np.float64)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -210,7 +222,7 @@ def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
         raise ValidationError(f"power spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
-    j = np.arange(1, n_max + 1, dtype=np.float64)
+    j = _indices(n_max)
     values = j ** (-float(p))
     if values[-1] <= 0.0:
         raise ValidationError(
@@ -224,7 +236,7 @@ def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
         raise ValidationError(f"exponential spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
-    j = np.arange(1, n_max + 1, dtype=np.float64)
+    j = _indices(n_max)
     values = np.exp(-float(p) * j)
     if values[-1] <= 0.0:
         raise ValidationError(
@@ -244,7 +256,7 @@ def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> Ellipsoid
         raise ValidationError(f"power class needs finite kappa > 0, got {kappa!r}")
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
-    j = np.arange(1, n_max + 1, dtype=np.float64)
+    j = _indices(n_max)
     with np.errstate(over="ignore"):  # reported below, as one ValidationError
         weights = j ** float(kappa)
     if not np.all(np.isfinite(weights)):
@@ -259,7 +271,7 @@ def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> Ell
         raise ValidationError(f"exponential class needs finite kappa > 0, got {kappa!r}")
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
-    j = np.arange(1, n_max + 1, dtype=np.float64)
+    j = _indices(n_max)
     with np.errstate(over="ignore"):  # reported below, as one ValidationError
         weights = np.exp(float(kappa) * j)
     if not np.all(np.isfinite(weights)):
@@ -480,7 +492,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
         _reject_unknown(sp_doc, {"kind", "p", "n_max"}, "spectrum")
         maker = make_power_spectrum if kind == "power" else make_exponential_spectrum
         spectrum = maker(_field(sp_doc, "p", float, "spectrum"),
-                         _field(sp_doc, "n_max", int, "spectrum"))
+                         _field(sp_doc, "n_max", partial(_integer, "n_max"), "spectrum"))
     elif kind == "explicit":
         _reject_unknown(sp_doc, {"kind", "values"}, "spectrum")
         spectrum = _field(sp_doc, "values", explicit_spectrum, "spectrum")
@@ -506,7 +518,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
 
     return SequenceProblem(spectrum, ellipsoid,
                            _field(doc, "sigma", float, "problem"),
-                           _field(doc, "N", int, "problem"))
+                           _field(doc, "N", partial(_integer, "N"), "problem"))
 
 
 def load_problem(path: str) -> SequenceProblem:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .bounds import minimax_sandwich
 from .problem import (
+    _MAX_N,
     SaturationError,
     SaturationWarning,
     SequenceProblem,
@@ -55,7 +56,6 @@ __all__ = [
 
 REGIME_TAGS = ("pp", "pe", "ep", "ee")
 _KIND = {"p": "power", "e": "exponential"}
-_MAX_N = 1 << 20
 
 
 class IllposednessLabel(Enum):
@@ -306,18 +306,21 @@ def fit_rate(table, spec: RegimeSpec) -> RateFit:
     return RateFit(spec.tag, float(slope), _theory_value(spec), residual, trace)
 
 
-def classify_illposedness(fit: RateFit, residual_threshold: float = 0.5) -> IllposednessLabel:
+_RESIDUAL_THRESHOLD = 0.5
+
+
+def classify_illposedness(fit: RateFit) -> IllposednessLabel:
     """Label the statistical problem from the fitted rate.
 
     Mild: the bound is linear in sigma up to a polylogarithmic factor.
     Severe: the bound decays only polylogarithmically.  Moderate: power type.
-    A residual above the threshold means the fit does not follow its
+    A residual above _RESIDUAL_THRESHOLD means the fit does not follow its
     regime's shape and classification is refused.
     """
-    if fit.residual > residual_threshold:
+    if fit.residual > _RESIDUAL_THRESHOLD:
         raise ValidationError(
             f"ambiguous fit: residual {fit.residual!r} exceeds "
-            f"{residual_threshold!r} in fit coordinates")
+            f"{_RESIDUAL_THRESHOLD!r} in fit coordinates")
     if fit.regime == "pe":
         return IllposednessLabel.MILD
     if fit.regime == "ep":

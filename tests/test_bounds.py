@@ -288,6 +288,19 @@ class TestGateauxCertificate:
         assert np.all(r >= 0.0)
         assert np.all(r @ a2 <= p.ellipsoid.radius ** 2 * (1 + 1e-12))
 
+    @pytest.mark.parametrize("count, message", [
+        (0, "at least 1 direction"),
+        (-1, "at least 1 direction"),
+        (2.5, "count must be an integer"),
+        (True, "count must be an integer"),
+    ])
+    def test_invalid_direction_counts_rejected(self, count, message):
+        p = toy_problem()
+        with pytest.raises(ValidationError, match=message):
+            sample_feasible_rectangles(p, count, 0)
+        with pytest.raises(ValidationError, match=message):
+            certify_maximizer(maximize_J_over_ellipsoid(p), count=count)
+
 
 class TestSandwich:
     def test_chain_on_regime_grid(self, grid_problems):

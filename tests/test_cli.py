@@ -142,6 +142,11 @@ class TestExitCodes:
         (None, "sigma", 1e200),  # sigma^2 overflows
         ("class", "kappa", math.inf),
         ("spectrum", "p", math.inf),
+        ("spectrum", "n_max", 1e20),
+        ("spectrum", "n_max", 10 ** 20),
+        ("spectrum", "n_max", 2 ** 20 + 1),
+        ("spectrum", "n_max", 50.9),
+        (None, "N", 50.7),
     ])
     def test_bad_config_value_is_validation_error(self, tmp_path, where, key,
                                                   value):

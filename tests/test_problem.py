@@ -5,6 +5,7 @@ import pytest
 
 import minimax_seq.problem as problem_mod
 from minimax_seq import (
+    EllipsoidClass,
     SequenceProblem,
     SingularSpectrum,
     ValidationError,
@@ -78,6 +79,17 @@ class TestSpectrumConstructors:
             make_power_class(kappa, 3)
         with pytest.raises(ValidationError, match="kappa"):
             make_exponential_class(kappa, 3)
+
+    @pytest.mark.parametrize("make", [make_power_spectrum, make_exponential_spectrum,
+                                      make_power_class, make_exponential_class])
+    @pytest.mark.parametrize("n_max", [2 ** 20 + 1, 10 ** 30])
+    def test_length_above_the_maximum_rejected(self, make, n_max):
+        with pytest.raises(ValidationError,
+                           match=f"n_max = {n_max} exceeds the maximum 1048576"):
+            make(1e-3, n_max)
+
+    def test_length_at_the_maximum_built(self):
+        assert make_power_spectrum(1.0, 2 ** 20).n_max == 2 ** 20
 
     def test_generator_round_trip(self):
         # s_j * j^p recovers 1 to machine precision for power spectra
@@ -231,6 +243,18 @@ class TestValidation:
         assert any(v[1] == "spectrum non-increasing"
                    for v in validate_problem(p).violations)
 
+    def test_altered_generated_values_flagged(self):
+        # a power spectrum and an exponential class that claim their
+        # generator but hold other bits at one index each
+        s = make_power_spectrum(1.0, 5).values.copy()
+        s[2] = np.nextafter(s[2], 0.0)
+        a = make_exponential_class(0.5, 5).weights.copy()
+        a[4] = a[4] * 2.0
+        p = SequenceProblem(SingularSpectrum(s, "power", 1.0),
+                            EllipsoidClass(a, 1.0, "exponential", 0.5), 0.1, 5)
+        assert [v[:2] for v in validate_problem(p).violations] == [
+            (3, "spectrum generator mismatch"), (5, "class generator mismatch")]
+
     def test_ties_allowed(self):
         p = SequenceProblem(explicit_spectrum([1.0, 1.0, 0.5]),
                             explicit_class([1.0, 1.0, 2.0], 1.0), 0.1, 3)
@@ -301,6 +325,21 @@ class TestJsonRoundTrip:
                                               make_power_class(1.0, 4), 0.1, 4))
         doc["spectrum"]["junk"] = True
         with pytest.raises(ValidationError, match="unknown keys"):
+            problem_from_json(doc)
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("spectrum", "n_max", 4.0),
+        ("spectrum", "n_max", 1e20),
+        ("spectrum", "n_max", True),
+        ("problem", "N", 4.5),
+        ("problem", "N", "4"),
+    ])
+    def test_dimensions_must_be_integers(self, where, key, value):
+        doc = problem_to_json(SequenceProblem(make_power_spectrum(1.0, 4),
+                                              make_power_class(1.0, 4), 0.1, 4))
+        (doc["spectrum"] if where == "spectrum" else doc)[key] = value
+        with pytest.raises(ValidationError,
+                           match=f"{where} key '{key}': {key} must be an integer"):
             problem_from_json(doc)
 
     def test_missing_key_rejected(self):

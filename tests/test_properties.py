@@ -114,6 +114,27 @@ def test_certificate_within_rounding(problem, seed):
     assert worst <= 1e-9 * max(1.0, solution.value)
 
 
+@st.composite
+def generator_builds(draw):
+    """(generator, attribute, parameter, N) whose 2N entries are finite and > 0."""
+    make, attribute = draw(st.sampled_from([
+        (make_power_spectrum, "values"), (make_exponential_spectrum, "values"),
+        (make_power_class, "weights"), (make_exponential_class, "weights")]))
+    n = draw(st.integers(1, 20000))
+    top = 3.0 if make in (make_power_spectrum, make_power_class) else 700 / (2 * n)
+    return make, attribute, draw(st.floats(1e-3, min(3.0, top))), n
+
+
+@given(generator_builds())
+@settings(max_examples=200, deadline=None)
+def test_generator_prefix_keeps_its_bits_at_twice_the_length(case):
+    # rates.sweep doubles N and relies on this prefix property
+    make, attribute, param, n = case
+    short = getattr(make(param, n), attribute)
+    longer = getattr(make(param, 2 * n), attribute)
+    assert short.tobytes() == longer[:n].tobytes()
+
+
 @given(problems())
 @example(OVERFLOWING_WEIGHTS)
 @settings(max_examples=150, deadline=None)

@@ -48,10 +48,9 @@ from .problem import (
 )
 from .truncation import (
     _BLOCK_DOUBLES,
-    _exact_prefix_sums,
-    _noise,
+    _best_level,
     _row_fsums,
-    _scan_levels,
+    _variances,
     optimal_truncation,
 )
 
@@ -168,29 +167,35 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
 
 
 def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
-    """The derivative toward each row of the 2-d block rows, with the bits
-    and errors of math.fsum on one row at a time: each row's budget and
-    two derivative sums are read by _row_fsums.  The block stops at its
-    first negative row, then at its first infeasible one; the rows before
-    it are summed, and then that row raises its error."""
+    """The derivative toward each row of the 2-d array rows, with the bits
+    and errors of math.fsum on one row at a time.  The masks of P and Q_eq
+    and the a_i^2 are built once; the rows then go in blocks of at most
+    _BLOCK_DOUBLES values, whose budgets and two derivative sums are read
+    by _row_fsums.  A block stops at its first negative row, then at its
+    first infeasible one; the rows before it are summed, and then that row
+    raises its error."""
     n, q2 = len(solution.r_star), solution.problem.ellipsoid.radius ** 2
     outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
     in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
+    step = max(1, _BLOCK_DOUBLES // n)
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
         a2 = solution.problem.ellipsoid.weights ** 2
-        stop = _first((rows < 0.0).any(axis=1), len(rows))
-        budgets = _row_fsums(np.where(rows[:stop] > 0.0, rows[:stop] * a2, 0.0))
-        stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
-        h = rows[:stop] - solution.r_star
-        out = (_row_fsums(h[:, outside_p])
-               - _row_fsums(np.maximum(-h[:, in_qeq], 0.0)))
-    if stop < len(budgets):
-        raise ValidationError(f"r infeasible: sum a_i^2 r_i = "
-                              f"{float(budgets[stop])!r} exceeds Q^2 = {q2!r}")
-    if stop < len(rows):
-        raise ValidationError("r must be non-negative")
-    return out
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            stop = _first((block < 0.0).any(axis=1), len(block))
+            budgets = _row_fsums(np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0))
+            stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
+            h = block[:stop] - solution.r_star
+            out.append(_row_fsums(h[:, outside_p])
+                       - _row_fsums(np.maximum(-h[:, in_qeq], 0.0)))
+            if stop < len(budgets):
+                raise ValidationError(f"r infeasible: sum a_i^2 r_i = "
+                                      f"{float(budgets[stop])!r} exceeds Q^2 = {q2!r}")
+            if stop < len(block):
+                raise ValidationError("r must be non-negative")
+    return np.concatenate(out)
 
 
 def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
@@ -241,14 +246,10 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
 
     The result has the bits, and the errors, of
     ``max(gateaux_derivative_J(solution, row) for row in rows)``: the rows
-    go through the same kernel in blocks of at most _BLOCK_DOUBLES values.
+    go through the same kernel, which walks them in blocks.
     """
     rows = sample_feasible_rectangles(solution.problem, count, seed)
-    step = max(1, _BLOCK_DOUBLES // len(solution.r_star))
-    derivatives = []
-    for start in range(0, len(rows), step):
-        derivatives += _derivatives(solution, rows[start:start + step]).tolist()
-    return max(derivatives)
+    return max(_derivatives(solution, rows).tolist())
 
 
 def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
@@ -286,11 +287,7 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     phi^2(s_{D+1}^2) that overflows reads as inf, as that route's Q^2/a^2
     does; a risk that is inf at every level raises ValidationError.
     """
-    n = spectrum.n_max
-    ensure_usable(SequenceProblem(
-        spectrum, ellipsoid_from_source_set(phi, spectrum), sigma, n))
     s = spectrum.values
-    sig2 = float(sigma) ** 2
 
     def bias_sq(d: int) -> float:
         try:
@@ -298,14 +295,10 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
         except OverflowError:  # a Python float power raises instead of inf
             return math.inf
 
-    variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
-    best_d, best = _scan_levels(n, bias_sq, variances, operator.add)
-    if best == math.inf:  # level 0 has no noise, so its bias overflowed
-        raise ValidationError(
-            "source-set bound is non-finite: the risk is inf at every level, "
-            "and the bias phi(s_1^2)^2 overflows at level D = 0")
-    if best_d == n - 1:
-        warnings.warn(
-            f"source-set optimum hit the end of the range (D* = {best_d})",
-            SaturationWarning, stacklevel=2)
+    problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
+                              sigma, spectrum.n_max)
+    best_d, best = _best_level(
+        problem, "source-set optimum", _variances, operator.add, bias_sq,
+        nonfinite="source-set bound is non-finite: the risk is inf at every "
+                  "level, and the bias phi(s_1^2)^2 overflows at level D = 0")
     return best_d, best, best / SQUARED_FACTOR

@@ -115,6 +115,8 @@ def _parse_grid(text: str) -> tuple:
     except ValueError as exc:
         raise ValidationError(
             f"grid {text!r}: LO and HI must be numbers, POINTS an integer") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"grid {text!r}: LO and HI must be finite")
     if lo <= 0 or hi <= 0 or points < 1:
         raise ValidationError("grid endpoints must be positive, points >= 1")
     if points > _MAX_GRID_POINTS:

@@ -216,33 +216,59 @@ class ValidationReport:
     violations: tuple = field(default_factory=tuple)
 
 
-def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
-    """Singular values s_j = j^-p for j = 1..n_max."""
+# The generated kinds, each a formula f and its name in messages: a spectrum
+# has s_j = f(j, -p) and a class a_j = f(j, kappa), at j = 1..N.
+_FORMULAS = {
+    "power": (lambda j, c: j ** c, "j^{}"),
+    "exponential": (lambda j, c: np.exp(c * j), "exp({}*j)"),
+}
+
+
+def _spectrum(kind: str, p: float, n_max: int) -> SingularSpectrum:
+    """The generated spectrum of ``kind`` with exponent p, length n_max."""
     if not (p > 0 and math.isfinite(p)):
-        raise ValidationError(f"power spectrum needs finite p > 0, got {p!r}")
+        raise ValidationError(f"{kind} spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
-    j = _indices(n_max)
-    values = j ** (-float(p))
+    formula, name = _FORMULAS[kind]
+    values = formula(_indices(n_max), -float(p))
     if values[-1] <= 0.0:
-        raise ValidationError(
-            f"j^-p underflows to 0 at j={n_max} for p={p!r}; reduce n_max")
-    return SingularSpectrum(values, "power", float(p))
+        raise ValidationError(f"{name.format('-p')} underflows to 0 "
+                              f"at j={n_max} for p={p!r}; reduce n_max")
+    return SingularSpectrum(values, kind, float(p))
+
+
+def _class(kind: str, kappa: float, n_max: int, radius: float) -> EllipsoidClass:
+    """The generated class of ``kind`` with exponent kappa, length n_max."""
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise ValidationError(f"{kind} class needs finite kappa > 0, got {kappa!r}")
+    if not n_max >= 1 or not radius > 0:
+        raise ValidationError("class needs n_max >= 1 and radius > 0")
+    formula, name = _FORMULAS[kind]
+    j = _indices(n_max)
+    with np.errstate(over="ignore"):  # reported below, as one ValidationError
+        weights = formula(j, float(kappa))
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(f"{name.format('kappa')} overflows "
+                              f"at j={n_max} for kappa={kappa!r}; reduce n_max")
+    return EllipsoidClass(weights, float(radius), kind, float(kappa))
+
+
+def _generator(what: str, kind: str):
+    """make_<kind>_<what> for a kind in _FORMULAS and what "spectrum" or
+    "class", read from the module when called, so that a wrapper installed
+    on that name (perfbench's traced run) is the one that runs."""
+    return globals()[f"make_{kind}_{what}"]
+
+
+def make_power_spectrum(p: float, n_max: int) -> SingularSpectrum:
+    """Singular values s_j = j^-p for j = 1..n_max."""
+    return _spectrum("power", p, n_max)
 
 
 def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
     """Singular values s_j = exp(-p*j) for j = 1..n_max."""
-    if not (p > 0 and math.isfinite(p)):
-        raise ValidationError(f"exponential spectrum needs finite p > 0, got {p!r}")
-    if not n_max >= 1:
-        raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
-    j = _indices(n_max)
-    values = np.exp(-float(p) * j)
-    if values[-1] <= 0.0:
-        raise ValidationError(
-            f"exp(-p*j) underflows to 0 at j={n_max} for p={p!r}; reduce n_max"
-        )
-    return SingularSpectrum(values, "exponential", float(p))
+    return _spectrum("exponential", p, n_max)
 
 
 def explicit_spectrum(values: Sequence[float]) -> SingularSpectrum:
@@ -252,33 +278,12 @@ def explicit_spectrum(values: Sequence[float]) -> SingularSpectrum:
 
 def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
     """Weights a_j = j^kappa (moderate smoothness)."""
-    if not (kappa > 0 and math.isfinite(kappa)):
-        raise ValidationError(f"power class needs finite kappa > 0, got {kappa!r}")
-    if not n_max >= 1 or not radius > 0:
-        raise ValidationError("class needs n_max >= 1 and radius > 0")
-    j = _indices(n_max)
-    with np.errstate(over="ignore"):  # reported below, as one ValidationError
-        weights = j ** float(kappa)
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError(
-            f"j^kappa overflows at j={n_max} for kappa={kappa!r}; reduce n_max")
-    return EllipsoidClass(weights, float(radius), "power", float(kappa))
+    return _class("power", kappa, n_max, radius)
 
 
 def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
     """Weights a_j = exp(kappa*j) (analytic smoothness)."""
-    if not (kappa > 0 and math.isfinite(kappa)):
-        raise ValidationError(f"exponential class needs finite kappa > 0, got {kappa!r}")
-    if not n_max >= 1 or not radius > 0:
-        raise ValidationError("class needs n_max >= 1 and radius > 0")
-    j = _indices(n_max)
-    with np.errstate(over="ignore"):  # reported below, as one ValidationError
-        weights = np.exp(float(kappa) * j)
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError(
-            f"exp(kappa*j) overflows at j={n_max} for kappa={kappa!r}; reduce n_max"
-        )
-    return EllipsoidClass(weights, float(radius), "exponential", float(kappa))
+    return _class("exponential", kappa, n_max, radius)
 
 
 def explicit_class(weights: Sequence[float], radius: float) -> EllipsoidClass:
@@ -344,14 +349,10 @@ def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) ->
 
 def _check_generated(values: np.ndarray, kind: str, param: float | None, what: str,
                      violations: list) -> None:
-    n = values.size
-    j = np.arange(1, n + 1, dtype=np.float64)
-    if kind == "power" and param is not None:
-        expect = j ** (-param) if what == "spectrum" else j ** param
-    elif kind == "exponential" and param is not None:
-        expect = np.exp(-param * j) if what == "spectrum" else np.exp(param * j)
-    else:
+    if kind not in _FORMULAS or param is None:
         return
+    j = np.arange(1, values.size + 1, dtype=np.float64)
+    expect = _FORMULAS[kind][0](j, -param if what == "spectrum" else param)
     bad = np.nonzero(values != expect)[0]
     if bad.size:
         k = int(bad[0])
@@ -437,13 +438,13 @@ def ensure_usable(problem: SequenceProblem) -> None:
 #                sigma, N} with field names fixed as written.
 
 def _spectrum_to_json(sp: SingularSpectrum) -> dict:
-    if sp.kind in ("power", "exponential"):
+    if sp.kind in _FORMULAS:
         return {"kind": sp.kind, "p": sp.param, "n_max": sp.n_max}
     return {"kind": "explicit", "values": [float(x) for x in sp.values]}
 
 
 def _class_to_json(cl: EllipsoidClass) -> dict:
-    if cl.kind in ("power", "exponential"):
+    if cl.kind in _FORMULAS:
         return {"kind": cl.kind, "kappa": cl.param, "Q": cl.radius}
     # source-set-derived weights serialize by value; phi itself is not portable
     return {"kind": "explicit", "values": [float(x) for x in cl.weights],
@@ -488,11 +489,11 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if not isinstance(sp_doc, dict) or "kind" not in sp_doc:
         raise ValidationError("spectrum must be an object with a 'kind'")
     kind = sp_doc["kind"]
-    if kind in ("power", "exponential"):
+    if kind in _FORMULAS:
         _reject_unknown(sp_doc, {"kind", "p", "n_max"}, "spectrum")
-        maker = make_power_spectrum if kind == "power" else make_exponential_spectrum
-        spectrum = maker(_field(sp_doc, "p", float, "spectrum"),
-                         _field(sp_doc, "n_max", partial(_integer, "n_max"), "spectrum"))
+        spectrum = _generator("spectrum", kind)(
+            _field(sp_doc, "p", float, "spectrum"),
+            _field(sp_doc, "n_max", partial(_integer, "n_max"), "spectrum"))
     elif kind == "explicit":
         _reject_unknown(sp_doc, {"kind", "values"}, "spectrum")
         spectrum = _field(sp_doc, "values", explicit_spectrum, "spectrum")
@@ -504,11 +505,10 @@ def problem_from_json(doc: dict) -> SequenceProblem:
         raise ValidationError("class must be an object with a 'kind'")
     kind = cl_doc["kind"]
     radius = _field(cl_doc, "Q", float, "class") if "Q" in cl_doc else 1.0
-    if kind in ("power", "exponential"):
+    if kind in _FORMULAS:
         _reject_unknown(cl_doc, {"kind", "kappa", "Q"}, "class")
-        maker = make_power_class if kind == "power" else make_exponential_class
-        ellipsoid = maker(_field(cl_doc, "kappa", float, "class"),
-                          spectrum.n_max, radius)
+        ellipsoid = _generator("class", kind)(_field(cl_doc, "kappa", float, "class"),
+                                              spectrum.n_max, radius)
     elif kind == "explicit":
         _reject_unknown(cl_doc, {"kind", "values", "Q"}, "class")
         ellipsoid = _field(cl_doc, "values",

@@ -28,18 +28,15 @@ import numpy as np
 
 from .bounds import minimax_sandwich
 from .problem import (
+    _FORMULAS,
     _MAX_N,
     SaturationError,
     SaturationWarning,
     SequenceProblem,
     ValidationError,
-    ensure_usable,
-    make_exponential_class,
-    make_exponential_spectrum,
-    make_power_class,
-    make_power_spectrum,
+    _generator,
 )
-from .truncation import _exact_prefix_sums, _noise, _scan_levels
+from .truncation import _best_level, _exact_prefix_sums, _noise
 
 __all__ = [
     "REGIME_TAGS",
@@ -77,9 +74,9 @@ class RegimeSpec:
     sigma_grid: tuple
 
     def __post_init__(self) -> None:
-        if self.spectrum_kind not in ("power", "exponential"):
+        if self.spectrum_kind not in _FORMULAS:
             raise ValidationError(f"unknown spectrum kind {self.spectrum_kind!r}")
-        if self.smoothness_kind not in ("power", "exponential"):
+        if self.smoothness_kind not in _FORMULAS:
             raise ValidationError(f"unknown smoothness kind {self.smoothness_kind!r}")
         for name, value in (("p", self.p), ("kappa", self.kappa)):
             if not (value > 0 and math.isfinite(value)):
@@ -140,15 +137,10 @@ class RateFit:
 
 
 def _build_problem(spec: RegimeSpec, sigma: float, n: int) -> SequenceProblem:
-    if spec.spectrum_kind == "power":
-        spectrum = make_power_spectrum(spec.p, n)
-    else:
-        spectrum = make_exponential_spectrum(spec.p, n)
-    if spec.smoothness_kind == "power":
-        ellipsoid = make_power_class(spec.kappa, n, spec.radius)
-    else:
-        ellipsoid = make_exponential_class(spec.kappa, n, spec.radius)
-    return SequenceProblem(spectrum, ellipsoid, sigma, n)
+    return SequenceProblem(
+        _generator("spectrum", spec.spectrum_kind)(spec.p, n),
+        _generator("class", spec.smoothness_kind)(spec.kappa, n, spec.radius),
+        sigma, n)
 
 
 def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
@@ -157,38 +149,17 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
 
     The fourth powers make this never exceed the estimation bound squared.
     """
-    ensure_usable(problem)
-    n = problem.n
-    a = problem.ellipsoid.weights
-    s = problem.spectrum.values
-    q2 = problem.ellipsoid.radius ** 2
-    sig2 = problem.sigma ** 2
-
-    spreads = _noise(sig2, map(math.sqrt,
-                               _exact_prefix_sums(1.0 / x ** 4 for x in s)))
-    best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, max)
-    if best_d == n - 1:
-        warnings.warn(f"testing radius optimum hit D = N-1 = {best_d}",
-                      SaturationWarning, stacklevel=2)
-    return best_d, best
+    def spreads(sig2, s):
+        return _noise(sig2, map(math.sqrt, _exact_prefix_sums(1.0 / x ** 4 for x in s)))
+    return _best_level(problem, "testing radius optimum", spreads, max)
 
 
 def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     """Squared bound for bounded deterministic noise: minimize over D the sum
     Q^2/a_{D+1}^2 + sigma^2/s_D^2 (bias only at D = 0)."""
-    ensure_usable(problem)
-    n = problem.n
-    a = problem.ellipsoid.weights
-    s = problem.spectrum.values
-    q2 = problem.ellipsoid.radius ** 2
-    sig2 = problem.sigma ** 2
-
-    spreads = itertools.chain((0.0,), (sig2 / x ** 2 if sig2 else 0.0 for x in s))
-    best_d, best = _scan_levels(n, lambda d: q2 / a[d] ** 2, spreads, operator.add)
-    if best_d == n - 1:
-        warnings.warn(f"deterministic rate optimum hit D = N-1 = {best_d}",
-                      SaturationWarning, stacklevel=2)
-    return best_d, best
+    def spreads(sig2, s):
+        return itertools.chain((0.0,), (sig2 / x ** 2 if sig2 else 0.0 for x in s))
+    return _best_level(problem, "deterministic rate optimum", spreads, operator.add)
 
 
 _OPTIMIZERS = ("estimation", "testing", "deterministic", "water-filling")
@@ -231,9 +202,10 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
     resolved point reads the same bits at any larger N from the sequence:
 
     - a generator's first N entries have the same bits when it builds 2N
-      entries (elementwise j^-p, j^kappa, exp(-p*j), exp(kappa*j); checked
-      on an AVX-512 machine for 3000 random (p, N) pairs and all four
-      generators);
+      entries (problem._FORMULAS is elementwise: j^-p, j^kappa, exp(-p*j),
+      exp(kappa*j); the property
+      test_properties.py::test_generator_prefix_keeps_its_bits_at_twice_the_length
+      checks all four generators);
     - the weights are non-decreasing, so the water-filling runs in index
       order and visits the added coordinates last; when the water-filling is
       unsaturated the budget runs out before them, they get r = 0, and the

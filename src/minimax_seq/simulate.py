@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# most replications one Monte Carlo run may hold: each keeps its squared
+# error, about 46 bytes, so 2^22 of them stay under 200 MB
+_MAX_REPLICATIONS = 1 << 22
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     replications: int
@@ -51,6 +56,9 @@ class SimulationConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
+        if self.replications > _MAX_REPLICATIONS:
+            raise ValidationError(f"replications = {self.replications} exceeds the "
+                                  f"maximum {_MAX_REPLICATIONS}")
         _seed("master_seed", self.master_seed)
 
 

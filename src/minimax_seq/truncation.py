@@ -201,29 +201,50 @@ def _noise(sig2: float, values):
     return itertools.repeat(0.0) if sig2 == 0.0 else map(sig2.__mul__, values)
 
 
-def _scan_levels(n: int, bias_sq, spreads, combine) -> tuple[int, float]:
-    """Level D in 0..n-1 minimizing combine(bias_sq(D), spread_D), where
-    spread_D is the D-th value drawn from the iterable ``spreads``; returns
-    (D*, value).
+def _variances(sig2: float, s: np.ndarray):
+    """sigma^2 * sum_{j<=D} 1/s_j^2 for D = 0, 1, ..., each prefix exact."""
+    return _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
 
-    spreads must be non-decreasing and combine(b, v) >= v, so the scan stops
-    once the spread alone exceeds the incumbent and draws no further value
-    from spreads.  Ties go to the smaller level; bias_sq is evaluated only
-    for levels reached.  The scans whose noise is a sum over the prefix draw
-    it from _exact_prefix_sums, an exact integer count of a power of two,
-    so a level costs O(1) work and the result is the one an fsum over each
-    whole prefix gives, bit for bit.
-    A term that overflows, or divides by an s_j^2 that underflows, is inf;
-    every lazy term is drawn inside this one errstate, so none warns.
+
+def _best_level(problem: SequenceProblem, name: str, spreads, combine,
+                bias_sq=None, nonfinite: str | None = None) -> tuple[int, float]:
+    """The level scan behind the four optimizers: the level D in 0..N-1
+    minimizing combine(bias_sq(D), spread_D), and that value.
+
+    The problem is checked first; then spreads(sigma^2, s) gives the
+    spread of each level, non-decreasing in D, and bias_sq defaults to
+    Q^2/a_(D+1)^2.  combine(b, v) >= v, so the scan stops once the spread
+    alone exceeds the incumbent and draws no further spread.  Ties go to
+    the smaller level; bias_sq is evaluated only for levels reached.  The
+    sums over a prefix come from _exact_prefix_sums, so a level costs O(1)
+    work and reads the bits of an fsum over its whole prefix.  A term that
+    overflows, or divides by an s_j^2 that underflows, is inf; every lazy
+    term is drawn inside this one errstate, so none warns.
+
+    A value that is inf at every level raises ValidationError(nonfinite)
+    when that message is given.  Otherwise a best level at N-1 warns that
+    the ``name`` hit the end of the range, from the public caller's line.
     """
+    ensure_usable(problem)
+    n = problem.n
+    if bias_sq is None:
+        a, q2 = problem.ellipsoid.weights, problem.ellipsoid.radius ** 2
+        bias_sq = lambda d: q2 / a[d] ** 2
     best_d, best = 0, math.inf
     with np.errstate(divide="ignore", over="ignore"):
-        for d, spread in zip(range(n), spreads):
+        levels = spreads(problem.sigma ** 2, problem.spectrum.values)
+        for d, spread in zip(range(n), levels):
             if spread > best:
                 break
             value = combine(bias_sq(d), spread)
             if value < best:
                 best_d, best = d, value
+    if nonfinite is not None and best == math.inf:
+        raise ValidationError(nonfinite)
+    if best_d == n - 1:
+        warnings.warn(
+            f"{name} hit the end of the range (D* = N-1 = {best_d}); "
+            "increase N to resolve the minimum", SaturationWarning, stacklevel=3)
     return best_d, best
 
 
@@ -236,24 +257,10 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     level sits at the end of the finite range, which signals that N is too
     small to trust the minimum.  A risk that is inf at every level raises.
     """
-    ensure_usable(problem)
-    n = problem.n
-    a = problem.ellipsoid.weights
-    s = problem.spectrum.values
-    q2 = problem.ellipsoid.radius ** 2
-    sig2 = problem.sigma ** 2
-
-    variances = _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
-    best_d, best_total = _scan_levels(
-        n, lambda d: q2 / a[d] ** 2, variances, operator.add)
-    if best_total == math.inf:
-        raise ValidationError(
-            f"upper bound is non-finite: the truncation risk is inf at every "
-            f"level D = 0..{n - 1}")
-    if best_d == n - 1:
-        warnings.warn(
-            f"optimal level hit the end of the range (D* = N-1 = {best_d}); "
-            "increase N to resolve the minimum", SaturationWarning, stacklevel=2)
+    best_d, best_total = _best_level(
+        problem, "optimal level", _variances, operator.add,
+        nonfinite=f"upper bound is non-finite: the truncation risk is inf at "
+                  f"every level D = 0..{problem.n - 1}")
     return best_d, math.sqrt(best_total)
 
 

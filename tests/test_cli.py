@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cli_helpers import DATA, GOLDEN, GOLDEN_CASES, run_cli, run_golden_case
-from minimax_seq import cli
+from minimax_seq import cli, simulate
 
 
 def assert_one_line_error(err: bytes, needle: bytes) -> None:
@@ -296,6 +296,10 @@ class TestExitCodes:
         (["--grid", "abc:1e-3:5"], b"'abc:1e-3:5'"),  # not numbers
         (["--grid", "1e-2:1e-4:x"], b"'1e-2:1e-4:x'"),
         (["--grid", "1e-2:1e-4:2.5"], b"'1e-2:1e-4:2.5'"),
+        # np.logspace warned twice on inf and named nan; a nan HI read as
+        # "grid endpoints must differ"
+        (["--grid", "inf:1e-4:5"], b"'inf:1e-4:5': LO and HI must be finite"),
+        (["--grid", "1e-2:nan:5"], b"'1e-2:nan:5': LO and HI must be finite"),
         (["--n", "100000000000000000000", "--grid", "1e-2:1e-3:5"],
          b"N = 100000000000000000000 exceeds the maximum 1048576"),
     ])
@@ -323,6 +327,21 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert_one_line_error(err.encode(), f"POINTS = {points}".encode())
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("reps", [(1 << 22) + 1, 10 ** 12])
+    def test_replications_beyond_the_maximum_are_validation_error(
+            self, monkeypatch, capsys, reps):
+        # the count is rejected before anything is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("nothing may be drawn")
+
+        monkeypatch.setattr(simulate, "sample_observations", no_draw)
+        code = cli.run(["simulate", "--config", str(DATA / "power_problem.json"),
+                        "--d", "3", "--reps", str(reps), "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert_one_line_error(err.encode(), f"replications = {reps} exceeds the "
+                                            f"maximum {1 << 22}".encode())
 
     def test_config_that_is_not_utf8_is_validation_error(self, tmp_path):
         config = tmp_path / "problem.json"

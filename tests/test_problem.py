@@ -254,6 +254,15 @@ class TestValidation:
                             EllipsoidClass(a, 1.0, "exponential", 0.5), 0.1, 5)
         assert [v[:2] for v in validate_problem(p).violations] == [
             (3, "spectrum generator mismatch"), (5, "class generator mismatch")]
+        # and the other two: an exponential spectrum and a power class
+        s = make_exponential_spectrum(0.5, 5).values.copy()
+        s[1] = np.nextafter(s[1], 1.0)
+        a = make_power_class(2.0, 5).weights.copy()
+        a[3] = np.nextafter(a[3], math.inf)
+        p = SequenceProblem(SingularSpectrum(s, "exponential", 0.5),
+                            EllipsoidClass(a, 1.0, "power", 2.0), 0.1, 5)
+        assert [v[:2] for v in validate_problem(p).violations] == [
+            (2, "spectrum generator mismatch"), (4, "class generator mismatch")]
 
     def test_ties_allowed(self):
         p = SequenceProblem(explicit_spectrum([1.0, 1.0, 0.5]),

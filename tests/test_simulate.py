@@ -221,6 +221,11 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             SimulationConfig(*args)
 
+    def test_replications_beyond_the_maximum_rejected(self):
+        assert SimulationConfig(1 << 22, 1, 8).replications == 1 << 22
+        with pytest.raises(ValidationError, match="exceeds the maximum 4194304"):
+            SimulationConfig((1 << 22) + 1, 1, 8)
+
     def test_numpy_integers_stored_as_int(self):
         p = toy_problem(n=8)
         config = SimulationConfig(np.int64(3), np.uint64(5), np.int32(8))

@@ -269,6 +269,43 @@ class TestOptimalTruncation:
         assert (d_star, bound) == (0, 1.0)
 
 
+    # each optimizer on a noiseless problem, whose best level is D = N-1,
+    # by the words its warning names it with
+    SCANS = {
+        "optimal level": optimal_truncation,
+        "testing radius optimum": radius_sq,
+        "deterministic rate optimum": deterministic_rate_sq,
+        "source-set optimum": lambda p: source_set_bound(
+            power_index(2.0, 1.0), p.spectrum, p.sigma),
+    }
+
+    @pytest.mark.parametrize("name", SCANS)
+    def test_each_optimizer_warns_at_the_end_of_its_range(self, name):
+        with pytest.warns(SaturationWarning) as record:
+            d_star = self.SCANS[name](toy_problem(sigma=0.0, n=12))[0]
+        assert d_star == 11
+        assert [str(w.message) for w in record] == [
+            f"{name} hit the end of the range (D* = N-1 = 11); "
+            "increase N to resolve the minimum"]
+        assert record[0].filename == __file__  # the line that called the scan
+
+    def test_inf_at_every_level_raises_without_warning(self):
+        # N = 1, and the bias Q^2/a_1^2 = 1e300/1e-300 overflows
+        p = SequenceProblem(explicit_spectrum([1.0]),
+                            explicit_class([1e-150], 1e150), 0.1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                optimal_truncation(p)
+            # phi(s_1^2)^2 = ((1e200)^1.56)^2 overflows
+            with pytest.raises(ValidationError, match="non-finite"):
+                source_set_bound(power_index(1.56, 1.0), explicit_spectrum([1e100]), 0.1)
+        # the two scans that return the inf still warn at D* = N-1 = 0
+        for scan in (radius_sq, deterministic_rate_sq):
+            with pytest.warns(SaturationWarning):
+                assert scan(p) == (0, math.inf)
+
+
 class TestLeastFavorable:
     def test_spike_shape(self):
         el = least_favorable(toy_problem(), 2)

@@ -245,9 +245,8 @@ def _class(kind: str, kappa: float, n_max: int, radius: float) -> EllipsoidClass
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     formula, name = _FORMULAS[kind]
-    j = _indices(n_max)
     with np.errstate(over="ignore"):  # reported below, as one ValidationError
-        weights = formula(j, float(kappa))
+        weights = formula(_indices(n_max), float(kappa))
     if not np.all(np.isfinite(weights)):
         raise ValidationError(f"{name.format('kappa')} overflows "
                               f"at j={n_max} for kappa={kappa!r}; reduce n_max")

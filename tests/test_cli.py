@@ -296,12 +296,12 @@ class TestExitCodes:
         (["--grid", "abc:1e-3:5"], b"'abc:1e-3:5'"),  # not numbers
         (["--grid", "1e-2:1e-4:x"], b"'1e-2:1e-4:x'"),
         (["--grid", "1e-2:1e-4:2.5"], b"'1e-2:1e-4:2.5'"),
+        (["--n", "100000000000000000000", "--grid", "1e-2:1e-3:5"],
+         b"N = 100000000000000000000 exceeds the maximum 1048576"),
         # np.logspace warned twice on inf and named nan; a nan HI read as
         # "grid endpoints must differ"
         (["--grid", "inf:1e-4:5"], b"'inf:1e-4:5': LO and HI must be finite"),
         (["--grid", "1e-2:nan:5"], b"'1e-2:nan:5': LO and HI must be finite"),
-        (["--n", "100000000000000000000", "--grid", "1e-2:1e-3:5"],
-         b"N = 100000000000000000000 exceeds the maximum 1048576"),
     ])
     def test_unrepresentable_sweep_input_is_validation_error(self, tmp_path,
                                                              flags, needle):

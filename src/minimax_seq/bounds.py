@@ -287,13 +287,15 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     phi^2(s_{D+1}^2) that overflows reads as inf, as that route's Q^2/a^2
     does; a risk that is inf at every level raises ValidationError.
     """
-    s = spectrum.values
-
-    def bias_sq(d: int) -> float:
+    def phi_or_inf(t: float) -> float:
         try:
-            return phi(float(s[d] ** 2)) ** 2
+            return phi(t)
         except OverflowError:  # a Python float power raises instead of inf
             return math.inf
+
+    def bias_sq(s: np.ndarray) -> np.ndarray:
+        return np.float_power([phi_or_inf(t) for t in np.float_power(s, 2.0).tolist()],
+                              2.0)
 
     problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
                               sigma, spectrum.n_max)

@@ -17,7 +17,6 @@ search range.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -36,7 +35,7 @@ from .problem import (
     ValidationError,
     _generator,
 )
-from .truncation import _best_level, _exact_prefix_sums, _noise
+from .truncation import _best_level, _prefix_spreads
 
 __all__ = [
     "REGIME_TAGS",
@@ -143,23 +142,32 @@ def _build_problem(spec: RegimeSpec, sigma: float, n: int) -> SequenceProblem:
         sigma, n)
 
 
+# sigma^2 * sqrt(sum_{j<=D} 1/s_j^4)
+_testing_spreads = _prefix_spreads(4.0, lambda sig2, x: sig2 * np.sqrt(x))
+
+
 def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
     """Squared separation radius for detection: minimize over D the larger of
     Q^2/a_{D+1}^2 and sigma^2 * sqrt(sum_{j<=D} 1/s_j^4).
 
     The fourth powers make this never exceed the estimation bound squared.
     """
-    def spreads(sig2, s):
-        return _noise(sig2, map(math.sqrt, _exact_prefix_sums(1.0 / x ** 4 for x in s)))
-    return _best_level(problem, "testing radius optimum", spreads, max)
+    return _best_level(problem, "testing radius optimum", _testing_spreads, np.maximum)
+
+
+def _deterministic_spreads(sig2: float, s: np.ndarray):
+    """0 at level 0 and sigma^2/s_D^2 at level D >= 1, exactly."""
+    spread = np.zeros(len(s) + 1)
+    if sig2:
+        spread[1:] = sig2 / np.float_power(s, 2.0)
+    return spread
 
 
 def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     """Squared bound for bounded deterministic noise: minimize over D the sum
     Q^2/a_{D+1}^2 + sigma^2/s_D^2 (bias only at D = 0)."""
-    def spreads(sig2, s):
-        return itertools.chain((0.0,), (sig2 / x ** 2 if sig2 else 0.0 for x in s))
-    return _best_level(problem, "deterministic rate optimum", spreads, operator.add)
+    return _best_level(problem, "deterministic rate optimum", _deterministic_spreads,
+                       operator.add)
 
 
 _OPTIMIZERS = ("estimation", "testing", "deterministic", "water-filling")

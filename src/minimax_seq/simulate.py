@@ -157,6 +157,7 @@ def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
     noise streams (common random numbers), so comparisons differ only in
     their bias contributions.  Ties keep the earliest candidate.
     """
+    ensure_usable(problem)
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("candidate list is empty")

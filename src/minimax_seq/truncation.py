@@ -9,10 +9,14 @@ Its worst-case squared risk over the ellipsoid has the closed form
 element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
 exactly rounded value of its exact sum, so results do not depend on
 summation order and are reproducible bit for bit.  A total is one
-math.fsum; the level scans' running prefix sums (_exact_prefix_sums) keep
-the exact sum as an integer count of 2^-k, the finest power of two among
-the terms (k <= 1074), and read the same bits; so do the row sums of a
-2-d array (_row_fsums), certified in a few whole-array passes.
+math.fsum.  The level scans (_best_level) are whole-array passes: one
+running sum of the noise terms, with Higham's bound on its error, encloses
+every level's value, and only the few levels that may be the minimum read
+their exact prefix sums, one math.fsum each; a scan with many near-tied
+levels reads them from one running exact sum (_exact_prefix_sums), which
+keeps the sum as an integer count of 2^-k, the finest power of two among
+the terms (k <= 1074), with the same bits.  The row sums of a 2-d array
+(_row_fsums) read fsum's bits too, certified in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -195,31 +200,108 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _noise(sig2: float, values):
-    """sig2 * v for each v in ``values``; exactly 0 when sig2 = 0, where an
-    infinite v (a noise sum that overflows) would give 0 * inf = NaN."""
-    return itertools.repeat(0.0) if sig2 == 0.0 else map(sig2.__mul__, values)
+_MAX_DOUBLE = sys.float_info.max
+
+# exact prefix sums read as one math.fsum each, O(D), up to this many reads
+# per scan; later reads advance one _exact_prefix_sums walk, O(1) per level
+_FSUM_READS = 32
 
 
-def _variances(sig2: float, s: np.ndarray):
-    """sigma^2 * sum_{j<=D} 1/s_j^2 for D = 0, 1, ..., each prefix exact."""
-    return _noise(sig2, _exact_prefix_sums(1.0 / x ** 2 for x in s))
+class _PrefixSpreads:
+    """The spreads readout(sigma^2, S_D) of a scan, for D = 0..len(terms),
+    where S_D is the exactly rounded sum of the first D non-negative terms
+    (S_0 = 0) and readout is non-decreasing in S_D.
+
+    ``lower`` bounds every spread from below, ``upper(D)`` bounds one from
+    above, and calling the object with D reads it exactly.  The bounds come
+    from one running sum (np.add.accumulate, the loop behind np.cumsum).
+    It adds left to right, so its D-th value is within gamma_{D-1} * S_D
+    of the exact sum, where gamma_m = m*u/(1 - m*u) and u = 2^-53 (Higham,
+    §4.2).  Widening it by g = 2*(n + 2)*u also covers the rounding of the
+    widening product; a double that bounds the exact sum bounds its rounded
+    value too, and readout, correctly rounded and monotone, keeps the
+    order.  A running sum that overflows reads as the largest double in
+    ``lower``: the exact sum there is at least that double over
+    1 + gamma_n.
+
+    The first _FSUM_READS exact reads are one math.fsum of the prefix each;
+    later ones advance one _exact_prefix_sums walk, so that a scan with
+    many near-tied levels makes at most _FSUM_READS + 1 passes over its
+    terms.  Reads go in increasing D, and a sum that overflows reads as inf.
+    """
+
+    def __init__(self, sig2: float, terms: np.ndarray, readout) -> None:
+        n = len(terms)
+        self.sig2, self.terms, self.readout = sig2, terms, readout
+        self.approx = np.empty(n + 1)
+        self.approx[0] = 0.0
+        np.add.accumulate(terms, out=self.approx[1:])  # np.cumsum's loop
+        self.g = 2.0 * (n + 2) * 2.0 ** -53  # 1 - g and 1 + g are exact
+        low = self.approx
+        if low[-1] == math.inf:
+            low = np.minimum(low, _MAX_DOUBLE)
+        self.lower = readout(sig2, low * (1.0 - self.g))
+        self.reads, self.walk, self.at = 0, None, 0
+
+    def upper(self, d: int) -> float:
+        return self.readout(self.sig2, float(self.approx[d]) * (1.0 + self.g))
+
+    def __call__(self, d: int) -> float:
+        self.reads += 1
+        if self.reads <= _FSUM_READS:
+            try:
+                total = math.fsum(self.terms[:d].tolist())
+            except OverflowError:
+                total = math.inf
+        else:
+            if self.walk is None:
+                self.walk = _exact_prefix_sums(self.terms.tolist())
+            total = next(itertools.islice(self.walk, d - self.at, None))
+            self.at = d + 1
+        return self.readout(self.sig2, total)
+
+
+def _prefix_spreads(power: float, readout):
+    """spreads(sigma^2, s) for a scan whose level-D spread is
+    readout(sigma^2, S_D), with S_D the exactly rounded sum of 1/s_j^power
+    over j <= D: a _PrefixSpreads, or for sigma^2 = 0 the exact spreads,
+    all 0 (also where S_D is inf)."""
+    def spreads(sig2: float, s: np.ndarray):
+        if sig2 == 0.0:
+            return np.zeros(len(s) + 1)
+        return _PrefixSpreads(sig2, 1.0 / np.float_power(s, power), readout)
+    return spreads
+
+
+# sigma^2 * sum_{j<=D} 1/s_j^2
+_variances = _prefix_spreads(2.0, operator.mul)
 
 
 def _best_level(problem: SequenceProblem, name: str, spreads, combine,
                 bias_sq=None, nonfinite: str | None = None) -> tuple[int, float]:
-    """The level scan behind the four optimizers: the level D in 0..N-1
-    minimizing combine(bias_sq(D), spread_D), and that value.
+    """The level scan behind the four optimizers: the first level D in
+    0..N-1 minimizing combine(bias_D, spread_D), and that value, as Python
+    numbers.
 
-    The problem is checked first; then spreads(sigma^2, s) gives the
-    spread of each level, non-decreasing in D, and bias_sq defaults to
-    Q^2/a_(D+1)^2.  combine(b, v) >= v, so the scan stops once the spread
-    alone exceeds the incumbent and draws no further spread.  Ties go to
-    the smaller level; bias_sq is evaluated only for levels reached.  The
-    sums over a prefix come from _exact_prefix_sums, so a level costs O(1)
-    work and reads the bits of an fsum over its whole prefix.  A term that
-    overflows, or divides by an s_j^2 that underflows, is inf; every lazy
-    term is drawn inside this one errstate, so none warns.
+    The problem is checked first.  Then bias_sq(s[:N]) gives the bias of
+    every level, by default Q^2/a_(D+1)^2, and spreads(sigma^2, s[:N]) the
+    spreads of the levels 0..N: an array when they are exact, otherwise a
+    _PrefixSpreads.  combine is operator.add or np.maximum.  Terms, biases
+    and bounds are whole-array passes: squares and fourth powers are
+    np.float_power, which calls libm pow as the numpy-scalar x ** 2 and
+    x ** 4 do, so they keep those bits; a term that overflows, or divides
+    by a power that underflows, is inf, inside this one errstate.
+
+    Exact spreads give the first argmin at once.  Otherwise the spreads'
+    lower bounds give a lower bound on each value; the upper bound at the
+    level with the least of them bounds the minimum, and only the levels
+    whose lower bound is at most that are candidates.  In level order, a
+    candidate whose lower bound is not below the incumbent is skipped (a
+    later level wins only with a strictly smaller value), and any other
+    reads its exact spread.  Either way the result is the first argmin over
+    all levels.  It equals the early-stopping scan's answer: the spreads
+    are non-decreasing and combine(b, v) >= v, so once a spread exceeds
+    the incumbent no later level reaches it.
 
     A value that is inf at every level raises ValidationError(nonfinite)
     when that message is given.  Otherwise a best level at N-1 warns that
@@ -227,18 +309,28 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     """
     ensure_usable(problem)
     n = problem.n
-    if bias_sq is None:
-        a, q2 = problem.ellipsoid.weights, problem.ellipsoid.radius ** 2
-        bias_sq = lambda d: q2 / a[d] ** 2
-    best_d, best = 0, math.inf
+    s = problem.spectrum.values[:n]
     with np.errstate(divide="ignore", over="ignore"):
-        levels = spreads(problem.sigma ** 2, problem.spectrum.values)
-        for d, spread in zip(range(n), levels):
-            if spread > best:
-                break
-            value = combine(bias_sq(d), spread)
-            if value < best:
-                best_d, best = d, value
+        if bias_sq is None:
+            bias = (problem.ellipsoid.radius ** 2
+                    / np.float_power(problem.ellipsoid.weights[:n], 2.0))
+        else:
+            bias = bias_sq(s)
+        spread = spreads(problem.sigma ** 2, s)
+        if isinstance(spread, np.ndarray):
+            values = combine(bias, spread[:n])
+            best_d = int(values.argmin())
+            best = float(values[best_d])
+        else:
+            low = combine(bias, spread.lower[:n])
+            d = int(low.argmin())
+            levels = (low <= combine(bias[d], spread.upper(d))).nonzero()[0]
+            best_d, best = 0, math.inf
+            for d, low_d in zip(levels.tolist(), low[levels].tolist()):
+                if low_d < best:
+                    value = float(combine(bias[d], spread(d)))
+                    if value < best:
+                        best_d, best = d, value
     if nonfinite is not None and best == math.inf:
         raise ValidationError(nonfinite)
     if best_d == n - 1:
@@ -284,9 +376,11 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
     P uses 1-based indices within {1..N} and must leave the complement
     non-empty.  The risk is Q^2/a_k^2 + sigma^2 * sum_{j in P} 1/s_j^2 with
     k the smallest index outside P; it is never below the risk of the
-    initial segment of the same size.  A noise sum that overflows reads as
-    inf, as in rho_squared.
+    initial segment of the same size.  The problem is checked first; a
+    bias or noise sum that overflows reads as inf, as in truncation_risk
+    and rho_squared.
     """
+    ensure_usable(problem)
     n = problem.n
     idx = sorted(set(int(j) for j in P))
     if idx and (idx[0] < 1 or idx[-1] > n):
@@ -298,7 +392,8 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
         in_p[j - 1] = True
     k = int(np.nonzero(~in_p)[0][0])  # 0-based position of min complement
     a = problem.ellipsoid.weights
-    bias_sq = problem.ellipsoid.radius ** 2 / a[k] ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        bias_sq = problem.ellipsoid.radius ** 2 / a[k] ** 2
     sig2 = problem.sigma ** 2
     variance = (sig2 * _inverse_square_sum(problem.spectrum.values, np.flatnonzero(in_p))
                 if sig2 else 0.0)

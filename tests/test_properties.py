@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import minimax_seq
 from minimax_seq import (
     SaturationWarning,
     SequenceProblem,
@@ -41,6 +42,8 @@ from minimax_seq import (
     source_set_bound,
 )
 from minimax_seq.truncation import _row_fsums
+
+import scan_reference
 
 KINDS = ("power", "exponential", "explicit")
 # a legal class whose a_j^2 overflows from j = 355 on
@@ -413,3 +416,85 @@ def test_row_fsums_are_fsum_of_every_row(x):
             _row_fsums(x)
     else:
         assert [v.hex() for v in _row_fsums(x).tolist()] == want
+
+
+SCANS = ("optimal_truncation", "testing_radius_sq", "deterministic_rate_sq")
+
+
+def _scan_outcome(scan, *args):
+    """(result, warnings) of one scan: the result as (D*, value.hex(), ...),
+    or the ValidationError's text; every warning as (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = scan(*args)
+        except ValidationError as exc:
+            result = ("ValidationError", str(exc))
+        else:
+            assert type(result[0]) is int
+            result = (result[0],) + tuple(float(x).hex() for x in result[1:])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@st.composite
+def scan_problems(draw):
+    """Problems for the level scans: the generated problems above, dyadic
+    ties, extreme explicit problems whose 1/s_j^2, 1/s_j^4 and Q^2/a_j^2
+    overflow or underflow, and near-tie plateaus, where Q^2/a_(D+1)^2 +
+    sigma^2 * sum_{j<=D} 1/s_j^2 stays within a few ulps of one constant,
+    so that many levels are candidates and need their exact sums; each
+    with sigma = 0 in turn."""
+    kind = draw(st.sampled_from(["generated", "tied", "extreme", "plateau"]))
+    if kind == "generated":
+        problem = draw(problems())
+    elif kind == "tied":
+        problem = draw(tied_problems())
+    else:
+        n = draw(st.integers(1, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        if kind == "extreme":
+            spectrum = explicit_spectrum(
+                np.sort(10.0 ** rng.uniform(-170.0, 2.0, n))[::-1])
+            ellipsoid = explicit_class(np.sort(10.0 ** rng.uniform(-150.0, 150.0, n)),
+                                       10.0 ** rng.uniform(-1.0, 1.0))
+            sigma = 10.0 ** rng.uniform(-150.0, 0.0)
+        else:
+            spectrum = draw(st.sampled_from([
+                make_power_spectrum(1.0, n), make_exponential_spectrum(0.01, n),
+                explicit_spectrum(np.sort(rng.uniform(0.5, 1.0, n))[::-1])]))
+            sigma = 10.0 ** rng.uniform(-6.0, -1.0)
+            noise = np.array([math.fsum((1.0 / spectrum.values[:d] ** 2).tolist())
+                              for d in range(n)])
+            top = sigma ** 2 * noise[-1] * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0))
+            ellipsoid = explicit_class(1.0 / np.sqrt(top + 1.0 - sigma ** 2 * noise), 1.0)
+        problem = SequenceProblem(spectrum, ellipsoid, sigma, n)
+    if draw(st.booleans()):
+        problem = SequenceProblem(problem.spectrum, problem.ellipsoid, 0.0, problem.n)
+    return problem
+
+
+@given(scan_problems())
+@example(OVERFLOWING_WEIGHTS)
+@example(NOISELESS_UNDERFLOW)
+@example(PIVOT_OVERFLOW)
+@example(HUGE_BUDGET)
+# every level ties at 1.0: sigma^2 * sum j^2 is below half an ulp of 1
+@example(SequenceProblem(make_power_spectrum(1.0, 2000),
+                         explicit_class(np.ones(2000), 1.0), 1e-150, 2000))
+@settings(max_examples=300, deadline=None)
+def test_array_scans_match_the_per_level_loops(problem):
+    """The array pass of _best_level returns the (D*, value) bits of the
+    early-stopping per-level loop in tests/scan_reference.py, raises the
+    same ValidationError and warns the same, for the three problem scans."""
+    for name in SCANS:
+        assert _scan_outcome(getattr(minimax_seq, name), problem) == _scan_outcome(
+            getattr(scan_reference, name), problem), name
+
+
+@given(source_sets())
+@example((power_index(1.56, 1.0), explicit_spectrum([1e100, 1e-3, 1e-4]), 0.1))
+@settings(max_examples=150, deadline=None)
+def test_array_source_set_scan_matches_the_per_level_loop(case):
+    """source_set_bound's array bias and scan read the per-level loop's bits."""
+    assert _scan_outcome(source_set_bound, *case) == _scan_outcome(
+        scan_reference.source_set_bound, *case)

@@ -195,6 +195,13 @@ class TestEmpiricalWorstCase:
                 empirical_worst_case(p, 2, [least_favorable(p, 2), outside],
                                      SimulationConfig(10, 1, p.n))
 
+    def test_unrepresentable_radius_squared_rejected(self):
+        # Q^2 = 1e400 overflows: the problem check rejects it before any use
+        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                            explicit_class([1.0, 2.0], 1e200), 0.1, 2)
+        with pytest.raises(ValidationError, match="radius"):
+            empirical_worst_case(p, 1, [np.zeros(2)], SimulationConfig(10, 1, 2))
+
     def test_common_random_numbers_make_comparison_exact(self):
         # under shared streams the risk gap between two spikes is exactly
         # their bias gap, for any replication count

@@ -1,6 +1,8 @@
 import itertools
 import math
+import operator
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -28,7 +30,10 @@ from minimax_seq import (
     testing_radius_sq as radius_sq,
     truncation_risk,
 )
-from minimax_seq.truncation import _exact_prefix_sums, _row_fsums
+from minimax_seq import truncation
+from minimax_seq.truncation import _exact_prefix_sums, _PrefixSpreads, _row_fsums
+
+import scan_reference
 
 
 def toy_problem(sigma=0.1, n=50):
@@ -306,6 +311,61 @@ class TestOptimalTruncation:
                 assert scan(p) == (0, math.inf)
 
 
+class TestArrayScan:
+    @given(st.lists(_TERM, max_size=300))
+    # the running sum stays at 1, while the exact sum rounds up to 1 + 2^-52
+    @example([1.0, 0.6 * 2.0 ** -53, 0.6 * 2.0 ** -53])
+    @example([_MAX, _MAX, 1.0])  # the running sum overflows
+    @example([_MAX, 2.0 ** 969])  # the exact sum rounds down to max
+    @example([2.0 ** -1074] * 40)  # a subnormal run, read past the fsum budget
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_enclose_every_exact_prefix_sum(self, terms):
+        """lower[k] <= fsum(terms[:k]) <= upper(k) for every prefix, and the
+        exact reads, by fsum and then by the walk, are that fsum."""
+        with np.errstate(over="ignore"):
+            spreads = _PrefixSpreads(1.0, np.array(terms, dtype=np.float64),
+                                     operator.mul)
+            exact = _prefix_fsums(terms)
+            assert all(spreads.lower[k] <= want <= spreads.upper(k)
+                       for k, want in enumerate(exact))
+        assert [spreads(k).hex() for k in range(len(terms) + 1)] == [
+            x.hex() for x in exact]
+
+    def test_flat_risk_returns_level_zero_quickly(self):
+        # every level ties at 1.0 (sigma^2 * sum j^2 is far below half an ulp
+        # of 1), so every level is a candidate; each is skipped because its
+        # lower bound is not below the incumbent at D = 0
+        n = 20000
+        p = SequenceProblem(make_power_spectrum(1.0, n),
+                            explicit_class(np.ones(n), 1.0), 1e-150, n)
+        start = time.perf_counter()
+        assert optimal_truncation(p) == (0, 1.0)
+        assert radius_sq(p) == (0, 1.0)
+        assert deterministic_rate_sq(p) == (0, 1.0)
+        # the per-level loop took 0.03 s per scan; one fsum per candidate 10 s
+        assert time.perf_counter() - start < 1.0
+
+    def test_near_tie_plateau_reads_past_the_fsum_budget(self, monkeypatch):
+        # Q^2/a_(D+1)^2 + sigma^2 * S_D stays within a few ulps of 1 + c, so
+        # that many levels need their exact sums: after _FSUM_READS reads of
+        # one fsum each, they come from one _exact_prefix_sums walk
+        n = 300
+        s = make_power_spectrum(1.0, n)
+        sigma = 1e-3
+        noise = np.array([math.fsum((1.0 / s.values[:d] ** 2).tolist())
+                          for d in range(n)])
+        weights = 1.0 / np.sqrt(1.0 + sigma ** 2 * (2.0 * noise[-1] - noise))
+        p = SequenceProblem(s, explicit_class(weights, 1.0), sigma, n)
+        walks = []
+
+        def walk(terms):
+            walks.append(len(terms))
+            return _exact_prefix_sums(terms)
+        monkeypatch.setattr(truncation, "_exact_prefix_sums", walk)
+        assert optimal_truncation(p) == scan_reference.optimal_truncation(p)
+        assert walks == [n]
+
+
 class TestLeastFavorable:
     def test_spike_shape(self):
         el = least_favorable(toy_problem(), 2)
@@ -381,6 +441,22 @@ class TestSubsetTruncation:
             subset_truncation_risk(toy_problem(n=4), {0, 1})
         with pytest.raises(ValidationError):
             subset_truncation_risk(toy_problem(n=4), {5})
+
+    def test_unrepresentable_sigma_squared_rejected(self):
+        # sigma^2 = 1e400 overflows: the problem check rejects it
+        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                            explicit_class([1.0, 2.0], 1.0), 1e200, 2)
+        with pytest.raises(ValidationError, match="sigma"):
+            subset_truncation_risk(p, {1})
+
+    def test_overflowing_bias_is_infinite(self):
+        # Q^2/a_1^2 = 1e300/1e-300 overflows; it reads as inf, with no warning
+        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                            explicit_class([1e-150, 1.0], 1e150), 0.1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert subset_truncation_risk(p, set()) == math.inf
+            assert subset_truncation_risk(p, {1}) == truncation_risk(p, 1).total
 
 
 class TestEstimate:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import (
+    EllipsoidClass,
     IndexFunction,
     SaturationWarning,
     SequenceProblem,
@@ -49,6 +50,7 @@ from .problem import (
 from .truncation import (
     _BLOCK_DOUBLES,
     _best_level,
+    _derived,
     _row_fsums,
     _variances,
     optimal_truncation,
@@ -78,10 +80,18 @@ _MAX_DIRECTION_VALUES = 1 << 25  # most certificate directions x N per draw
 
 
 def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
+    """sigma^2/s_i^2, with the squares s_i^2 computed once per spectrum."""
     if sigma == 0.0:  # not 0/0 where s_i^2 underflows
         return np.zeros(spectrum.n_max)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite cap is legal
-        return (float(sigma) ** 2) / spectrum.values ** 2
+        return (float(sigma) ** 2) / _derived(spectrum, "_squares",
+                                              lambda: spectrum.values ** 2)
+
+
+def _weights_sq(ellipsoid: EllipsoidClass) -> np.ndarray:
+    """a_i^2, inf where it overflows, computed once per class."""
+    with np.errstate(over="ignore"):
+        return _derived(ellipsoid, "_squares", lambda: ellipsoid.weights ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +152,8 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     r = np.zeros(problem.n)
     # a_i^2 = inf (exponential classes) is legal and comes last: each such
     # coordinate gets r_i = 0, also through a cost inf * 0 = NaN at a zero cap
+    a2 = _weights_sq(problem.ellipsoid)
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = problem.ellipsoid.weights ** 2
         cost = a2 * caps
         left = np.subtract.accumulate(
             np.concatenate(([problem.ellipsoid.radius ** 2], cost)))
@@ -180,8 +190,8 @@ def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
     in_qeq[np.fromiter(solution.set_qeq, np.intp, len(solution.set_qeq)) - 1] = True
     step = max(1, _BLOCK_DOUBLES // n)
     out = []
+    a2 = _weights_sq(solution.problem.ellipsoid)
     with np.errstate(over="ignore", invalid="ignore"):
-        a2 = solution.problem.ellipsoid.weights ** 2
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             stop = _first((block < 0.0).any(axis=1), len(block))
@@ -228,8 +238,7 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
     q2 = problem.ellipsoid.radius ** 2
     d = gen.random((count, problem.n))
     with np.errstate(divide="ignore", over="ignore"):
-        a2 = problem.ellipsoid.weights ** 2
-        scale = gen.random(count) * q2 / (d @ a2)
+        scale = gen.random(count) * q2 / (d @ _weights_sq(problem.ellipsoid))
     d *= scale[:, None]
     return d
 

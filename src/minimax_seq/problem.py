@@ -104,11 +104,18 @@ class SingularSpectrum:
     ``kind`` is one of ``"power"`` (s_j = j^-p), ``"exponential"``
     (s_j = exp(-p*j)) or ``"explicit"``; ``param`` holds p for the
     generated kinds and is None for explicit values.
+
+    The values are read-only and the fields frozen, so what is derived from
+    them alone stays valid: ``_valid`` records that validate_problem's rules
+    on the values passed, and the level scans and the water-filling keep
+    their sigma-free arrays (squares, noise terms, running sums) in the
+    instance, computed once (truncation._derived).
     """
 
     values: np.ndarray
     kind: str
     param: float | None
+    _valid: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _freeze(self.values))
@@ -129,12 +136,18 @@ class EllipsoidClass:
 
     The set is {theta : sum_j a_j^2 theta_j^2 <= Q^2}; faster-growing
     weights mean faster coefficient decay, i.e. smoother solutions.
+
+    As for SingularSpectrum, ``_valid`` records that validate_problem's
+    rules on the weights passed, and the sigma-free arrays derived from the
+    weights and Q (the default bias Q^2/a_j^2, the squares a_j^2) are kept
+    in the instance, computed once.
     """
 
     weights: np.ndarray
     radius: float
     kind: str
     param: float | None
+    _valid: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _freeze(self.weights))
@@ -194,7 +207,11 @@ class SequenceProblem:
     """A spectrum, a smoothness class, and a noise level of common length.
 
     ``_usable`` records a passed ensure_usable: every field is frozen and the
-    arrays are read-only, so the outcome cannot change afterwards.
+    arrays are read-only, so the outcome cannot change afterwards.  Problems
+    may share their spectrum and class (the points of a sweep at one N do):
+    the rules on those arrays then run once per object, and the arrays the
+    optimizers derive from them are computed once per object, while the
+    rules on sigma, Q and N run for every problem.
     """
 
     spectrum: SingularSpectrum
@@ -346,52 +363,79 @@ def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) ->
     return EllipsoidClass(weights, 1.0, "from_source_set", None)
 
 
-def _check_generated(values: np.ndarray, kind: str, param: float | None, what: str,
-                     violations: list) -> None:
+def _generator_mismatch(values: np.ndarray, kind: str, param: float | None,
+                        what: str) -> tuple | None:
+    """The violation at the first value a generated kind does not reproduce."""
     if kind not in _FORMULAS or param is None:
-        return
+        return None
     j = np.arange(1, values.size + 1, dtype=np.float64)
     expect = _FORMULAS[kind][0](j, -param if what == "spectrum" else param)
     bad = np.nonzero(values != expect)[0]
-    if bad.size:
-        k = int(bad[0])
-        violations.append((k + 1, f"{what} generator mismatch",
-                           f"{kind} kind expected {float(expect[k])!r}, "
-                           f"stored {float(values[k])!r}"))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return (k + 1, f"{what} generator mismatch",
+            f"{kind} kind expected {float(expect[k])!r}, stored {float(values[k])!r}")
 
 
 def validate_problem(problem: SequenceProblem) -> ValidationReport:
-    """Check every structural invariant; reports violations, never raises."""
-    v: list = []
-    s = problem.spectrum.values
-    a = problem.ellipsoid.weights
+    """Check every structural invariant; reports violations, never raises.
 
+    The rules on the spectrum's values and on the class's weights run until
+    that object passes them once, which its ``_valid`` records; the rules
+    on Q, sigma and the lengths run on every call.
+    """
+    v: list = []
+    spectrum, ellipsoid = problem.spectrum, problem.ellipsoid
+    s, a = spectrum.values, ellipsoid.weights
+    failed: set = set()  # "s", "a": that array's own rules found a violation
+
+    def add(owner, violation) -> None:
+        v.append(violation)
+        failed.add(owner)
+
+    check_s, check_a = not spectrum._valid, not ellipsoid._valid
     # messages print Python floats (1.0, not np.float64(1.0))
-    for j in np.nonzero(~(s > 0.0))[0].tolist():
-        v.append((j + 1, "spectrum positive", f"s_{j + 1} = {float(s[j])!r}"))
-    # compared, not subtracted: inf - inf would warn
-    for j in np.nonzero(s[1:] > s[:-1])[0].tolist():
-        v.append((j + 2, "spectrum non-increasing",
-                  f"s_{j + 2} = {float(s[j + 1])!r} > s_{j + 1} = {float(s[j])!r}"))
-    for j in np.nonzero(~(a > 0.0))[0].tolist():
-        v.append((j + 1, "a positive", f"a_{j + 1} = {float(a[j])!r}"))
-    for j in np.nonzero(a[1:] < a[:-1])[0].tolist():
-        v.append((j + 2, "a non-decreasing",
-                  f"a_{j + 2} = {float(a[j + 1])!r} < a_{j + 1} = {float(a[j])!r}"))
+    if check_s:
+        for j in np.nonzero(~(s > 0.0))[0].tolist():
+            add("s", (j + 1, "spectrum positive", f"s_{j + 1} = {float(s[j])!r}"))
+        # compared, not subtracted: inf - inf would warn
+        for j in np.nonzero(s[1:] > s[:-1])[0].tolist():
+            add("s", (j + 2, "spectrum non-increasing",
+                      f"s_{j + 2} = {float(s[j + 1])!r} > s_{j + 1} = {float(s[j])!r}"))
+    if check_a:
+        for j in np.nonzero(~(a > 0.0))[0].tolist():
+            add("a", (j + 1, "a positive", f"a_{j + 1} = {float(a[j])!r}"))
+        for j in np.nonzero(a[1:] < a[:-1])[0].tolist():
+            add("a", (j + 2, "a non-decreasing",
+                      f"a_{j + 2} = {float(a[j + 1])!r} < a_{j + 1} = {float(a[j])!r}"))
     # +inf passes the sign rules; only the first index is named
-    for x, name, rule in ((s, "s", "spectrum finite"), (a, "a", "a finite")):
-        big = np.nonzero(x == math.inf)[0]
-        if big.size:
+    for x, name, rule, check in ((s, "s", "spectrum finite", check_s),
+                                 (a, "a", "a finite", check_a)):
+        big = np.nonzero(x == math.inf)[0] if check else ()
+        if len(big):
             j = int(big[0])
-            v.append((j + 1, rule, f"{name}_{j + 1} = inf"))
-    # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf (exponential classes) is fine
-    with np.errstate(over="ignore"):
-        tiny = np.nonzero((a > 0.0) & ~(a * a > 0.0))[0]
-    if tiny.size:
-        j = int(tiny[0])
-        v.append((j + 1, "a squared positive", f"a_{j + 1} = {float(a[j])!r}"))
-    _check_generated(s, problem.spectrum.kind, problem.spectrum.param, "spectrum", v)
-    _check_generated(a, problem.ellipsoid.kind, problem.ellipsoid.param, "class", v)
+            add(name, (j + 1, rule, f"{name}_{j + 1} = inf"))
+    if check_a:
+        # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf (exponential classes) is fine
+        with np.errstate(over="ignore"):
+            tiny = np.nonzero((a > 0.0) & ~(a * a > 0.0))[0]
+        if tiny.size:
+            j = int(tiny[0])
+            add("a", (j + 1, "a squared positive", f"a_{j + 1} = {float(a[j])!r}"))
+    if check_s:
+        mismatch = _generator_mismatch(s, spectrum.kind, spectrum.param, "spectrum")
+        if mismatch:
+            add("s", mismatch)
+    if check_a:
+        mismatch = _generator_mismatch(a, ellipsoid.kind, ellipsoid.param, "class")
+        if mismatch:
+            add("a", mismatch)
+    # only a pass is recorded: a failing object is checked again on every call
+    if check_s and "s" not in failed:
+        object.__setattr__(spectrum, "_valid", True)
+    if check_a and "a" not in failed:
+        object.__setattr__(ellipsoid, "_valid", True)
     # the risks use Q^2 and sigma^2, so the squares must be positive and finite
     q = problem.ellipsoid.radius
     if not q > 0.0:

@@ -17,6 +17,7 @@ search range.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -35,7 +36,7 @@ from .problem import (
     ValidationError,
     _generator,
 )
-from .truncation import _best_level, _prefix_spreads
+from .truncation import _best_level, _derived, _prefix_spreads
 
 __all__ = [
     "REGIME_TAGS",
@@ -135,11 +136,19 @@ class RateFit:
     d_star_trace: tuple
 
 
+@functools.lru_cache(maxsize=1)
+def _generated(spec: RegimeSpec, n: int) -> tuple:
+    """The spectrum and class of spec at length n, built by the generators
+    named in problem (looked up at call time) and shared by the grid
+    points that follow: a sweep's n never decreases, so one entry holds
+    all the points at one N, and sweep drops it before a doubling builds
+    the next pair.  A generator error is raised, not kept."""
+    return (_generator("spectrum", spec.spectrum_kind)(spec.p, n),
+            _generator("class", spec.smoothness_kind)(spec.kappa, n, spec.radius))
+
+
 def _build_problem(spec: RegimeSpec, sigma: float, n: int) -> SequenceProblem:
-    return SequenceProblem(
-        _generator("spectrum", spec.spectrum_kind)(spec.p, n),
-        _generator("class", spec.smoothness_kind)(spec.kappa, n, spec.radius),
-        sigma, n)
+    return SequenceProblem(*_generated(spec, n), sigma, n)
 
 
 # sigma^2 * sqrt(sum_{j<=D} 1/s_j^4)
@@ -155,11 +164,13 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
     return _best_level(problem, "testing radius optimum", _testing_spreads, np.maximum)
 
 
-def _deterministic_spreads(sig2: float, s: np.ndarray):
-    """0 at level 0 and sigma^2/s_D^2 at level D >= 1, exactly."""
-    spread = np.zeros(len(s) + 1)
+def _deterministic_spreads(sig2: float, spectrum):
+    """0 at level 0 and sigma^2/s_D^2 at level D >= 1, exactly; the squares
+    are computed once per spectrum."""
+    spread = np.zeros(spectrum.n_max + 1)
     if sig2:
-        spread[1:] = sig2 / np.float_power(s, 2.0)
+        spread[1:] = sig2 / _derived(spectrum, "_float_power_2",
+                                     lambda: np.float_power(spectrum.values, 2.0))
     return spread
 
 
@@ -223,7 +234,14 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
       ties go to the smaller level, so a level added by doubling cannot win.
 
     The argument needs generated weights (a jump in explicit a_j could make
-    a second dip), which is all sweep builds.  A point still saturated at
+    a second dip), which is all sweep builds.
+
+    The points at one N share one spectrum and one class (_generated), so
+    the rules on their arrays run once per N, and so do the sigma-free
+    arrays of the scans and the water-filling (noise terms and their
+    running sums, squares, the bias Q^2/a_j^2), which sigma^2 only scales;
+    the bits are those of objects built afresh for every point.  A point
+    still saturated at
     N = 2^20 raises a SaturationError that names the optimizers still at
     the end of their range for that point; a generator that cannot build
     the next N raises one too.
@@ -243,6 +261,7 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
                         f"N = {n}, where these optimizers touch the end of their "
                         f"range: {names}; refusing to grow the model further")
                 n *= 2
+                _generated.cache_clear()  # so that two pairs are never held at once
             rows.append(row)
     return rows
 

@@ -166,7 +166,8 @@ def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
     vectors = []
     for pos, cand in enumerate(candidates):
         theta = _checked_vector(cand, problem.n)
-        radius_sq = math.fsum((a * theta) ** 2)
+        with np.errstate(over="ignore"):  # inf lies outside, reported below
+            radius_sq = math.fsum((a * theta) ** 2)
         if radius_sq > q2 * (1.0 + 1e-12):
             raise ValidationError(
                 f"candidate {pos} lies outside the ellipsoid "

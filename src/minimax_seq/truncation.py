@@ -147,8 +147,30 @@ def _exact_prefix_sums(terms):
 
 
 # values per block for the callers of _row_fsums (Monte Carlo, the jmax
-# certificate): 256 rows at N = 64, one row at N > 16384
+# certificate): 256 rows at N = 64, one row at N > 16384; also the longest
+# derived array _derived keeps
 _BLOCK_DOUBLES = 16384
+
+
+def _derived(owner, name: str, compute) -> np.ndarray:
+    """compute(), a read-only array that depends only on ``owner``, a
+    SingularSpectrum or EllipsoidClass, computed once per owner.
+
+    Those objects are frozen and their arrays read-only, so the result
+    stays valid: it is kept in the owner's __dict__ under ``name`` and
+    shared by every problem built on the owner, such as the grid points of
+    a sweep at one N.  An array of more than _BLOCK_DOUBLES values is
+    computed on every call instead, so that a deep sweep holds no extra
+    copies of its longest arrays.
+    """
+    arr = owner.__dict__.get(name)
+    if arr is None:
+        arr = compute()
+        arr.flags.writeable = False
+        if arr.size <= _BLOCK_DOUBLES:
+            owner.__dict__[name] = arr
+    return arr
+
 
 # rows whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
 # below, the unit u*tau of the split nears the subnormals; above, x + tau
@@ -230,12 +252,12 @@ class _PrefixSpreads:
     terms.  Reads go in increasing D, and a sum that overflows reads as inf.
     """
 
-    def __init__(self, sig2: float, terms: np.ndarray, readout) -> None:
+    def __init__(self, sig2: float, terms: np.ndarray, readout,
+                 approx: np.ndarray | None = None) -> None:
         n = len(terms)
         self.sig2, self.terms, self.readout = sig2, terms, readout
-        self.approx = np.empty(n + 1)
-        self.approx[0] = 0.0
-        np.add.accumulate(terms, out=self.approx[1:])  # np.cumsum's loop
+        # approx, when given, is _running_sums(terms), shared across sigma
+        self.approx = _running_sums(terms) if approx is None else approx
         self.g = 2.0 * (n + 2) * 2.0 ** -53  # 1 - g and 1 + g are exact
         low = self.approx
         if low[-1] == math.inf:
@@ -261,15 +283,29 @@ class _PrefixSpreads:
         return self.readout(self.sig2, total)
 
 
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """0, then the running sums of terms, added left to right
+    (np.add.accumulate, the loop behind np.cumsum)."""
+    out = np.empty(len(terms) + 1)
+    out[0] = 0.0
+    np.add.accumulate(terms, out=out[1:])
+    return out
+
+
 def _prefix_spreads(power: float, readout):
-    """spreads(sigma^2, s) for a scan whose level-D spread is
+    """spreads(sigma^2, spectrum) for a scan whose level-D spread is
     readout(sigma^2, S_D), with S_D the exactly rounded sum of 1/s_j^power
     over j <= D: a _PrefixSpreads, or for sigma^2 = 0 the exact spreads,
-    all 0 (also where S_D is inf)."""
-    def spreads(sig2: float, s: np.ndarray):
+    all 0 (also where S_D is inf).  The terms and their running sums do
+    not depend on sigma and are computed once per spectrum."""
+    def spreads(sig2: float, spectrum: SingularSpectrum):
         if sig2 == 0.0:
-            return np.zeros(len(s) + 1)
-        return _PrefixSpreads(sig2, 1.0 / np.float_power(s, power), readout)
+            return np.zeros(spectrum.n_max + 1)
+        terms = _derived(spectrum, f"_inverse_power_{power}",
+                         lambda: 1.0 / np.float_power(spectrum.values, power))
+        approx = _derived(spectrum, f"_running_sums_{power}",
+                          lambda: _running_sums(terms))
+        return _PrefixSpreads(sig2, terms, readout, approx)
     return spreads
 
 
@@ -283,14 +319,17 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     0..N-1 minimizing combine(bias_D, spread_D), and that value, as Python
     numbers.
 
-    The problem is checked first.  Then bias_sq(s[:N]) gives the bias of
-    every level, by default Q^2/a_(D+1)^2, and spreads(sigma^2, s[:N]) the
+    The problem is checked first.  Then bias_sq(s) gives the bias of every
+    level, by default Q^2/a_(D+1)^2, and spreads(sigma^2, spectrum) the
     spreads of the levels 0..N: an array when they are exact, otherwise a
     _PrefixSpreads.  combine is operator.add or np.maximum.  Terms, biases
     and bounds are whole-array passes: squares and fourth powers are
     np.float_power, which calls libm pow as the numpy-scalar x ** 2 and
     x ** 4 do, so they keep those bits; a term that overflows, or divides
-    by a power that underflows, is inf, inside this one errstate.
+    by a power that underflows, is inf, inside this one errstate.  What
+    does not depend on sigma (the default bias, the noise terms and their
+    running sums) is computed once per class or spectrum (_derived), so the
+    grid points of a sweep at one N share it; sigma^2 only scales it.
 
     Exact spreads give the first argmin at once.  Otherwise the spreads'
     lower bounds give a lower bound on each value; the upper bound at the
@@ -308,15 +347,14 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     the ``name`` hit the end of the range, from the public caller's line.
     """
     ensure_usable(problem)
-    n = problem.n
-    s = problem.spectrum.values[:n]
+    n, cls = problem.n, problem.ellipsoid
     with np.errstate(divide="ignore", over="ignore"):
         if bias_sq is None:
-            bias = (problem.ellipsoid.radius ** 2
-                    / np.float_power(problem.ellipsoid.weights[:n], 2.0))
+            bias = _derived(cls, "_bias", lambda: cls.radius ** 2
+                            / np.float_power(cls.weights, 2.0))
         else:
-            bias = bias_sq(s)
-        spread = spreads(problem.sigma ** 2, s)
+            bias = bias_sq(problem.spectrum.values)
+        spread = spreads(problem.sigma ** 2, problem.spectrum)
         if isinstance(spread, np.ndarray):
             values = combine(bias, spread[:n])
             best_d = int(values.argmin())

@@ -302,6 +302,77 @@ class TestValidationCache:
         assert len(validated) == len(self.OPERATIONS)
 
 
+class TestValidationRecord:
+    """Each spectrum and class records a pass of the rules on its own
+    array; the rules on sigma, Q and N still run for every problem."""
+
+    def test_failing_arrays_raise_again_on_every_call(self):
+        bad_s = explicit_spectrum([1.0, 2.0, 0.5])
+        bad_a = explicit_class([2.0, 1.0, 3.0], 1.0)
+        good_s, good_a = make_power_spectrum(1.0, 3), make_power_class(2.0, 3)
+        for spectrum, ellipsoid, needle in ((bad_s, good_a, "spectrum non-increasing"),
+                                            (good_s, bad_a, "a non-decreasing")):
+            messages = []
+            for sigma in (0.1, 0.01, 0.1):
+                with pytest.raises(ValidationError, match=needle) as info:
+                    radius_sq(SequenceProblem(spectrum, ellipsoid, sigma, 3))
+                messages.append(str(info.value))
+            assert len(set(messages)) == 1
+            assert not (bad_s._valid or bad_a._valid)
+        assert good_s._valid and good_a._valid
+
+    @pytest.mark.parametrize("sigma, radius, n", [
+        (-1.0, 1.0, 4), (math.nan, 1.0, 4), (1e200, 1.0, 4), (0.0, 1.0, 4),
+        (0.1, 1e200, 4), (0.1, -2.0, 4), (0.1, math.nan, 4), (0.1, 1.0, 5),
+        (1e200, 1e-200, 3),
+    ])
+    def test_recorded_arrays_report_what_fresh_ones_do(self, sigma, radius, n):
+        def fresh():
+            return (make_power_spectrum(1.0, 4), explicit_class([1.0, 2.0, 4.0, 8.0],
+                                                                radius))
+
+        want = validate_problem(SequenceProblem(*fresh(), sigma, n)).violations
+        spectrum, ellipsoid = fresh()
+        # the arrays pass their own rules on a clean problem, or on this one
+        validate_problem(SequenceProblem(spectrum, ellipsoid, 0.1, 4))
+        assert spectrum._valid and ellipsoid._valid
+        for _ in range(2):
+            got = validate_problem(SequenceProblem(spectrum, ellipsoid, sigma, n))
+            assert got.violations == want and got.passed is not bool(want)
+
+    def test_recorded_class_still_reports_a_bad_spectrum_in_order(self):
+        spectrum = explicit_spectrum([1.0, math.inf, 0.5])
+        ellipsoid = explicit_class([1.0, 2.0, 3.0], 1.0)
+        fresh_class = explicit_class([1.0, 2.0, 3.0], 1.0)
+        validate_problem(SequenceProblem(make_power_spectrum(1.0, 3), ellipsoid, 0.1, 3))
+        assert ellipsoid._valid
+        got = validate_problem(SequenceProblem(spectrum, ellipsoid, -1.0, 3))
+        want = validate_problem(SequenceProblem(spectrum, fresh_class, -1.0, 3))
+        assert got.violations == want.violations
+        assert [v[1] for v in got.violations] == [
+            "spectrum non-increasing", "spectrum finite", "sigma positive"]
+        assert not spectrum._valid
+
+    def test_derived_arrays_are_read_only(self):
+        p = SequenceProblem(make_power_spectrum(1.0, 32), make_power_class(1.5, 32),
+                            1e-3, 32)
+        minimax_sandwich(p)
+        radius_sq(p)
+        deterministic_rate_sq(p)
+        stored = {owner: {k: v for k, v in vars(owner).items()
+                          if isinstance(v, np.ndarray)}
+                  for owner in (p.spectrum, p.ellipsoid)}
+        assert set(stored[p.spectrum]) >= {"values", "_squares", "_float_power_2",
+                                           "_inverse_power_2.0", "_inverse_power_4.0",
+                                           "_running_sums_2.0", "_running_sums_4.0"}
+        assert set(stored[p.ellipsoid]) >= {"weights", "_squares", "_bias"}
+        for arrays in stored.values():
+            for name, arr in arrays.items():
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+
+
 class TestJsonRoundTrip:
     def test_generated_round_trip(self):
         p = SequenceProblem(make_exponential_spectrum(0.5, 12),

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import minimax_seq.problem as problem_mod
 import minimax_seq.rates as rates_mod
 from minimax_seq import (
     IllposednessLabel,
@@ -23,11 +26,13 @@ from minimax_seq import (
     fit_rate,
     make_power_class,
     make_power_spectrum,
+    maximize_J_over_ellipsoid,
     minimax_sandwich,
     optimal_truncation,
     sweep,
     testing_radius_sq as radius_sq,
 )
+from minimax_seq.truncation import _BLOCK_DOUBLES
 
 
 def spec_for(tag, p=1.0, kappa=1.0, lo=-3, hi=-8, points=12, n=64):
@@ -170,10 +175,98 @@ class TestSweep:
         with pytest.raises(ValidationError, match="stand-in"):
             sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3,)))
 
+    def test_generators_run_once_per_n_at_call_time(self, monkeypatch):
+        # the traced problem.build layer wraps the problem.make_* names, so a
+        # sweep must look them up when it builds; its shared spectrum and
+        # class are keyed by N
+        calls = []
+        for kind in ("power", "exponential"):
+            for what in ("spectrum", "class"):
+                real = getattr(problem_mod, f"make_{kind}_{what}")
+
+                def counted(*args, _real=real, _what=what):
+                    calls.append((_what, args[1]))
+                    return _real(*args)
+
+                monkeypatch.setattr(problem_mod, f"make_{kind}_{what}", counted)
+        rates_mod._generated.cache_clear()
+        grid = (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)  # resolves at N = 64, 64, 64, 64, 256
+        sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, grid, n=64))
+        assert calls == [(what, n) for n in (64, 128, 256)
+                         for what in ("spectrum", "class")]
+        calls.clear()
+        rows = sweep(RegimeSpec.from_tag("ee", 1.0, 1.0, (1e-3, 1e-6, 1e-12), n=4))
+        ns = [n for what, n in calls if what == "spectrum"]
+        assert calls == [(what, n) for n in ns for what in ("spectrum", "class")]
+        assert ns == [4 * 2 ** k for k in range(len(ns))] and len(ns) > 1
+        assert rows[-1].d_star < ns[-1] - 1
+
     def test_testing_never_exceeds_estimation(self):
         for tag in ("pp", "pe", "ep", "ee"):
             for row in sweep(spec_for(tag, points=6)):
                 assert row.testing_sq <= row.upper ** 2 * (1 + 1e-12)
+
+
+def _bits(x):
+    """x with every float as its hex and every array as its bytes, so that
+    == compares bits (0.0 against -0.0, NaN against NaN)."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _bits(getattr(x, f.name)) for f in dataclasses.fields(x)
+            if f.name != "problem")
+    return x
+
+
+def _outcome(call, *args):
+    """The bits of call(*args), or its error, with the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = _bits(call(*args)), None
+        except (ValidationError, SaturationError) as exc:
+            result, error = None, (type(exc), str(exc))
+    return result, error, [(w.category, str(w.message)) for w in caught]
+
+
+_CALLS = (optimal_truncation, radius_sq, deterministic_rate_sq,
+          maximize_J_over_ellipsoid, minimax_sandwich)
+
+
+@given(regime_cells())
+@example(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3, 1e-5), n=2 * _BLOCK_DOUBLES))
+@settings(max_examples=60, deadline=None)
+def test_shared_objects_give_the_bits_of_fresh_ones(spec):
+    """The spectrum and class a sweep shares across its grid points, with
+    their recorded validation and derived arrays, give the bits, warnings
+    and errors of objects built afresh for every call, sigma = 0 included."""
+    n = spec.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        rates_mod._sweep_point(spec, spec.sigma_grid[0], n)  # warms the shared pair
+    spectrum, ellipsoid = rates_mod._generated(spec, n)
+    make_spectrum = getattr(problem_mod, f"make_{spec.spectrum_kind}_spectrum")
+    make_class = getattr(problem_mod, f"make_{spec.smoothness_kind}_class")
+    for sigma in spec.sigma_grid + (0.0,):
+        shared = SequenceProblem(spectrum, ellipsoid, sigma, n)
+        fresh = SequenceProblem(make_spectrum(spec.p, n),
+                                make_class(spec.kappa, n, spec.radius), sigma, n)
+        for call in _CALLS:
+            assert _outcome(call, shared) == _outcome(call, fresh), call.__name__
+        want = _outcome(rates_mod._sweep_point, spec, sigma, n)
+        with mock.patch.object(rates_mod, "_generated", rates_mod._generated.__wrapped__):
+            assert _outcome(rates_mod._sweep_point, spec, sigma, n) == want
+    assert rates_mod._generated(spec, n) == (spectrum, ellipsoid)
+    assert spectrum._valid and ellipsoid._valid
+    derived = [k for owner in (spectrum, ellipsoid) for k, v in vars(owner).items()
+               if isinstance(v, np.ndarray) and k.startswith("_")]
+    # arrays above _BLOCK_DOUBLES values are computed on every call, not kept
+    assert bool(derived) is (n <= _BLOCK_DOUBLES)
 
 
 class TestRateFits:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,17 @@ class TestEmpiricalWorstCase:
                             explicit_class([1.0, 2.0], 1e200), 0.1, 2)
         with pytest.raises(ValidationError, match="radius"):
             empirical_worst_case(p, 1, [np.zeros(2)], SimulationConfig(10, 1, 2))
+
+    def test_overflowing_candidate_is_outside_not_a_warning(self):
+        # (a * theta)^2 = 1e400 overflows to inf, which lies outside the
+        # ellipsoid; numpy's overflow warning must not escape first
+        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                            explicit_class([1.0, 1e200], 1.0), 0.1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="lies outside the ellipsoid"):
+                empirical_worst_case(p, 1, [np.array([0.0, 1.0])],
+                                     SimulationConfig(10, 1, 2))
 
     def test_common_random_numbers_make_comparison_exact(self):
         # under shared streams the risk gap between two spikes is exactly

@@ -90,8 +90,7 @@ def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
 
 def _weights_sq(ellipsoid: EllipsoidClass) -> np.ndarray:
     """a_i^2, inf where it overflows, computed once per class."""
-    with np.errstate(over="ignore"):
-        return _derived(ellipsoid, "_squares", lambda: ellipsoid.weights ** 2)
+    return _derived(ellipsoid, "_squares", lambda: ellipsoid.weights ** 2)
 
 
 @dataclass(frozen=True, eq=False)

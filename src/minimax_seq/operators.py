@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +69,25 @@ def decompose(matrix) -> OperatorModel:
 
     # sign convention: first component of each right vector above noise
     # level is made positive; the paired left vector flips with it
-    for j in range(rank):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
+    above = (v > 1e-12) | (v < -1e-12)
+    first, cols = above.argmax(axis=0), np.arange(rank)
+    flip = above[first, cols] & (v[first, cols] < 0.0)
+    np.negative(v, out=v, where=flip)
+    np.negative(u, out=u, where=flip)
 
-    residual = np.linalg.norm(m - (u * s) @ v.T)
-    norm = np.linalg.norm(m)
+    # the check runs on T/2^e with max|T|/2^e in [1/2, 1), where no norm
+    # overflows; that scaling is exact short of subnormals, so T decides
+    e = int(np.frexp(max(m.max(), -m.min()))[1])
+    fit = (u * np.ldexp(s, -e)) @ v.T  # first: at most two n x n temporaries live
+    scaled = np.ldexp(m, -e)
+    norm = np.linalg.norm(scaled)
+    residual = np.linalg.norm(np.subtract(scaled, fit, out=fit))
     if residual > _RECON_RTOL * norm:
+        with np.errstate(over="ignore"):  # in T's units, inf where that overflows
+            residual, bound = np.ldexp([residual, _RECON_RTOL * norm], e).tolist()
         raise ValidationError(
             f"SVD reconstruction residual {residual!r} exceeds "
-            f"{_RECON_RTOL} * ||T|| = {_RECON_RTOL * norm!r}")
+            f"{_RECON_RTOL} * ||T|| = {bound!r}")
 
     for arr in (u, s, v):
         arr.flags.writeable = False
@@ -99,7 +106,8 @@ def to_sequence(y, model: OperatorModel) -> np.ndarray:
             f"{model.matrix.shape[0]}")
     if model.rank < 1:
         raise ValidationError("operator has rank 0; nothing to invert")
-    z = (model.left.T @ yv) / model.singular_values
+    with np.errstate(over="ignore"):  # an infinite z_j is rejected below
+        z = (model.left.T @ yv) / model.singular_values
     if not np.isfinite(z).all():
         raise ValidationError("observations must be finite")
     z.flags.writeable = False
@@ -126,7 +134,9 @@ def make_integration_operator(n: int) -> np.ndarray:
 def load_matrix_csv(path: str) -> np.ndarray:
     """Dense row-major CSV matrix (one row per line)."""
     try:
-        m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty matrix is rejected later
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read matrix CSV {path}: {exc}") from exc
     return m

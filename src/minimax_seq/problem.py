@@ -532,7 +532,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if not isinstance(sp_doc, dict) or "kind" not in sp_doc:
         raise ValidationError("spectrum must be an object with a 'kind'")
     kind = sp_doc["kind"]
-    if kind in _FORMULAS:
+    if isinstance(kind, str) and kind in _FORMULAS:
         _reject_unknown(sp_doc, {"kind", "p", "n_max"}, "spectrum")
         spectrum = _generator("spectrum", kind)(
             _field(sp_doc, "p", float, "spectrum"),
@@ -548,7 +548,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
         raise ValidationError("class must be an object with a 'kind'")
     kind = cl_doc["kind"]
     radius = _field(cl_doc, "Q", float, "class") if "Q" in cl_doc else 1.0
-    if kind in _FORMULAS:
+    if isinstance(kind, str) and kind in _FORMULAS:
         _reject_unknown(cl_doc, {"kind", "kappa", "Q"}, "class")
         ellipsoid = _generator("class", kind)(_field(cl_doc, "kappa", float, "class"),
                                               spectrum.n_max, radius)

@@ -17,7 +17,6 @@ search range.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import warnings
@@ -136,21 +135,6 @@ class RateFit:
     d_star_trace: tuple
 
 
-@functools.lru_cache(maxsize=1)
-def _generated(spec: RegimeSpec, n: int) -> tuple:
-    """The spectrum and class of spec at length n, built by the generators
-    named in problem (looked up at call time) and shared by the grid
-    points that follow: a sweep's n never decreases, so one entry holds
-    all the points at one N, and sweep drops it before a doubling builds
-    the next pair.  A generator error is raised, not kept."""
-    return (_generator("spectrum", spec.spectrum_kind)(spec.p, n),
-            _generator("class", spec.smoothness_kind)(spec.kappa, n, spec.radius))
-
-
-def _build_problem(spec: RegimeSpec, sigma: float, n: int) -> SequenceProblem:
-    return SequenceProblem(*_generated(spec, n), sigma, n)
-
-
 # sigma^2 * sqrt(sum_{j<=D} 1/s_j^4)
 _testing_spreads = _prefix_spreads(4.0, lambda sig2, x: sig2 * np.sqrt(x))
 
@@ -184,26 +168,31 @@ def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
 _OPTIMIZERS = ("estimation", "testing", "deterministic", "water-filling")
 
 
-def _sweep_point(spec: RegimeSpec, sigma: float, n: int) -> tuple[SweepRow, tuple]:
-    """One grid point at dimension n, with one flag per entry of _OPTIMIZERS,
-    set where that optimizer touches the end of its search range.
-
-    Saturation is read from returned values (an optimizer at D = N-1, or
-    the sandwich's water-filling capping every coordinate), not from
-    warnings, which sweep silences.  A generator that over- or underflows
-    at this n makes the point unresolvable: that alone is a SaturationError;
-    any other ValidationError passes through.
-    """
+def _build_pair(spec: RegimeSpec, n: int) -> tuple:
+    """spec's spectrum and class at length n, from the make_* names looked
+    up at call time; a ValidationError from either is a SaturationError."""
     try:
-        problem = _build_problem(spec, sigma, n)
+        return (_generator("spectrum", spec.spectrum_kind)(spec.p, n),
+                _generator("class", spec.smoothness_kind)(spec.kappa, n, spec.radius))
     except ValidationError as exc:
         raise SaturationError(
             f"regime {spec.tag}: dimension N = {n} is not representable "
             f"({exc}); the noise grid cannot be resolved") from exc
+
+
+def _sweep_point(problem: SequenceProblem) -> tuple[SweepRow, tuple]:
+    """One grid point, with one flag per entry of _OPTIMIZERS, set where
+    that optimizer touches the end of its search range.
+
+    Saturation is read from returned values (an optimizer at D = N-1, or
+    the sandwich's water-filling capping every coordinate), not from
+    warnings, which sweep silences.  A ValidationError passes through.
+    """
+    n = problem.n
     report = minimax_sandwich(problem)
     d_test, testing = testing_radius_sq(problem)
     d_det, deterministic = deterministic_rate_sq(problem)
-    row = SweepRow(sigma, report.d_star, report.upper, report.lower,
+    row = SweepRow(problem.sigma, report.d_star, report.upper, report.lower,
                    report.j_star, testing, deterministic)
     return row, (report.d_star >= n - 1, d_test >= n - 1, d_det >= n - 1,
                  report.saturated)
@@ -236,22 +225,22 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
     The argument needs generated weights (a jump in explicit a_j could make
     a second dip), which is all sweep builds.
 
-    The points at one N share one spectrum and one class (_generated), so
-    the rules on their arrays run once per N, and so do the sigma-free
-    arrays of the scans and the water-filling (noise terms and their
-    running sums, squares, the bias Q^2/a_j^2), which sigma^2 only scales;
-    the bits are those of objects built afresh for every point.  A point
-    still saturated at
-    N = 2^20 raises a SaturationError that names the optimizers still at
-    the end of their range for that point; a generator that cannot build
-    the next N raises one too.
+    The points at one N share one spectrum and one class, held until the
+    next doubling, so the rules on their arrays run once per N, and so do
+    the sigma-free arrays of the scans and the water-filling (noise terms
+    and their running sums, squares, the bias Q^2/a_j^2), which sigma^2
+    only scales; the bits are those of objects built afresh for every
+    point.  A point still saturated at N = 2^20 raises a SaturationError
+    that names the optimizers still at the end of their range for that
+    point; a generator that cannot build the next N raises one too.
     """
-    rows, n = [], spec.n
+    rows, n, pair = [], spec.n, None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         for sigma in spec.sigma_grid:
             while True:
-                row, flags = _sweep_point(spec, sigma, n)
+                pair = pair or _build_pair(spec, n)
+                row, flags = _sweep_point(SequenceProblem(*pair, sigma, n))
                 if not any(flags):
                     break
                 if n >= _MAX_N:
@@ -261,7 +250,7 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
                         f"N = {n}, where these optimizers touch the end of their "
                         f"range: {names}; refusing to grow the model further")
                 n *= 2
-                _generated.cache_clear()  # so that two pairs are never held at once
+                pair = None  # so that two pairs are never held at once
             rows.append(row)
     return rows
 

@@ -9,14 +9,16 @@ Its worst-case squared risk over the ellipsoid has the closed form
 element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
 exactly rounded value of its exact sum, so results do not depend on
 summation order and are reproducible bit for bit.  A total is one
-math.fsum.  The level scans (_best_level) are whole-array passes: one
-running sum of the noise terms, with Higham's bound on its error, encloses
-every level's value, and only the few levels that may be the minimum read
-their exact prefix sums, one math.fsum each; a scan with many near-tied
-levels reads them from one running exact sum (_exact_prefix_sums), which
-keeps the sum as an integer count of 2^-k, the finest power of two among
-the terms (k <= 1074), with the same bits.  The row sums of a 2-d array
-(_row_fsums) read fsum's bits too, certified in a few whole-array passes.
+math.fsum.  The closed forms and the level scans read one array of noise
+terms per spectrum and one of biases per class (_noise_terms, _bias_sq).
+The level scans (_best_level) are whole-array passes: one running sum of
+the noise terms, with Higham's bound on its error, encloses every level's
+value, and only the few levels that may be the minimum read their exact
+prefix sums, one math.fsum each; a scan with many near-tied levels reads
+them from one running exact sum (_exact_prefix_sums), which keeps the sum
+as an integer count of 2^-k, the finest power of two among the terms
+(k <= 1074), with the same bits.  The row sums of a 2-d array (_row_fsums)
+read fsum's bits too, certified in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -74,25 +76,12 @@ def _checked_vector(x, n: int) -> np.ndarray:
     return arr
 
 
-def _inverse_square_sum(s: np.ndarray, positions) -> float:
-    """Exactly rounded sum of 1/s_j^2 over the 0-based ``positions``.
-
-    A sum that overflows, or holds an s_j^2 that underflows, reads as inf,
-    as in _exact_prefix_sums.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        try:
-            return math.fsum(1.0 / s[j] ** 2 for j in positions)
-        except OverflowError:
-            return math.inf
-
-
 def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
     """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0);
     inf when the sum overflows."""
     if not 0 <= n <= spectrum.n_max:
         raise ValidationError(f"n = {n} out of range 0..{spectrum.n_max}")
-    return _inverse_square_sum(spectrum.values, range(n))
+    return _exact_sum(_noise_terms(spectrum, 2.0, n)[:n])
 
 
 def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
@@ -102,13 +91,18 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     if not 0 <= D <= n - 1:
         raise ValidationError(
             f"level D = {D} out of range 0..{n - 1} (a_(D+1) must exist)")
-    a = problem.ellipsoid.weights
-    q = problem.ellipsoid.radius
-    with np.errstate(over="ignore"):  # a_(D+1)^2 = inf gives bias 0
-        bias_sq = q ** 2 / a[D] ** 2
+    bias_sq = _bias_sq(problem.ellipsoid, D + 1)[D]  # a_(D+1)^2 = inf gives 0
     sig2 = problem.sigma ** 2
     variance = sig2 * rho_squared(problem.spectrum, D) if sig2 else 0.0
     return RiskDecomposition(D, bias_sq, variance, bias_sq + variance)
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum of the non-negative terms, inf when their sum overflows."""
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        return math.inf
 
 
 def _exact_prefix_sums(terms):
@@ -152,7 +146,7 @@ def _exact_prefix_sums(terms):
 _BLOCK_DOUBLES = 16384
 
 
-def _derived(owner, name: str, compute) -> np.ndarray:
+def _derived(owner, name: str, compute, stop=None) -> np.ndarray:
     """compute(), a read-only array that depends only on ``owner``, a
     SingularSpectrum or EllipsoidClass, computed once per owner.
 
@@ -161,13 +155,17 @@ def _derived(owner, name: str, compute) -> np.ndarray:
     shared by every problem built on the owner, such as the grid points of
     a sweep at one N.  An array of more than _BLOCK_DOUBLES values is
     computed on every call instead, so that a deep sweep holds no extra
-    copies of its longest arrays.
+    copies of its longest arrays.  A caller that reads only the first stop
+    values passes stop: unless the array is kept, compute(stop) computes
+    those alone, and they are not kept.  Overflow and division by zero are
+    silent.
     """
     arr = owner.__dict__.get(name)
     if arr is None:
-        arr = compute()
+        with np.errstate(divide="ignore", over="ignore"):
+            arr = compute() if stop is None else compute(stop)
         arr.flags.writeable = False
-        if arr.size <= _BLOCK_DOUBLES:
+        if stop is None and arr.size <= _BLOCK_DOUBLES:
             owner.__dict__[name] = arr
     return arr
 
@@ -271,10 +269,7 @@ class _PrefixSpreads:
     def __call__(self, d: int) -> float:
         self.reads += 1
         if self.reads <= _FSUM_READS:
-            try:
-                total = math.fsum(self.terms[:d].tolist())
-            except OverflowError:
-                total = math.inf
+            total = _exact_sum(self.terms[:d])
         else:
             if self.walk is None:
                 self.walk = _exact_prefix_sums(self.terms.tolist())
@@ -292,6 +287,20 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _noise_terms(spectrum, power: float, stop=None) -> np.ndarray:
+    """1/s_j^power for j = 1..n_max (at least j <= stop), once per spectrum
+    (_derived): inf where s_j^power underflows, 0 where it overflows."""
+    return _derived(spectrum, f"_inverse_power_{power}", lambda stop=None:
+                    1.0 / np.float_power(spectrum.values[:stop], power), stop)
+
+
+def _bias_sq(cls, stop=None) -> np.ndarray:
+    """Q^2/a_(D+1)^2 for D = 0..n_max-1 (at least D < stop), once per class
+    (_derived): 0 where a_(D+1)^2 overflows, inf where the quotient does."""
+    return _derived(cls, "_bias", lambda stop=None: cls.radius ** 2
+                    / np.float_power(cls.weights[:stop], 2.0), stop)
+
+
 def _prefix_spreads(power: float, readout):
     """spreads(sigma^2, spectrum) for a scan whose level-D spread is
     readout(sigma^2, S_D), with S_D the exactly rounded sum of 1/s_j^power
@@ -301,8 +310,7 @@ def _prefix_spreads(power: float, readout):
     def spreads(sig2: float, spectrum: SingularSpectrum):
         if sig2 == 0.0:
             return np.zeros(spectrum.n_max + 1)
-        terms = _derived(spectrum, f"_inverse_power_{power}",
-                         lambda: 1.0 / np.float_power(spectrum.values, power))
+        terms = _noise_terms(spectrum, power)
         approx = _derived(spectrum, f"_running_sums_{power}",
                           lambda: _running_sums(terms))
         return _PrefixSpreads(sig2, terms, readout, approx)
@@ -326,7 +334,7 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     and bounds are whole-array passes: squares and fourth powers are
     np.float_power, which calls libm pow as the numpy-scalar x ** 2 and
     x ** 4 do, so they keep those bits; a term that overflows, or divides
-    by a power that underflows, is inf, inside this one errstate.  What
+    by a power that underflows, is inf, with no warning.  What
     does not depend on sigma (the default bias, the noise terms and their
     running sums) is computed once per class or spectrum (_derived), so the
     grid points of a sweep at one N share it; sigma^2 only scales it.
@@ -349,11 +357,8 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     ensure_usable(problem)
     n, cls = problem.n, problem.ellipsoid
     with np.errstate(divide="ignore", over="ignore"):
-        if bias_sq is None:
-            bias = _derived(cls, "_bias", lambda: cls.radius ** 2
-                            / np.float_power(cls.weights, 2.0))
-        else:
-            bias = bias_sq(problem.spectrum.values)
+        bias = (_bias_sq(cls) if bias_sq is None
+                else bias_sq(problem.spectrum.values))
         spread = spreads(problem.sigma ** 2, problem.spectrum)
         if isinstance(spread, np.ndarray):
             values = combine(bias, spread[:n])
@@ -425,15 +430,11 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
         raise ValidationError(f"P must be a subset of 1..{n}")
     if len(idx) == n:
         raise ValidationError("P covers all indices; no bias coordinate remains")
-    in_p = np.zeros(n, dtype=bool)
-    for j in idx:
-        in_p[j - 1] = True
+    in_p = np.isin(np.arange(1, n + 1), idx)
     k = int(np.nonzero(~in_p)[0][0])  # 0-based position of min complement
-    a = problem.ellipsoid.weights
-    with np.errstate(divide="ignore", over="ignore"):
-        bias_sq = problem.ellipsoid.radius ** 2 / a[k] ** 2
+    bias_sq = _bias_sq(problem.ellipsoid, k + 1)[k]
     sig2 = problem.sigma ** 2
-    variance = (sig2 * _inverse_square_sum(problem.spectrum.values, np.flatnonzero(in_p))
+    variance = (sig2 * _exact_sum(_noise_terms(problem.spectrum, 2.0)[in_p])
                 if sig2 else 0.0)
     return bias_sq + variance
 

@@ -147,6 +147,8 @@ class TestExitCodes:
         ("spectrum", "n_max", 2 ** 20 + 1),
         ("spectrum", "n_max", 50.9),
         (None, "N", 50.7),
+        ("spectrum", "kind", ["power"]),  # not a string, so not a known kind
+        ("class", "kind", {"a": 1}),
     ])
     def test_bad_config_value_is_validation_error(self, tmp_path, where, key,
                                                   value):
@@ -417,6 +419,19 @@ class TestExitCodes:
                                   "--data", str(data), "--d", "2"])
         assert (code, out) == (2, b"")
         assert err == b"mseq: validation error: observations must be finite\n"
+
+    @pytest.mark.parametrize("matrix, message", [
+        # 1/s_j = 1e320 overflows, so z is non-finite
+        ("1e-320,0\n0,1e-320\n", b"observations must be finite"),
+        ("", b"matrix must be 2-d and non-empty"),
+    ], ids=["overflowing-z", "empty-matrix"])
+    def test_invert_input_fault_is_one_line(self, tmp_path, matrix, message):
+        (tmp_path / "matrix.csv").write_text(matrix)
+        (tmp_path / "data.csv").write_text("1\n2\n")
+        code, out, err = run_cli(["invert", "--matrix", str(tmp_path / "matrix.csv"),
+                                  "--data", str(tmp_path / "data.csv"), "--d", "1"])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, message)
 
     @pytest.mark.parametrize("command, needle", [
         (["jmax"], None), (["optimal"], None),

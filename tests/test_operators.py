@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ class TestDecompose:
         model = decompose(m)
         assert model.rank == 1
         assert model.kernel_dim == 1
+
+    def test_residual_check_holds_where_the_norm_overflows(self, monkeypatch):
+        # ||T|| is about 2e308, past the largest double
+        m = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decompose(m).rank == 2
+            svd = np.linalg.svd
+
+            def wrong(a, full_matrices=True):
+                u, s, vt = svd(a, full_matrices=full_matrices)
+                return u, s * np.array([1.0, 0.5]), vt
+
+            monkeypatch.setattr(np.linalg, "svd", wrong)
+            with pytest.raises(ValidationError, match="SVD reconstruction residual"):
+                decompose(m)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError, match="finite"):

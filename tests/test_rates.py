@@ -1,8 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import warnings
-from unittest import mock
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def spec_for(tag, p=1.0, kappa=1.0, lo=-3, hi=-8, points=12, n=64):
     return RegimeSpec.from_tag(tag, p, kappa, grid, n=n)
 
 
+def fresh_problem(spec, sigma, n):
+    """The problem of spec at (sigma, n), on a spectrum and class built
+    afresh by the make_* functions."""
+    make_spectrum = getattr(problem_mod, f"make_{spec.spectrum_kind}_spectrum")
+    make_class = getattr(problem_mod, f"make_{spec.smoothness_kind}_class")
+    return SequenceProblem(make_spectrum(spec.p, n),
+                           make_class(spec.kappa, n, spec.radius), sigma, n)
+
+
 def whole_grid_rows(spec):
     """Reference for sweep: every point at the smallest N = n * 2^k at which
     no point saturates (the sweep's former whole-grid doubling)."""
@@ -47,7 +57,8 @@ def whole_grid_rows(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         while True:
-            points = [rates_mod._sweep_point(spec, s, n) for s in spec.sigma_grid]
+            points = [rates_mod._sweep_point(fresh_problem(spec, s, n))
+                      for s in spec.sigma_grid]
             if not any(any(flags) for _, flags in points):
                 return [row for row, _ in points]
             n *= 2
@@ -141,9 +152,9 @@ class TestSweep:
         calls = []
         point = rates_mod._sweep_point
 
-        def counted(spec, sigma, n):
-            calls.append((sigma, n))
-            return point(spec, sigma, n)
+        def counted(problem):
+            calls.append((problem.sigma, problem.n))
+            return point(problem)
 
         monkeypatch.setattr(rates_mod, "_sweep_point", counted)
         rows = sweep(spec)
@@ -177,8 +188,8 @@ class TestSweep:
 
     def test_generators_run_once_per_n_at_call_time(self, monkeypatch):
         # the traced problem.build layer wraps the problem.make_* names, so a
-        # sweep must look them up when it builds; its shared spectrum and
-        # class are keyed by N
+        # sweep must look them up when it builds; it builds one spectrum and
+        # one class per N
         calls = []
         for kind in ("power", "exponential"):
             for what in ("spectrum", "class"):
@@ -189,7 +200,6 @@ class TestSweep:
                     return _real(*args)
 
                 monkeypatch.setattr(problem_mod, f"make_{kind}_{what}", counted)
-        rates_mod._generated.cache_clear()
         grid = (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)  # resolves at N = 64, 64, 64, 64, 256
         sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, grid, n=64))
         assert calls == [(what, n) for n in (64, 128, 256)
@@ -200,6 +210,21 @@ class TestSweep:
         assert calls == [(what, n) for n in ns for what in ("spectrum", "class")]
         assert ns == [4 * 2 ** k for k in range(len(ns))] and len(ns) > 1
         assert rows[-1].d_star < ns[-1] - 1
+
+    def test_sweep_keeps_no_spectrum_once_it_returns(self, monkeypatch):
+        built = []
+        make = problem_mod.make_power_spectrum
+
+        def recorded(*args):
+            spectrum = make(*args)
+            built.append(weakref.ref(spectrum))
+            return spectrum
+
+        monkeypatch.setattr(problem_mod, "make_power_spectrum", recorded)
+        sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-2, 1e-7), n=64))
+        gc.collect()
+        assert len(built) == 3  # N = 64, 128, 256
+        assert [ref() for ref in built] == [None] * 3
 
     def test_testing_never_exceeds_estimation(self):
         for tag in ("pp", "pe", "ep", "ee"):
@@ -246,22 +271,16 @@ def test_shared_objects_give_the_bits_of_fresh_ones(spec):
     their recorded validation and derived arrays, give the bits, warnings
     and errors of objects built afresh for every call, sigma = 0 included."""
     n = spec.n
+    spectrum, ellipsoid = rates_mod._build_pair(spec, n)  # as sweep builds it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
-        rates_mod._sweep_point(spec, spec.sigma_grid[0], n)  # warms the shared pair
-    spectrum, ellipsoid = rates_mod._generated(spec, n)
-    make_spectrum = getattr(problem_mod, f"make_{spec.spectrum_kind}_spectrum")
-    make_class = getattr(problem_mod, f"make_{spec.smoothness_kind}_class")
+        # warms the shared pair
+        rates_mod._sweep_point(SequenceProblem(spectrum, ellipsoid, spec.sigma_grid[0], n))
     for sigma in spec.sigma_grid + (0.0,):
         shared = SequenceProblem(spectrum, ellipsoid, sigma, n)
-        fresh = SequenceProblem(make_spectrum(spec.p, n),
-                                make_class(spec.kappa, n, spec.radius), sigma, n)
-        for call in _CALLS:
+        fresh = fresh_problem(spec, sigma, n)
+        for call in _CALLS + (rates_mod._sweep_point,):
             assert _outcome(call, shared) == _outcome(call, fresh), call.__name__
-        want = _outcome(rates_mod._sweep_point, spec, sigma, n)
-        with mock.patch.object(rates_mod, "_generated", rates_mod._generated.__wrapped__):
-            assert _outcome(rates_mod._sweep_point, spec, sigma, n) == want
-    assert rates_mod._generated(spec, n) == (spectrum, ellipsoid)
     assert spectrum._valid and ellipsoid._valid
     derived = [k for owner in (spectrum, ellipsoid) for k, v in vars(owner).items()
                if isinstance(v, np.ndarray) and k.startswith("_")]

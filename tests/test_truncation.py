@@ -31,7 +31,12 @@ from minimax_seq import (
     truncation_risk,
 )
 from minimax_seq import truncation
-from minimax_seq.truncation import _exact_prefix_sums, _PrefixSpreads, _row_fsums
+from minimax_seq.truncation import (
+    _BLOCK_DOUBLES,
+    _exact_prefix_sums,
+    _PrefixSpreads,
+    _row_fsums,
+)
 
 import scan_reference
 
@@ -87,6 +92,21 @@ class TestTruncationRisk:
         for lo, hi in zip(risks, risks[1:]):
             assert hi.bias_sq <= lo.bias_sq
             assert hi.variance >= lo.variance
+
+    @pytest.mark.parametrize("n", [64, _BLOCK_DOUBLES + 1])
+    def test_closed_forms_compute_a_prefix_no_scan_sees(self, n):
+        # on objects no scan has warmed, the closed forms compute only the
+        # levels they read and keep nothing, so a later scan reads whole arrays
+        p, short = toy_problem(1e-3, n), toy_problem(1e-3, 64)
+        for d in (0, 5, 63):
+            assert truncation_risk(p, d) == truncation_risk(short, d)
+        assert rho_squared(p.spectrum, 40) == rho_squared(short.spectrum, 40)
+        assert (subset_truncation_risk(toy_problem(1e-3, n), [1, 3])
+                == subset_truncation_risk(short, [1, 3]))
+        assert not [k for owner in (p.spectrum, p.ellipsoid)
+                    for k, v in vars(owner).items() if isinstance(v, np.ndarray)
+                    and k.startswith("_")]
+        assert optimal_truncation(p) == optimal_truncation(toy_problem(1e-3, n))
 
 
 def _argmin(values):

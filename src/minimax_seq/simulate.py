@@ -101,6 +101,28 @@ def sample_observations(theta, problem: SequenceProblem, seed,
     return z
 
 
+def _tail_expansion(theta_tail: np.ndarray) -> list[float]:
+    """Non-overlapping doubles whose exact sum is sum_j theta_j*theta_j
+    over theta_tail, each square rounded as a double; [] for a zero sum.
+
+    Each part is math.fsum of the squares less the parts before it, the
+    correctly rounded value of what they leave, so at most one part per 53
+    bits of the exact sum.  A row that holds these parts in place of the
+    squares has the same exact sum, so fsum and _row_fsums give it the
+    same bits.  A square or sum that overflows raises OverflowError.
+    """
+    with np.errstate(over="ignore"):  # an infinite square is raised below
+        squares = theta_tail * theta_tail
+    if not np.isfinite(squares).all():
+        raise OverflowError
+    terms = squares.tolist()
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        terms.append(-part)
+    return parts
+
+
 def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                      config: SimulationConfig) -> RiskEstimate:
     """Average squared estimation error over config.replications draws.
@@ -126,14 +148,18 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     errors = []
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below
+            tail = _tail_expansion(theta[D:])
             for r0 in range(0, reps, rows):
                 z = sample_observations(theta, problem, gen,
                                         count=min(rows, reps - r0))
-                # theta - estimate(z, D), row by row
-                d = np.empty_like(z)
-                d[:, :D] = theta[:D] - z[:, :D]
-                d[:, D:] = theta[D:]
-                errors.extend(_row_fsums(d * d).tolist())
+                # the squares of theta - estimate(z, D), row by row, with
+                # the constant columns beyond D replaced by their exact sum
+                sq = np.empty((len(z), D + len(tail)))
+                head = sq[:, :D]
+                np.subtract(theta[:D], z[:, :D], out=head)
+                head *= head
+                sq[:, D:] = tail
+                errors.extend(_row_fsums(sq).tolist())
         total = math.fsum(errors)
         if not math.isfinite(total):  # a squared error is inf or NaN
             raise OverflowError

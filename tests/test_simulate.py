@@ -24,7 +24,8 @@ from minimax_seq import (
     simulate,
     truncation_risk,
 )
-from minimax_seq.truncation import _BLOCK_DOUBLES
+from minimax_seq.simulate import _tail_expansion
+from minimax_seq.truncation import _BLOCK_DOUBLES, _row_fsums
 
 
 def toy_problem(sigma=0.1, n=16):
@@ -348,3 +349,59 @@ def test_block_rows_equal_single_draws(case, count, data):
         parts.append(part.reshape(-1, problem.n))
         left -= k or 1
     assert np.concatenate(parts).tobytes() == block.tobytes()
+
+
+@st.composite
+def tail_rows(draw):
+    """(head, tail): a block of squared head errors and the coefficients
+    beyond the level, with D = 0, D = N, spike and random interior tails."""
+    n = draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.sampled_from([0, n, int(rng.integers(0, n + 1))]))
+    tail = np.zeros(n - d)
+    if n > d and draw(st.booleans()):  # a spike
+        tail[int(rng.integers(0, n - d))] = 10.0 ** rng.uniform(-150.0, 150.0)
+    elif n > d:  # every magnitude the squares can take, and zeros
+        tail = rng.choice([-1.0, 1.0], n - d) * 10.0 ** rng.uniform(-160.0, 150.0, n - d)
+        tail[rng.random(n - d) < 0.2] = 0.0
+    # heads near the tail's sum, where its low bits decide the rounding
+    scale = math.sqrt(math.fsum((tail * tail).tolist()) or 1.0)
+    head = rng.normal(size=(draw(st.integers(1, 40)), d)) * scale * 2.0 ** rng.uniform(-40.0, 4.0)
+    return head * head, tail
+
+
+@given(tail_rows())
+@example((np.zeros((3, 0)), np.zeros(0)))
+@example((np.ones((2, 4)), np.zeros(0)))
+@example((np.zeros((2, 0)), np.array([1.0, 2.0 ** -60, 2.0 ** -120, 5e-324])))
+# 1 + 2^-53 is a tie that the tail's 2^-60 breaks upwards
+@example((np.array([[2.0 ** -53]]), np.array([1.0, 2.0 ** -30])))
+@settings(max_examples=200, deadline=None)
+def test_tail_expansion_keeps_the_row_sums(case):
+    head, tail = case
+    parts = _tail_expansion(tail)
+    assert all(math.isfinite(x) and x != 0.0 for x in parts)
+    assert all(abs(b) < abs(a) for a, b in zip(parts, parts[1:]))
+    full = np.hstack([head, np.broadcast_to(tail * tail, (len(head), len(tail)))])
+    short = np.hstack([head, np.broadcast_to(np.array(parts), (len(head), len(parts)))])
+    want = [math.fsum(row) for row in full.tolist()]
+    assert [x.hex() for x in _row_fsums(short)] == [x.hex() for x in want]
+    assert [math.fsum(row).hex() for row in short.tolist()] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("tail", [
+    [1e200],                      # a square that overflows
+    [1e154, 1e154, 1e154],        # finite squares whose sum overflows
+], ids=["square", "sum"])
+@pytest.mark.parametrize("d", [0, 2])
+def test_overflowing_tail_is_validation_error(tail, d):
+    n = 2 + len(tail)
+    p = SequenceProblem(explicit_spectrum(np.linspace(1.0, 0.5, n)),
+                        explicit_class(np.ones(n), 1.0), 0.1, n)
+    theta = np.array([0.1, 0.2, *tail])
+    with pytest.raises(OverflowError):
+        _tail_expansion(theta[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"level D = {d} overflows"):
+            monte_carlo_risk(p, theta, d, SimulationConfig(5, 1, n))

@@ -1,18 +1,22 @@
 """Monte Carlo validation of the closed-form risks.
 
-Noise is drawn from counter-based Philox streams.  A Monte Carlo run with
-master seed m reads the one stream keyed m, in replication order:
-replication r holds the normals r*N .. r*N + N - 1 of that stream, and
-coordinate k of a replication reads the k-th of its N.  Values therefore
-depend only on the seed, and repeated runs are bit-identical.  Averages
-accumulate in fixed replication order through math.fsum.
+Noise is drawn from counter-based Philox streams.  The truncated estimator
+at level D reads only the first D observed coefficients, so a replication
+draws only those.  A Monte Carlo run with master seed m reads the one
+stream keyed m, in replication order: replication r holds the normals
+r*D .. r*D + D - 1 of that stream, coordinate k of a replication reads the
+k-th of its D, and D = 0 draws nothing.  Values therefore depend only on
+the seed, and repeated runs are bit-identical.  Averages accumulate in
+fixed replication order through math.fsum.
 
 Monte Carlo draws its replications in blocks, each the next rows of the
-same generator, so the bits do not depend on the block size.  Each
-block's squared errors are summed per replication by the certified
-array kernel truncation._row_fsums, which returns math.fsum's bits (rows
-it cannot certify read fsum itself).  The normal draw is most of a
-replication's cost.
+same generator, so the bits do not depend on the block size.  A
+replication's squared error is the math.fsum of its N squared coordinate
+errors; the N - D beyond the level are the same theta_j^2 in every row,
+so each row holds their sum once, as the few doubles of an exact
+expansion (_tail_expansion), which keeps fsum's bits.  Each block's rows
+are summed by the certified array kernel truncation._row_fsums, which
+returns math.fsum's bits (rows it cannot certify read fsum itself).
 """
 
 from __future__ import annotations
@@ -73,30 +77,41 @@ class RiskEstimate:
 
 
 def sample_observations(theta, problem: SequenceProblem, seed,
-                        count: int | None = None) -> np.ndarray:
+                        count: int | None = None, *,
+                        D: int | None = None) -> np.ndarray:
     """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from a Philox stream.
 
     ``seed`` is an integer m in [0, 2^64), which keys a new stream
     ``Philox(key=m)``, or a ``np.random.Generator``, whose stream continues
     where its last draw stopped; any other seed raises ValidationError.
     Identical inputs give identical observations, returned as a read-only
-    array.  With ``count=None`` the result has shape (N,).  With
-    ``count=k``, an integer k >= 1, it is a (k, N) block holding the next
-    k*N normals in row order, so row 0 of a block keyed m is the single
-    draw keyed m, and successive calls on one Generator give the rows of
-    one call with their summed count.
+    array.  ``theta`` has length N.  The level D, an integer in 0..N
+    (default N), keeps the coordinates 1..D only: each observation reads
+    the next D normals of the stream, so D = N gives the default's bits
+    and D = 0 draws nothing.  With ``count=None`` the result has shape
+    (D,).  With ``count=k``, an integer k >= 1, it is a (k, D) block holding
+    the next k*D normals in row order, so row 0 of a block keyed m is the
+    single draw keyed m, and successive calls on one Generator give the
+    rows of one call with their summed count.
     """
-    theta = _checked_vector(theta, problem.n)
-    shape = problem.n
+    n = problem.n
+    theta = _checked_vector(theta, n)
+    if D is None:
+        D = n
+    D = _integer("D", D)
+    if not 0 <= D <= n:
+        raise ValidationError(f"level D = {D} out of range 0..{n}")
+    shape = D
     if count is not None:
         count = _integer("count", count)
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count!r}")
-        shape = (count, problem.n)
+        shape = (count, D)
     gen = seed
     if not isinstance(gen, np.random.Generator):
         gen = np.random.Generator(np.random.Philox(key=_seed("seed", seed)))
-    z = theta + (problem.sigma / problem.spectrum.values) * gen.standard_normal(shape)
+    scale = problem.sigma / problem.spectrum.values[:D]
+    z = theta[:D] + scale * gen.standard_normal(shape)
     z.flags.writeable = False
     return z
 
@@ -127,12 +142,15 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                      config: SimulationConfig) -> RiskEstimate:
     """Average squared estimation error over config.replications draws.
 
-    The replications read one Philox stream keyed master_seed in order,
-    so the estimate is reproducible bit-for-bit.  The draws come in blocks
-    of at most _BLOCK_DOUBLES noise values from that one generator, so
+    The replications read one Philox stream keyed master_seed in order, D
+    normals each, so the estimate is reproducible bit-for-bit.  The draws
+    come in blocks of _BLOCK_DOUBLES // N replications from that one
+    generator, each block one sample_observations call at level D, so
     memory stays bounded for any replication count and the bits do not
-    depend on the block size; each replication's squared error is the
-    math.fsum of its row, read for a whole block at once by _row_fsums.
+    depend on the block size.  Each replication's squared error is the
+    math.fsum of its row, the D squared errors of the estimated
+    coordinates and the exact expansion of the rest, read for a whole
+    block at once by _row_fsums.
     """
     ensure_usable(problem)
     n = problem.n
@@ -151,12 +169,12 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
             tail = _tail_expansion(theta[D:])
             for r0 in range(0, reps, rows):
                 z = sample_observations(theta, problem, gen,
-                                        count=min(rows, reps - r0))
+                                        count=min(rows, reps - r0), D=D)
                 # the squares of theta - estimate(z, D), row by row, with
                 # the constant columns beyond D replaced by their exact sum
                 sq = np.empty((len(z), D + len(tail)))
                 head = sq[:, :D]
-                np.subtract(theta[:D], z[:, :D], out=head)
+                np.subtract(theta[:D], z, out=head)
                 head *= head
                 sq[:, D:] = tail
                 errors.extend(_row_fsums(sq).tolist())

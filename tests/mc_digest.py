@@ -9,7 +9,7 @@ and D = N on the next, R from 1 to 299 with R = 1 on every 50th, spike
 and random interior theta) and the 12 estimates of acceptance criterion 1
 (seed 20240817, R = 10^4).  The random-stream contract: each estimate
 reads the one Philox stream keyed by its master seed, replication after
-replication, N normals each.  A change that keeps that contract prints
+replication, D normals each.  A change that keeps that contract prints
 the same digest as its parent; tests/test_fingerprints.py pins the line.
 """
 

@@ -14,7 +14,7 @@ import scan_digest
 def test_monte_carlo_fingerprint():
     assert mc_digest.digest_line() == (
         "1112 estimates sha256 "
-        "e27f7c7c9a20212087b47d184e0e30eb43b554483a28e7c7012636bfe0b1e0d7")
+        "ad9ca2506daf04dd19b7338d51bde1fa13cf532a2513d56a17e403755a4e7eeb")
 
 
 def test_certificate_fingerprint():

@@ -140,14 +140,15 @@ class TestMonteCarloRisk:
         assert (a.mean_sq_error, a.std_error) == (b.mean_sq_error, b.std_error)
 
     def test_replications_use_keyed_streams(self):
-        # replication r must equal row r of one draw keyed by the master seed
+        # replication r must equal row r of one level-3 draw keyed by the
+        # master seed: 3 normals each
         p = toy_problem()
         theta = least_favorable(p, 3)
         config = SimulationConfig(50, 1234, p.n)
         est = monte_carlo_risk(p, theta, 3, config)
         errors = []
-        for obs in sample_observations(theta, p, 1234, count=50):
-            diff = theta - estimate(obs, 3)
+        for obs in sample_observations(theta, p, 1234, count=50, D=3):
+            diff = theta - estimate(unread_beyond(obs, p.n), 3)
             errors.append(math.fsum((diff * diff).tolist()))
         assert est.mean_sq_error == math.fsum(errors) / 50
 
@@ -291,12 +292,19 @@ def mc_cases(draw):
     return problem, theta, d, config
 
 
+def unread_beyond(obs, n):
+    """The first D observed coefficients padded to length n with NaN, which
+    the level-D estimator must never read."""
+    return np.concatenate([obs, np.full(n - len(obs), np.nan)])
+
+
 def reference_risk(problem, theta, D, config):
-    """monte_carlo_risk from one draw and one fsum per row: (mean, std_error)."""
+    """monte_carlo_risk from one draw of D normals per replication and one
+    fsum per row: (mean, std_error)."""
     errors = []
     for z in sample_observations(theta, problem, config.master_seed,
-                                 count=config.replications):
-        d = theta - estimate(z, D)
+                                 count=config.replications, D=D):
+        d = theta - estimate(unread_beyond(z, problem.n), D)
         errors.append(math.fsum((d * d).tolist()))
     reps = len(errors)
     if min(errors) == max(errors):
@@ -349,6 +357,59 @@ def test_block_rows_equal_single_draws(case, count, data):
         parts.append(part.reshape(-1, problem.n))
         left -= k or 1
     assert np.concatenate(parts).tobytes() == block.tobytes()
+
+
+@given(mc_cases(), st.integers(1, 70), st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_blocks_read_d_normals_per_row(case, count, data):
+    problem, theta, _, config = case
+    n, m = problem.n, config.master_seed
+    d = data.draw(st.sampled_from([0, n, data.draw(st.integers(0, n))]))
+    # D = N is the default, bit for bit
+    assert (sample_observations(theta, problem, m, count=count, D=n).tobytes()
+            == sample_observations(theta, problem, m, count=count).tobytes())
+    assert (sample_observations(theta, problem, m, D=n).tobytes()
+            == sample_observations(theta, problem, m).tobytes())
+    block = sample_observations(theta, problem, m, count=count, D=d)
+    single = sample_observations(theta, problem, m, D=d)
+    assert block.shape == (count, d) and single.shape == (d,)
+    assert not block.flags.writeable and not single.flags.writeable
+    # row 0 is the first D coordinates of the single draw keyed m
+    assert block[0].tobytes() == single.tobytes()
+    assert single.tobytes() == sample_observations(theta, problem, m)[:d].tobytes()
+    # row r holds the normals r*D .. r*D + D - 1 of the one stream
+    xi = np.random.Generator(np.random.Philox(key=m)).standard_normal(count * d)
+    want = theta[:d] + (problem.sigma / problem.spectrum.values[:d]) * xi.reshape(count, d)
+    assert block.tobytes() == want.tobytes()
+
+
+def test_level_zero_draws_nothing():
+    p = toy_problem(n=8)
+    gen = np.random.Generator(np.random.Philox(key=3))
+    assert sample_observations(np.zeros(8), p, gen, count=5, D=0).shape == (5, 0)
+    assert sample_observations(np.zeros(8), p, gen, D=0).shape == (0,)
+    assert (sample_observations(np.zeros(8), p, gen).tobytes()
+            == sample_observations(np.zeros(8), p, 3).tobytes())
+
+
+@pytest.mark.parametrize("d, message", [
+    (-1, r"level D = -1 out of range 0\.\.8"),
+    (9, r"level D = 9 out of range 0\.\.8"),
+    (2.0, "D must be an integer"),
+    (True, "D must be an integer"),
+])
+def test_levels_outside_the_range_rejected(d, message):
+    p = toy_problem(n=8)
+    with pytest.raises(ValidationError, match=message):
+        sample_observations(np.zeros(8), p, 0, D=d)
+    with pytest.raises(ValidationError, match=message):
+        sample_observations(np.zeros(8), p, 0, count=2, D=d)
+
+
+def test_level_draws_still_check_theta_at_length_n():
+    p = toy_problem(n=8)
+    with pytest.raises(ValidationError, match="element length 3 does not match N = 8"):
+        sample_observations(np.zeros(3), p, 0, D=3)
 
 
 @st.composite

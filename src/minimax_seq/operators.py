@@ -106,10 +106,16 @@ def to_sequence(y, model: OperatorModel) -> np.ndarray:
             f"{model.matrix.shape[0]}")
     if model.rank < 1:
         raise ValidationError("operator has rank 0; nothing to invert")
+    if not np.isfinite(yv).all():
+        raise ValidationError("observations must be finite")
     with np.errstate(over="ignore"):  # an infinite z_j is rejected below
         z = (model.left.T @ yv) / model.singular_values
-    if not np.isfinite(z).all():
-        raise ValidationError("observations must be finite")
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        j = int(bad[0]) + 1
+        raise ValidationError(
+            f"observations must be finite: <y, u_{j}>/s_{j} overflows "
+            f"(s_{j} = {float(model.singular_values[j - 1])!r})")
     z.flags.writeable = False
     return z
 

@@ -73,10 +73,10 @@ class RegimeSpec:
     sigma_grid: tuple
 
     def __post_init__(self) -> None:
-        if self.spectrum_kind not in _FORMULAS:
-            raise ValidationError(f"unknown spectrum kind {self.spectrum_kind!r}")
-        if self.smoothness_kind not in _FORMULAS:
-            raise ValidationError(f"unknown smoothness kind {self.smoothness_kind!r}")
+        for name, kind in (("spectrum", self.spectrum_kind),
+                           ("smoothness", self.smoothness_kind)):
+            if not (isinstance(kind, str) and kind in _FORMULAS):
+                raise ValidationError(f"unknown {name} kind {kind!r}")
         for name, value in (("p", self.p), ("kappa", self.kappa)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"regime needs finite {name} > 0, got {value!r}")

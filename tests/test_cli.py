@@ -433,6 +433,15 @@ class TestExitCodes:
         assert (code, out) == (2, b"")
         assert_one_line_error(err, message)
 
+    def test_overflowing_z_names_the_singular_value(self, tmp_path):
+        (tmp_path / "matrix.csv").write_text("1e-320,0\n0,1e-320\n")
+        (tmp_path / "data.csv").write_text("1\n2\n")
+        code, out, err = run_cli(["invert", "--matrix", str(tmp_path / "matrix.csv"),
+                                  "--data", str(tmp_path / "data.csv"), "--d", "1"])
+        assert (code, out) == (2, b"")
+        assert err == (b"mseq: validation error: observations must be finite: "
+                       b"<y, u_1>/s_1 overflows (s_1 = 1e-320)\n")
+
     @pytest.mark.parametrize("command, needle", [
         (["jmax"], None), (["optimal"], None),
         (["risk", "--d", "399"], b"non-finite"),

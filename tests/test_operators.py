@@ -91,6 +91,21 @@ class TestSequenceMapping:
         want = model.right.T @ x
         np.testing.assert_allclose(z, want, rtol=0, atol=1e-10)
 
+    def test_overflowing_coefficient_names_its_singular_value(self):
+        # y is finite and z_1 = 1e300 is too, but <y, u_2>/s_2 = 1e320 overflows
+        model = decompose(np.diag([1e-310, 1e-320]))
+        with pytest.raises(ValidationError) as info:
+            to_sequence(np.array([1e-10, 1.0]), model)
+        assert str(info.value) == ("observations must be finite: "
+                                   "<y, u_2>/s_2 overflows (s_2 = 1e-320)")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_is_named_as_such(self, bad):
+        model = decompose(np.eye(2))
+        with pytest.raises(ValidationError) as info:
+            to_sequence(np.array([1.0, bad]), model)
+        assert str(info.value) == "observations must be finite"
+
     def test_basis_image(self):
         model = decompose(make_integration_operator(8))
         z = to_sequence(model.left[:, 0], model)

@@ -174,6 +174,17 @@ class TestSweep:
             RegimeSpec.from_tag("pp", 1.0, 2.0, args["grid"],
                                 radius=args["radius"], n=args["n"])
 
+    @pytest.mark.parametrize("kinds, needle", [
+        ((["power"], "power"), "unknown spectrum kind ['power']"),
+        (("power", {"kind": "power"}), "unknown smoothness kind {'kind': 'power'}"),
+        (("power", None), "unknown smoothness kind None"),
+        (("cubic", "power"), "unknown spectrum kind 'cubic'"),
+    ])
+    def test_spec_rejects_unknown_and_non_string_kinds(self, kinds, needle):
+        # an unhashable kind is a validation error, not a TypeError
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            RegimeSpec(*kinds, 1.0, 1.0, 1.0, 64, (1e-3,))
+
     def test_only_generator_errors_become_saturation(self, monkeypatch):
         # exp(-p*j) underflows to 0 before N = 2^20: a resolution failure
         with pytest.raises(SaturationError, match="not representable"):

@@ -14,15 +14,21 @@ same generator, so the bits do not depend on the block size.  A
 replication's squared error is the math.fsum of its N squared coordinate
 errors; the N - D beyond the level are the same theta_j^2 in every row,
 so each row holds their sum once, as the few doubles of an exact
-expansion (_tail_expansion), which keeps fsum's bits.  Each block's rows
-are summed by the certified array kernel truncation._row_fsums, which
-returns math.fsum's bits (rows it cannot certify read fsum itself).
+expansion (_tail_expansion), which keeps fsum's bits.  A block holds as
+many rows of those D + len(expansion) values as fit in _BLOCK_DOUBLES
+(at least one), and its rows are summed by the certified array kernel
+truncation._row_fsums, which returns math.fsum's bits (rows it cannot
+certify read fsum itself).  The squared errors stay one float64 array;
+their mean and sample variance are math.fsum of whole-array passes, the
+squared deviations formed by np.float_power, which calls libm pow as the
+Python float (e - mean) ** 2 does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,7 +51,8 @@ __all__ = [
 
 
 # most replications one Monte Carlo run may hold: each keeps its squared
-# error, about 46 bytes, so 2^22 of them stay under 200 MB
+# error as a double, so 2^22 of them stay under 200 MB (about 69 MB max RSS
+# for `mseq simulate --reps 4194304` at N = 64)
 _MAX_REPLICATIONS = 1 << 22
 
 
@@ -92,7 +99,9 @@ def sample_observations(theta, problem: SequenceProblem, seed,
     (D,).  With ``count=k``, an integer k >= 1, it is a (k, D) block holding
     the next k*D normals in row order, so row 0 of a block keyed m is the
     single draw keyed m, and successive calls on one Generator give the
-    rows of one call with their summed count.
+    rows of one call with their summed count.  A coordinate whose noise
+    sigma/s_k * xi_k or observation overflows (a tiny s_k) reads +-inf,
+    with no warning.
     """
     n = problem.n
     theta = _checked_vector(theta, n)
@@ -110,8 +119,9 @@ def sample_observations(theta, problem: SequenceProblem, seed,
     gen = seed
     if not isinstance(gen, np.random.Generator):
         gen = np.random.Generator(np.random.Philox(key=_seed("seed", seed)))
-    scale = problem.sigma / problem.spectrum.values[:D]
-    z = theta[:D] + scale * gen.standard_normal(shape)
+    with np.errstate(over="ignore"):  # an overflowing coordinate reads +-inf
+        scale = problem.sigma / problem.spectrum.values[:D]
+        z = theta[:D] + scale * gen.standard_normal(shape)
     z.flags.writeable = False
     return z
 
@@ -138,19 +148,31 @@ def _tail_expansion(theta_tail: np.ndarray) -> list[float]:
     return parts
 
 
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-d float64 array, read as Python floats
+    _BLOCK_DOUBLES at a time so that no list of the whole array is held."""
+    return math.fsum(chain.from_iterable(
+        values[i:i + _BLOCK_DOUBLES].tolist()
+        for i in range(0, len(values), _BLOCK_DOUBLES)))
+
+
 def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                      config: SimulationConfig) -> RiskEstimate:
     """Average squared estimation error over config.replications draws.
 
     The replications read one Philox stream keyed master_seed in order, D
-    normals each, so the estimate is reproducible bit-for-bit.  The draws
-    come in blocks of _BLOCK_DOUBLES // N replications from that one
-    generator, each block one sample_observations call at level D, so
-    memory stays bounded for any replication count and the bits do not
-    depend on the block size.  Each replication's squared error is the
-    math.fsum of its row, the D squared errors of the estimated
-    coordinates and the exact expansion of the rest, read for a whole
-    block at once by _row_fsums.
+    normals each, so the estimate is reproducible bit-for-bit.  Each
+    replication's squared error is the math.fsum of its row, the D squared
+    errors of the estimated coordinates and the exact expansion of the
+    rest, read for a whole block at once by _row_fsums.  A block is
+    max(1, _BLOCK_DOUBLES // (D + len(expansion))) replications, one
+    sample_observations call at level D on the one generator, so a block
+    holds at most _BLOCK_DOUBLES values (or one row), and the bits do not
+    depend on the block size.  The squared errors are kept as one float64
+    array, 8 bytes per replication; the mean is math.fsum of it, and the
+    sample variance math.fsum of its squared deviations, each a
+    np.float_power(e - mean, 2.0), with the bits of (e - mean) ** 2.  A
+    squared error or deviation that overflows raises ValidationError.
     """
     ensure_usable(problem)
     n = problem.n
@@ -161,31 +183,39 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
         raise ValidationError(f"level D = {D} out of range 0..{n}")
     theta = _checked_vector(theta, n)
     reps = config.replications
-    rows = max(1, _BLOCK_DOUBLES // n)
     gen = np.random.Generator(np.random.Philox(key=config.master_seed))
-    errors = []
+    errors = np.empty(reps)
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below
             tail = _tail_expansion(theta[D:])
+            width = D + len(tail)
+            rows = max(1, _BLOCK_DOUBLES // max(1, width))
             for r0 in range(0, reps, rows):
                 z = sample_observations(theta, problem, gen,
                                         count=min(rows, reps - r0), D=D)
                 # the squares of theta - estimate(z, D), row by row, with
                 # the constant columns beyond D replaced by their exact sum
-                sq = np.empty((len(z), D + len(tail)))
+                sq = np.empty((len(z), width))
                 head = sq[:, :D]
                 np.subtract(theta[:D], z, out=head)
                 head *= head
                 sq[:, D:] = tail
-                errors.extend(_row_fsums(sq).tolist())
-        total = math.fsum(errors)
+                errors[r0:r0 + len(z)] = _row_fsums(sq)
+        total = _fsum(errors)
         if not math.isfinite(total):  # a squared error is inf or NaN
             raise OverflowError
-        if min(errors) == max(errors):
+        if errors.min() == errors.max():
             # degenerate (e.g. noiseless) runs have exactly zero sample variance
-            return RiskEstimate(errors[0], 0.0, reps, config.master_seed)
+            return RiskEstimate(float(errors[0]), 0.0, reps, config.master_seed)
         mean = total / reps
-        var = math.fsum((e - mean) ** 2 for e in errors) / (reps - 1)
+        # the squared deviations, in place: float_power calls libm pow, as
+        # the float (e - mean) ** 2 does
+        errors -= mean
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            np.float_power(errors, 2.0, out=errors)
+        var = _fsum(errors) / (reps - 1)
+        if not math.isfinite(var):  # a squared deviation overflows
+            raise OverflowError
     except OverflowError:
         raise ValidationError(
             f"Monte Carlo squared error at level D = {D} overflows") from None

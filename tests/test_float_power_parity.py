@@ -1,19 +1,23 @@
 """np.float_power(x, 2.0) and np.float_power(x, 4.0) equal the numpy-scalar
-x ** 2 and x ** 4 bit for bit.
+x ** 2 and x ** 4 bit for bit, and np.float_power(x, 2.0) equals the
+Python-float x ** 2, on positive and negative x.
 
 The level scans build their squares and fourth powers as whole arrays with
 np.float_power, and the per-level values they must reproduce were written
-as numpy-scalar powers.  Both call libm pow, so they agree on one platform
-whatever its CPU features; np.power(x, 2.0) and x * x do not (numpy
-squares there, with another rounding).  The check runs in this process and
-again in child processes with numpy's AVX-512 loops off and with glibc's
-AVX2/FMA variants off; each override is set only in the child's
-environment.  Run from the repository root as a script, the check prints
+as numpy-scalar powers.  The Monte Carlo variance squares its deviations,
+of either sign, with np.float_power, and its reference writes them as
+Python-float powers.  All of these call libm pow, so they agree on one
+platform whatever its CPU features; np.power(x, 2.0) and x * x do not
+(numpy squares there, with another rounding).  The check runs in this
+process and again in child processes with numpy's AVX-512 loops off and
+with glibc's AVX2/FMA variants off; each override is set only in the
+child's environment.  Run from the repository root as a script, the check prints
 its mismatch counts and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/test_float_power_parity.py
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +35,8 @@ OVERRIDES = {
 
 
 def parity_values() -> np.ndarray:
-    """The generated spectra and classes, and extreme doubles."""
+    """The generated spectra and classes, and extreme doubles, each with
+    its negation."""
     parts = []
     j = np.arange(1, 4097, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
@@ -48,22 +53,35 @@ def parity_values() -> np.ndarray:
     bits = rng.integers(0, 0x7FF0000000000000, 200000, dtype=np.int64)
     parts.append(bits.view(np.float64))  # every finite exponent, subnormals too
     values = np.concatenate(parts)
-    return values[np.isfinite(values) & (values > 0.0)]
+    values = values[np.isfinite(values) & (values > 0.0)]
+    return np.concatenate([values, -values])
 
 
 def mismatches(values: np.ndarray) -> dict:
-    """Count of values whose float_power bits differ from the scalar power."""
+    """Count of values whose float_power bits differ from the scalar power:
+    numpy-scalar x ** 2 and x ** 4, then Python-float x ** 2."""
     out = {}
     with np.errstate(over="ignore", under="ignore"):
         for k in (2, 4):
             array = np.float_power(values, float(k))
             scalar = np.array([x ** k for x in values])
-            out[k] = int((array.view(np.int64) != scalar.view(np.int64)).sum())
+            out[f"x**{k}"] = int((array.view(np.int64) != scalar.view(np.int64)).sum())
+    # a Python float raises OverflowError where the power overflows; such
+    # a value reads inf, as float_power's does
+    python = []
+    for x in values.tolist():
+        try:
+            python.append(x ** 2)
+        except OverflowError:
+            python.append(math.inf)
+    with np.errstate(over="ignore"):
+        array = np.float_power(values, 2.0)
+    out["float x**2"] = int((array.view(np.int64) != np.array(python).view(np.int64)).sum())
     return out
 
 
 def test_float_power_matches_scalar_power_here():
-    assert mismatches(parity_values()) == {2: 0, 4: 0}
+    assert mismatches(parity_values()) == {"x**2": 0, "x**4": 0, "float x**2": 0}
 
 
 @pytest.mark.parametrize("name", OVERRIDES)
@@ -79,5 +97,5 @@ def test_float_power_matches_scalar_power_under_override(name):
 
 if __name__ == "__main__":
     counts = mismatches(parity_values())
-    print(f"mismatches: x**2 {counts[2]}, x**4 {counts[4]}")
+    print("mismatches: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
     sys.exit(1 if any(counts.values()) else 0)

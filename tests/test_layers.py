@@ -48,9 +48,11 @@ def test_monte_carlo_draws_through_sample_observations(monkeypatch):
     n, reps = 64, 1000
     problem = SequenceProblem(make_power_spectrum(1.0, n),
                               make_power_class(1.0, n), 0.1, n)
-    simulate.monte_carlo_risk(problem, least_favorable(problem, 3), 3,
+    theta = least_favorable(problem, 3)
+    simulate.monte_carlo_risk(problem, theta, 3,
                               simulate.SimulationConfig(reps, 7, n))
-    rows = max(1, _BLOCK_DOUBLES // n)
+    # a block holds at most _BLOCK_DOUBLES values of rows D + len(tail) wide
+    rows = max(1, _BLOCK_DOUBLES // (3 + len(simulate._tail_expansion(theta[3:]))))
     assert len(calls) >= 1
     assert len(calls) == math.ceil(reps / rows)
     assert sum(calls) == reps

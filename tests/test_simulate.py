@@ -53,6 +53,17 @@ class TestSampleObservations:
         a, b = sample_observations(theta, p, 9, count=2)
         assert not np.array_equal(a, b)
 
+    def test_overflowing_noise_reads_inf_without_warning(self):
+        # sigma / s_2 = 0.1 / 1e-320 overflows
+        p = SequenceProblem(explicit_spectrum(np.array([1.0, 1e-320])),
+                            explicit_class(np.ones(2), 1.0), 0.1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = sample_observations(np.zeros(2), p, 1)
+            block = sample_observations(np.zeros(2), p, 1, count=4)
+        assert np.isfinite(block[:, 0]).all() and np.isinf(block[:, 1]).all()
+        assert block[0].tobytes() == single.tobytes()
+
     def test_noise_scale_matches_amplification(self):
         # empirical std of z_k - theta_k over many draws is sigma/s_k
         p = toy_problem(sigma=0.2, n=8)
@@ -286,7 +297,9 @@ def mc_cases(draw):
         theta = least_favorable(problem, int(rng.integers(0, n)))
     else:  # strictly inside the ellipsoid
         theta = rng.uniform(-1.0, 1.0, n) / (ellipsoid.weights * math.sqrt(n))
-    rows = max(1, _BLOCK_DOUBLES // n)
+    # monte_carlo_risk's rows per block: each row holds d squared errors
+    # and the expansion of the constant tail
+    rows = max(1, _BLOCK_DOUBLES // max(1, d + len(_tail_expansion(theta[d:]))))
     reps = draw(st.sampled_from([1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1]))
     config = SimulationConfig(reps, draw(st.integers(0, 2 ** 64 - 1)), n)
     return problem, theta, d, config
@@ -322,12 +335,18 @@ def fresh_stream_draw(theta, problem, m):
 
 
 _TOY = toy_problem(n=64)
+_WIDE = toy_problem(n=_BLOCK_DOUBLES + 1)
 
 
 @given(mc_cases())
 @example((toy_problem(sigma=0.0), least_favorable(toy_problem(), 2), 16,
           SimulationConfig(300, 3, 16)))
 @example((_TOY, least_favorable(_TOY, 3), 0, SimulationConfig(129, 2 ** 64 - 1, 64)))
+# rows of 64 squared errors, 256 to a block: two blocks
+@example((_TOY, least_favorable(_TOY, 3), 64, SimulationConfig(257, 5, 64)))
+# a row of _BLOCK_DOUBLES squared errors and one tail double: one-row blocks
+@example((_WIDE, least_favorable(_WIDE, _BLOCK_DOUBLES), _BLOCK_DOUBLES,
+          SimulationConfig(3, 11, _BLOCK_DOUBLES + 1)))
 @settings(max_examples=60, deadline=None)
 def test_blocked_monte_carlo_matches_one_draw_per_replication(case):
     problem, theta, d, config = case

@@ -51,6 +51,7 @@ from .truncation import (
     _BLOCK_DOUBLES,
     _best_level,
     _derived,
+    _exact_sum,
     _row_fsums,
     _variances,
     optimal_truncation,
@@ -125,7 +126,7 @@ class SandwichReport:
 
 def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
     """J(r) = sum_i min{r_i, sigma^2/s_i^2}, the subset-estimator risk on
-    the rectangle {theta_i^2 <= r_i}."""
+    the rectangle {theta_i^2 <= r_i}; inf when the sum overflows."""
     arr = np.asarray(r, dtype=np.float64)
     if arr.shape != (spectrum.n_max,):
         raise ValidationError(
@@ -133,8 +134,7 @@ def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
     if np.any(arr < 0.0):
         j = int(np.nonzero(arr < 0.0)[0][0])
         raise ValidationError(f"r_{j + 1} = {arr[j]!r} is negative")
-    caps = _caps(spectrum, sigma)
-    return math.fsum(np.minimum(arr, caps).tolist())
+    return _exact_sum(np.minimum(arr, _caps(spectrum, sigma)))
 
 
 def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
@@ -144,7 +144,8 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     order, which is ascending order of a_i^2; the first coordinate the
     budget left (subtracted left to right) cannot cover gets a fractional
     fill, later ones get zero.  The result is the exact maximizer of J over
-    {r >= 0 : sum a_i^2 r_i <= Q^2}.
+    {r >= 0 : sum a_i^2 r_i <= Q^2}.  A pivot r_k or a value J(r*) that
+    overflows raises ValidationError.
     """
     ensure_usable(problem)
     caps = _caps(problem.spectrum, problem.sigma)
@@ -166,9 +167,12 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
                     f"{float(left[k])!r}, over a_{k + 1}^2 = {float(a2[k])!r} "
                     "overflows")
 
-    value = math.fsum(np.minimum(r, caps).tolist())
+    value = _exact_sum(np.minimum(r, caps))
+    if value == math.inf:
+        raise ValidationError(
+            "J(r_star) is non-finite: sum_i min(r_i, sigma^2/s_i^2) overflows")
     used = r > 0.0  # so that inf * 0 adds no NaN; fsum skips +0.0 terms
-    budget_used = math.fsum((a2[used] * r[used]).tolist())
+    budget_used = _exact_sum(a2[used] * r[used])
     set_p = frozenset((np.flatnonzero(r >= caps) + 1).tolist())
     set_qeq = frozenset((np.flatnonzero(r == caps) + 1).tolist())
     r.flags.writeable = False
@@ -177,12 +181,13 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
 
 def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
     """The derivative toward each row of the 2-d array rows, with the bits
-    and errors of math.fsum on one row at a time.  The masks of P and Q_eq
-    and the a_i^2 are built once; the rows then go in blocks of at most
+    of math.fsum on one row at a time.  The masks of P and Q_eq and the
+    a_i^2 are built once; the rows then go in blocks of at most
     _BLOCK_DOUBLES values, whose budgets and two derivative sums are read
-    by _row_fsums.  A block stops at its first negative row, then at its
-    first infeasible one; the rows before it are summed, and then that row
-    raises its error."""
+    by _row_fsums, where a sum that overflows reads inf.  A block stops at
+    its first negative row, then at its first infeasible one; the rows
+    before it are summed, and the first whose derivative is inf or inf - inf
+    raises, else that row raises its error."""
     n, q2 = len(solution.r_star), solution.problem.ellipsoid.radius ** 2
     outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
@@ -197,8 +202,14 @@ def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
             budgets = _row_fsums(np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0))
             stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
             h = block[:stop] - solution.r_star
-            out.append(_row_fsums(h[:, outside_p])
-                       - _row_fsums(np.maximum(-h[:, in_qeq], 0.0)))
+            gain = _row_fsums(h[:, outside_p])
+            loss = _row_fsums(np.maximum(-h[:, in_qeq], 0.0))
+            out.append(gain - loss)
+            bad = _first(np.isinf(gain) | np.isinf(loss) | np.isinf(out[-1]), stop)
+            if bad < stop:
+                raise ValidationError(
+                    f"derivative toward r is non-finite: sum_(i not in P) h_i = "
+                    f"{float(gain[bad])!r} less {float(loss[bad])!r} over Q_eq")
             if stop < len(budgets):
                 raise ValidationError(f"r infeasible: sum a_i^2 r_i = "
                                       f"{float(budgets[stop])!r} exceeds Q^2 = {q2!r}")

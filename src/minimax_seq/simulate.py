@@ -14,21 +14,22 @@ same generator, so the bits do not depend on the block size.  A
 replication's squared error is the math.fsum of its N squared coordinate
 errors; the N - D beyond the level are the same theta_j^2 in every row,
 so each row holds their sum once, as the few doubles of an exact
-expansion (_tail_expansion), which keeps fsum's bits.  A block holds as
-many rows of those D + len(expansion) values as fit in _BLOCK_DOUBLES
-(at least one), and its rows are summed by the certified array kernel
-truncation._row_fsums, which returns math.fsum's bits (rows it cannot
-certify read fsum itself).  The squared errors stay one float64 array;
-their mean and sample variance are math.fsum of whole-array passes, the
-squared deviations formed by np.float_power, which calls libm pow as the
-Python float (e - mean) ** 2 does.
+expansion (_tail_expansion, through truncation._expansion), which keeps
+fsum's bits.  A block holds as many rows of those D + len(expansion)
+values as fit in _BLOCK_DOUBLES (at least one), and its rows are summed
+by the certified array kernel truncation._row_fsums, which returns
+math.fsum's bits (rows it cannot certify read fsum itself).  The squared
+errors stay one float64 array; their mean and sample variance are
+truncation._exact_sum of whole-array passes, the squared deviations
+formed by np.float_power, which calls libm pow as the Python float
+(e - mean) ** 2 does.  Every sum that overflows reads inf, and is
+reported as a ValidationError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,7 +40,13 @@ from .problem import (
     _seed,
     ensure_usable,
 )
-from .truncation import _BLOCK_DOUBLES, _checked_vector, _row_fsums
+from .truncation import (
+    _BLOCK_DOUBLES,
+    _checked_vector,
+    _exact_sum,
+    _expansion,
+    _row_fsums,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -128,32 +135,17 @@ def sample_observations(theta, problem: SequenceProblem, seed,
 
 def _tail_expansion(theta_tail: np.ndarray) -> list[float]:
     """Non-overlapping doubles whose exact sum is sum_j theta_j*theta_j
-    over theta_tail, each square rounded as a double; [] for a zero sum.
-
-    Each part is math.fsum of the squares less the parts before it, the
-    correctly rounded value of what they leave, so at most one part per 53
-    bits of the exact sum.  A row that holds these parts in place of the
-    squares has the same exact sum, so fsum and _row_fsums give it the
-    same bits.  A square or sum that overflows raises OverflowError.
+    over theta_tail, each square rounded as a double; [] for a zero sum
+    (truncation._expansion of the squares).  A row that holds these parts
+    in place of the squares has the same exact sum, so fsum and _row_fsums
+    give it the same bits.  A square or sum that overflows raises
+    OverflowError.
     """
     with np.errstate(over="ignore"):  # an infinite square is raised below
         squares = theta_tail * theta_tail
     if not np.isfinite(squares).all():
         raise OverflowError
-    terms = squares.tolist()
-    parts = []
-    while part := math.fsum(terms):
-        parts.append(part)
-        terms.append(-part)
-    return parts
-
-
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a 1-d float64 array, read as Python floats
-    _BLOCK_DOUBLES at a time so that no list of the whole array is held."""
-    return math.fsum(chain.from_iterable(
-        values[i:i + _BLOCK_DOUBLES].tolist()
-        for i in range(0, len(values), _BLOCK_DOUBLES)))
+    return _expansion(squares.tolist())
 
 
 def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
@@ -169,10 +161,11 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     sample_observations call at level D on the one generator, so a block
     holds at most _BLOCK_DOUBLES values (or one row), and the bits do not
     depend on the block size.  The squared errors are kept as one float64
-    array, 8 bytes per replication; the mean is math.fsum of it, and the
-    sample variance math.fsum of its squared deviations, each a
+    array, 8 bytes per replication; the mean is _exact_sum of it, and the
+    sample variance _exact_sum of its squared deviations, each a
     np.float_power(e - mean, 2.0), with the bits of (e - mean) ** 2.  A
-    squared error or deviation that overflows raises ValidationError.
+    squared error or deviation, or a sum of them, that overflows raises
+    ValidationError.
     """
     ensure_usable(problem)
     n = problem.n
@@ -201,8 +194,8 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
                 head *= head
                 sq[:, D:] = tail
                 errors[r0:r0 + len(z)] = _row_fsums(sq)
-        total = _fsum(errors)
-        if not math.isfinite(total):  # a squared error is inf or NaN
+        total = _exact_sum(errors)
+        if not math.isfinite(total):  # a squared error or their sum is inf
             raise OverflowError
         if errors.min() == errors.max():
             # degenerate (e.g. noiseless) runs have exactly zero sample variance
@@ -213,7 +206,7 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
         errors -= mean
         with np.errstate(over="ignore"):  # an overflow is reported below
             np.float_power(errors, 2.0, out=errors)
-        var = _fsum(errors) / (reps - 1)
+        var = _exact_sum(errors) / (reps - 1)
         if not math.isfinite(var):  # a squared deviation overflows
             raise OverflowError
     except OverflowError:
@@ -241,7 +234,7 @@ def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
     for pos, cand in enumerate(candidates):
         theta = _checked_vector(cand, problem.n)
         with np.errstate(over="ignore"):  # inf lies outside, reported below
-            radius_sq = math.fsum((a * theta) ** 2)
+            radius_sq = _exact_sum((a * theta) ** 2)
         if radius_sq > q2 * (1.0 + 1e-12):
             raise ValidationError(
                 f"candidate {pos} lies outside the ellipsoid "

@@ -14,21 +14,22 @@ terms per spectrum and one of biases per class (_noise_terms, _bias_sq).
 The level scans (_best_level) are whole-array passes: one running sum of
 the noise terms, with Higham's bound on its error, encloses every level's
 value, and only the few levels that may be the minimum read their exact
-prefix sums, one math.fsum each; a scan with many near-tied levels reads
-them from one running exact sum (_exact_prefix_sums), which keeps the sum
-as an integer count of 2^-k, the finest power of two among the terms
-(k <= 1074), with the same bits.  The row sums of a 2-d array (_row_fsums)
-read fsum's bits too, certified in a few whole-array passes.
+prefix sums.  The first read is one math.fsum of its prefix; a later read
+carries the previous one as the few doubles of an exact expansion
+(_expansion) and adds only the terms since, so a scan with many near-tied
+levels converts each term once.  The row sums of a 2-d array (_row_fsums)
+read fsum's bits too, certified in a few whole-array passes.  A sum that
+overflows reads as inf (_exact_sum).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -98,51 +99,39 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum of the non-negative terms, inf when their sum overflows."""
+    """math.fsum of the 1-d float64 array terms, inf when fsum overflows.
+    An array longer than _BLOCK_DOUBLES is read as Python floats that many
+    at a time, so that no list of the whole array is held."""
     try:
-        return math.fsum(terms.tolist())
+        if len(terms) <= _BLOCK_DOUBLES:
+            return math.fsum(terms.tolist())
+        return math.fsum(chain.from_iterable(
+            terms[i:i + _BLOCK_DOUBLES].tolist()
+            for i in range(0, len(terms), _BLOCK_DOUBLES)))
     except OverflowError:
         return math.inf
 
 
-def _exact_prefix_sums(terms):
-    """Yield 0.0, then the exactly rounded sum of each prefix of ``terms``
-    (non-negative floats): the k-th value is math.fsum(terms[:k]) bit for bit,
-    at O(1) cost per term instead of O(k).
+def _expansion(terms: list) -> list:
+    """Non-overlapping doubles, the largest first, whose exact sum is that
+    of the finite floats ``terms``; [] for a zero sum.  ``terms`` is
+    extended in place.
 
-    Every finite double is n / 2^k for integers n and 0 <= k <= 1074, so the
-    running sum is kept exactly as the integer ``total`` over ``unit``, the
-    largest such 2^k so far (an integer count of 2^-1074 at the finest);
-    a finer term rescales ``total``.  Each readout is one int/int division,
-    which CPython rounds correctly, subnormals included, as fsum rounds the
-    exact sum.  A term is drawn only when its prefix is read.
-
-    A prefix that holds an infinite term, or whose sum rounds past the
-    largest double, reads as inf (as_integer_ratio or the division raises
-    OverflowError), and so does every later prefix: with no negative term
-    the exact sum only grows.
+    Each part is math.fsum of the terms less the parts before it, the
+    correctly rounded value of what they leave (Shewchuk, 1997), so there
+    is at most one part per 53 bits of the exact sum, and the first is
+    fsum of the terms.  A sum that overflows raises OverflowError.
     """
-    total, unit, bits = 0, 1, 1  # bits = unit.bit_length()
-    yield 0.0
-    terms = iter(terms)
-    try:
-        for term in terms:
-            n, d = term.as_integer_ratio()
-            k = d.bit_length()
-            if k > bits:
-                total <<= k - bits
-                unit, bits = d, k
-            total += n << (bits - k)
-            yield total / unit
-    except OverflowError:
-        yield math.inf
-        for _ in terms:
-            yield math.inf
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        terms.append(-part)
+    return parts
 
 
 # values per block for the callers of _row_fsums (Monte Carlo, the jmax
 # certificate): 256 rows at N = 64, one row at N > 16384; also the longest
-# derived array _derived keeps
+# derived array _derived keeps, and the longest list _exact_sum makes
 _BLOCK_DOUBLES = 16384
 
 
@@ -190,8 +179,9 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
     when |t| + eta is below half the smaller gap from r to a neighbour.
     Every other row (one with a non-finite value or with (n + 2) * max|x|
     outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or r = 0, whose sign
-    fsum decides) reads math.fsum of the row, in row order, so fsum's own
-    OverflowError or ValueError is raised as it would be.
+    fsum decides) reads _exact_sum of the row, in row order: a row whose
+    fsum overflows reads inf, and fsum's ValueError (inf - inf) is raised
+    as it would be.
     """
     rows, n = x.shape
     if n == 0:
@@ -216,15 +206,11 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
         ok = ((span >= _SPAN_MIN) & (span <= _SPAN_MAX)
               & (np.abs(t) + eta_unit * tau[:, 0] < half_gap))
     for i in np.flatnonzero(~ok):
-        r[i] = math.fsum(x[i].tolist())
+        r[i] = _exact_sum(x[i])
     return r
 
 
 _MAX_DOUBLE = sys.float_info.max
-
-# exact prefix sums read as one math.fsum each, O(D), up to this many reads
-# per scan; later reads advance one _exact_prefix_sums walk, O(1) per level
-_FSUM_READS = 32
 
 
 class _PrefixSpreads:
@@ -234,48 +220,51 @@ class _PrefixSpreads:
 
     ``lower`` bounds every spread from below, ``upper(D)`` bounds one from
     above, and calling the object with D reads it exactly.  The bounds come
-    from one running sum (np.add.accumulate, the loop behind np.cumsum).
-    It adds left to right, so its D-th value is within gamma_{D-1} * S_D
-    of the exact sum, where gamma_m = m*u/(1 - m*u) and u = 2^-53 (Higham,
-    §4.2).  Widening it by g = 2*(n + 2)*u also covers the rounding of the
+    from ``approx``, the running sums of the terms (_running_sums), added
+    left to right, so that the D-th is within gamma_{D-1} * S_D of the
+    exact sum, where gamma_m = m*u/(1 - m*u) and u = 2^-53 (Higham, §4.2).
+    Widening it by g = 2*(n + 2)*u also covers the rounding of the
     widening product; a double that bounds the exact sum bounds its rounded
     value too, and readout, correctly rounded and monotone, keeps the
     order.  A running sum that overflows reads as the largest double in
     ``lower``: the exact sum there is at least that double over
     1 + gamma_n.
 
-    The first _FSUM_READS exact reads are one math.fsum of the prefix each;
-    later ones advance one _exact_prefix_sums walk, so that a scan with
-    many near-tied levels makes at most _FSUM_READS + 1 passes over its
-    terms.  Reads go in increasing D, and a sum that overflows reads as inf.
+    Exact reads go in increasing D.  The first is one math.fsum of the
+    prefix; each later one fsums the terms since with the previous read's
+    total and the _expansion of what that total leaves, so every term is
+    converted once.  Those parts may be negative, so a carried fsum that
+    overflows re-reads the prefix, whose terms are not.  A prefix whose
+    fsum overflows, or that holds inf, reads as inf, and so does every
+    longer one.
     """
 
     def __init__(self, sig2: float, terms: np.ndarray, readout,
-                 approx: np.ndarray | None = None) -> None:
-        n = len(terms)
-        self.sig2, self.terms, self.readout = sig2, terms, readout
-        # approx, when given, is _running_sums(terms), shared across sigma
-        self.approx = _running_sums(terms) if approx is None else approx
-        self.g = 2.0 * (n + 2) * 2.0 ** -53  # 1 - g and 1 + g are exact
-        low = self.approx
+                 approx: np.ndarray) -> None:
+        self.sig2, self.terms, self.readout, self.approx = sig2, terms, readout, approx
+        self.g = 2.0 * (len(terms) + 2) * 2.0 ** -53  # 1 - g and 1 + g are exact
+        low = approx
         if low[-1] == math.inf:
             low = np.minimum(low, _MAX_DOUBLE)
         self.lower = readout(sig2, low * (1.0 - self.g))
-        self.reads, self.walk, self.at = 0, None, 0
+        # the last read's prefix length, its total and a list with its exact sum
+        self.at, self.total, self.carry = 0, 0.0, []
 
     def upper(self, d: int) -> float:
         return self.readout(self.sig2, float(self.approx[d]) * (1.0 + self.g))
 
     def __call__(self, d: int) -> float:
-        self.reads += 1
-        if self.reads <= _FSUM_READS:
-            total = _exact_sum(self.terms[:d])
-        else:
-            if self.walk is None:
-                self.walk = _exact_prefix_sums(self.terms.tolist())
-            total = next(itertools.islice(self.walk, d - self.at, None))
-            self.at = d + 1
-        return self.readout(self.sig2, total)
+        if self.total < math.inf:
+            try:
+                carry = self.terms[self.at:d].tolist()
+                if self.at:  # the last read's exact sum, as a few doubles
+                    carry += [self.total] + _expansion(self.carry + [-self.total])
+                self.carry, self.total = carry, math.fsum(carry)
+            except OverflowError:
+                self.carry = self.terms[:d].tolist()
+                self.total = _exact_sum(self.terms[:d])
+            self.at = d
+        return self.readout(self.sig2, self.total)
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 scans of truncation._best_level must match bit for bit.
 
 Each scan walks D = 0, 1, ... in Python, squares with the numpy-scalar
-x ** 2 (and x ** 4), reads each noise prefix from _exact_prefix_sums,
-stops once the spread alone exceeds the incumbent, and keeps the first
+x ** 2 (and x ** 4), reads each noise prefix as the exact sum of its
+terms kept as a fractions.Fraction and rounded once, stops once the spread alone exceeds the incumbent, and keeps the first
 strict minimum.  The functions mirror optimal_truncation,
 testing_radius_sq, deterministic_rate_sq and source_set_bound: the same
 checks, errors, SaturationWarning texts and (D*, value) bits.
@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +25,25 @@ from minimax_seq import (
 )
 from minimax_seq.bounds import SQUARED_FACTOR
 from minimax_seq.problem import ensure_usable
-from minimax_seq.truncation import _exact_prefix_sums
+
+
+def _exact_prefix_sums(terms):
+    """0.0, then the correctly rounded sum of each prefix of the
+    non-negative floats ``terms``: a running Fraction, which holds the
+    exact sum, converted to float, as math.fsum rounds it.  A prefix that
+    holds inf, or whose sum rounds past the largest double, reads inf, and
+    so does every later one.  A term is drawn only when its prefix is read."""
+    yield 0.0
+    total, terms = Fraction(0), iter(terms)
+    for term in terms:
+        try:
+            total += Fraction(term)
+            yield float(total)
+        except OverflowError:  # an infinite term, or a sum that rounds to inf
+            yield math.inf
+            break
+    for _ in terms:
+        yield math.inf
 
 
 def _noise(sig2, values):

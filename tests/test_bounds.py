@@ -51,6 +51,12 @@ class TestHyperrectangleJ:
         # caps are (0.01, 1): min(0.01, 0.01) + min(0.01, 1)
         assert hyperrectangle_J([0.01, 0.01], sp, 0.1) == pytest.approx(0.02)
 
+    def test_overflowing_sum_is_infinite(self):
+        # each min(r_i, cap_i) is 1e308; the sum reads inf, as rho_squared's
+        # does, where fsum raised OverflowError
+        sp = explicit_spectrum([1e-200, 1e-200])
+        assert hyperrectangle_J([1e308, 1e308], sp, 1.0) == math.inf
+
     def test_negative_entry_rejected(self):
         sp = make_power_spectrum(1.0, 3)
         with pytest.raises(ValidationError, match="negative"):
@@ -68,6 +74,14 @@ class TestWaterFilling:
         assert sorted(sol.set_p) == [1]
         assert sorted(sol.set_qeq) == [1]
         assert sol.budget_used == 1.0
+
+    def test_overflowing_value_is_validation_error(self):
+        # the caps 1/1e-308 fill at a cost of 1e-320 * 1e308 each, and
+        # J(r*) = 3e308 overflows; fsum raised OverflowError
+        p = SequenceProblem(explicit_spectrum([1e-154] * 3),
+                            explicit_class([1e-160] * 3, 1.0), 1.0, 3)
+        with pytest.raises(ValidationError, match=r"^J\(r_star\) is non-finite"):
+            maximize_J_over_ellipsoid(p)
 
     def test_noiseless_degenerate(self):
         sol = maximize_J_over_ellipsoid(toy_problem(sigma=0.0))
@@ -238,26 +252,56 @@ class TestGateauxCertificate:
             assert ("non-negative" in got) == (negative_row < infeasible_row)
 
     def test_rows_after_the_first_error_are_not_summed(self, monkeypatch):
-        # row 1's budget and gain sums overflow in fsum, but row 0 fails first
+        # row 1's budget and gain sums overflow, but row 0 fails first
         solution = self.zero_solution(2)
         rows = np.array([[-1.0, 0.0], [1e308, 1e308]])
         got = self.certify_rows(monkeypatch, solution, rows)
         assert got == self.per_row(solution, rows) == (
             "ValidationError: r must be non-negative")
 
+    @staticmethod
+    def huge_solution(r_star, set_p):
+        """A solution at r_star with P = Q_eq = set_p, where a_i^2 = 1e-200
+        and Q^2 = 1e120 leave rows of 1e308 feasible."""
+        n = len(r_star)
+        p = SequenceProblem(explicit_spectrum(np.ones(n)),
+                            explicit_class([1e-100] * n, 1e60), 1.0, n)
+        return dataclasses.replace(
+            maximize_J_over_ellipsoid(p), r_star=np.array(r_star),
+            set_p=frozenset(set_p), set_qeq=frozenset(set_p))
+
     def test_rows_before_the_first_error_are_summed(self, monkeypatch):
         # row 0 is feasible (budget 2e108 <= Q^2 = 1e120), but its gain sum
-        # overflows in fsum, and that error comes before row 1's
-        p = SequenceProblem(explicit_spectrum(np.ones(2)),
-                            explicit_class([1e-100, 1e-100], 1e60), 1.0, 2)
-        solution = dataclasses.replace(
-            maximize_J_over_ellipsoid(p), r_star=np.zeros(2),
-            set_p=frozenset(), set_qeq=frozenset())
+        # overflows (in the reference's fsum too), and that error comes
+        # before row 1's
+        solution = self.huge_solution([0.0, 0.0], ())
         rows = np.array([[1e308, 1e308], [-1.0, 0.0]])
         with pytest.raises(OverflowError):
             self.per_row(solution, rows)
-        with pytest.raises(OverflowError):
-            self.certify_rows(monkeypatch, solution, rows)
+        assert self.certify_rows(monkeypatch, solution, rows) == (
+            "ValidationError: derivative toward r is non-finite: "
+            "sum_(i not in P) h_i = inf less 0.0 over Q_eq")
+
+    @pytest.mark.parametrize("r_star, set_p, needle", [
+        ([0.0] * 4, (), "h_i = inf less 0.0 over Q_eq"),
+        # both sums overflow: inf - inf would read NaN
+        ([1e308, 1e308, 0.0, 0.0], (1, 2), "h_i = inf less inf over Q_eq"),
+    ], ids=["inf", "inf-minus-inf"])
+    def test_overflowing_derivative_is_validation_error(self, r_star, set_p, needle):
+        solution = self.huge_solution(r_star, set_p)
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            gateaux_derivative_J(solution, [0.0, 0.0, 1e308, 1e308])
+        assert str(info.value).endswith(needle) and "\n" not in str(info.value)
+
+    def test_overflowing_budget_is_infeasible(self):
+        # sum a_i^2 r_i = 20 * 1e307 overflows; fsum raised OverflowError
+        p = SequenceProblem(make_power_spectrum(1.0, 20),
+                            make_power_class(2.0, 20), 0.01, 20)
+        solution = maximize_J_over_ellipsoid(p)
+        r = 1e307 / p.ellipsoid.weights ** 2
+        with pytest.raises(ValidationError,
+                           match=r"^r infeasible: sum a_i\^2 r_i = inf exceeds"):
+            gateaux_derivative_J(solution, r)
 
     def test_nan_counts_only_at_row_0(self, monkeypatch):
         # max() keeps a NaN first value, and no later NaN replaces a number

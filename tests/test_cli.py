@@ -283,6 +283,31 @@ class TestExitCodes:
         capsys.readouterr()
         assert codes <= {0, 2, 3}
 
+    def test_overflowing_sums_are_one_line(self, tmp_path, capsys):
+        # singular values near 1e-154 make noise terms and caps near 1e308,
+        # and weights 1e-162..1e-155 let the water-filling fill them, so the
+        # sums of noise terms, of J(r*), of budgets and of squared errors
+        # reach the largest double; N <= 5, through four commands in-process
+        rng = np.random.default_rng(20261020)
+        codes = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            values = [10.0 ** rng.uniform(-154.5, -153.5)] * n
+            weights = [10.0 ** rng.uniform(-162, -155)] * n
+            config = explicit_config(tmp_path, values, weights,
+                                     10.0 ** rng.uniform(-1, 1),
+                                     10.0 ** rng.uniform(-1, 1))
+            d = str(rng.integers(0, n))
+            for argv in (["optimal"], ["jmax", "--directions", "20"],
+                         ["risk", "--d", d],
+                         ["simulate", "--d", d, "--reps", "5", "--seed", "1"]):
+                code = cli.run([argv[0], "--config", str(config), *argv[1:]])
+                codes.add(code)
+                err = capsys.readouterr().err.splitlines()
+                assert all(line.startswith("mseq: ") for line in err)
+                assert len([e for e in err if "error" in e]) == (code == 2)
+        assert codes <= {0, 2, 3}
+
     @pytest.mark.parametrize("command", ["optimal", "jmax"])
     def test_zero_dimension_is_validation_error(self, tmp_path, command):
         config = explicit_config(tmp_path, [], [], 0.1)
@@ -491,9 +516,12 @@ class TestExitCodes:
         # the water-filling pivot 1e20/1e-300 overflows
         ([1e-160, 1e-160], [1e-150, 1.0], 1e10,
          ["jmax"], b"r_star is non-finite at index 1"),
+        # every cap 0.01/1e-310 = 1e308 fills, so J(r*) = 3e308 overflows
+        ([1e-155] * 3, [1e-160] * 3, 1.0, ["jmax"], b"J(r_star) is non-finite"),
     ], ids=["simulate-variance", "simulate-spike", "risk-noise-sum",
             "risk-noise-sum-level", "risk-bias-level", "optimal-upper-bias",
-            "optimal-upper-one-level", "optimal-upper-noise", "jmax-r-star"])
+            "optimal-upper-one-level", "optimal-upper-noise", "jmax-r-star",
+            "jmax-value"])
     def test_overflow_is_one_line(self, tmp_path, values, weights, q, command,
                                   needle):
         config = explicit_config(tmp_path, values, weights, 0.1, q)

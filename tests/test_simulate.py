@@ -227,6 +227,15 @@ class TestEmpiricalWorstCase:
                 empirical_worst_case(p, 1, [np.array([0.0, 1.0])],
                                      SimulationConfig(10, 1, 2))
 
+    def test_overflowing_radius_sum_is_outside(self):
+        # each (a * theta)^2 = 1e308 is finite, their sum is not; fsum
+        # raised OverflowError
+        p = SequenceProblem(explicit_spectrum([1.0, 1.0]),
+                            explicit_class([1.0, 1.0], 1e154), 0.1, 2)
+        with pytest.raises(ValidationError,
+                           match=r"candidate 0 lies outside .* = inf > Q\^2"):
+            empirical_worst_case(p, 1, [[1e154, 1e154]], SimulationConfig(5, 1, 2))
+
     def test_common_random_numbers_make_comparison_exact(self):
         # under shared streams the risk gap between two spikes is exactly
         # their bias gap, for any replication count

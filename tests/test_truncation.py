@@ -1,4 +1,3 @@
-import itertools
 import math
 import operator
 import sys
@@ -33,9 +32,9 @@ from minimax_seq import (
 from minimax_seq import truncation
 from minimax_seq.truncation import (
     _BLOCK_DOUBLES,
-    _exact_prefix_sums,
     _PrefixSpreads,
     _row_fsums,
+    _running_sums,
 )
 
 import scan_reference
@@ -172,42 +171,6 @@ _TERM = st.one_of(
 _MAX = sys.float_info.max  # (2^53 - 1) * 2^971
 
 
-class TestExactPrefixSums:
-    @given(st.lists(_TERM, max_size=300))
-    @example([1e308, 1e308, 1.0])  # fsum overflows at the second term
-    @example([1.0] * 40 + [1e308, 1e308])  # overflow after many finite terms
-    @example([1e308, 1e308, math.inf])  # fsum overflows, not inf + 1e308
-    @example([math.inf] + [1.0] * 40)
-    @example([1.0, 1e-300, 3.0] * 50)  # sums that no double holds exactly
-    @example([2.0 ** -1074] * 70 + [1e300] * 70)
-    # max + 2^970 lies halfway to 2^1024 and rounds to even: inf
-    @example([_MAX, 2.0 ** 970])
-    @example([_MAX, 2.0 ** 969])  # a quarter of the way: rounds down to max
-    @example([_MAX, 2.0 ** 969, 2.0 ** 969])  # two quarters make the half: inf
-    @example([2.0 ** -1074] * 5)  # a subnormal run
-    @example([1e300, 0.1, 2.0 ** -1074, 3.0])  # finer terms rescale the count
-    @example(list(np.array([0.1, 1e-300, 3.0, 2.0 ** -1074, 1e308])))  # np.float64
-    @settings(max_examples=300, deadline=None)
-    def test_readout_is_fsum_of_every_prefix(self, terms):
-        """Every value the running sum reads out is math.fsum of the prefix,
-        bit for bit, also where the sum rounds to or past the largest double
-        and where it is subnormal."""
-        got = list(_exact_prefix_sums(iter(terms)))
-        assert [x.hex() for x in got] == [x.hex() for x in _prefix_fsums(terms)]
-
-    @pytest.mark.parametrize("terms", [[1.0, 2.0, 3.0, 4.0, 5.0],
-                                       [1.0, math.inf, 1.0, 1.0, 1.0],
-                                       [_MAX, _MAX, 1.0, 1.0, 1.0]])
-    def test_reading_k_plus_1_values_draws_at_most_k_terms(self, terms):
-        """A term is drawn only when its prefix is read, also once the sum
-        reads inf, so a scan that stops early computes no further term."""
-        for k in range(len(terms) + 1):
-            drawn = []
-            sums = _exact_prefix_sums(drawn.append(t) or t for t in terms)
-            list(itertools.islice(sums, k + 1))
-            assert len(drawn) <= k
-
-
 class TestRowFsums:
     @pytest.mark.parametrize("shape", [(64, 64), (8, 512), (1, 4096)])
     def test_squared_errors_are_certified_without_fsum(self, monkeypatch, shape):
@@ -331,25 +294,69 @@ class TestOptimalTruncation:
                 assert scan(p) == (0, math.inf)
 
 
+def _spreads(terms):
+    """The exact-read object of a scan over terms, with readout S_D."""
+    terms = np.array(terms, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return _PrefixSpreads(1.0, terms, operator.mul, _running_sums(terms))
+
+
 class TestArrayScan:
     @given(st.lists(_TERM, max_size=300))
     # the running sum stays at 1, while the exact sum rounds up to 1 + 2^-52
     @example([1.0, 0.6 * 2.0 ** -53, 0.6 * 2.0 ** -53])
     @example([_MAX, _MAX, 1.0])  # the running sum overflows
-    @example([_MAX, 2.0 ** 969])  # the exact sum rounds down to max
-    @example([2.0 ** -1074] * 40)  # a subnormal run, read past the fsum budget
+    @example([1e308, 1e308, 1.0])  # fsum overflows at the second term
+    @example([1.0] * 40 + [1e308, 1e308])  # overflow after many finite terms
+    @example([1e308, 1e308, math.inf])  # fsum overflows, not inf + 1e308
+    @example([math.inf] + [1.0] * 40)
+    @example([1.0, 1e-300, 3.0] * 50)  # sums that no double holds exactly
+    @example([2.0 ** -1074] * 70 + [1e300] * 70)
+    # max + 2^970 lies halfway to 2^1024 and rounds to even: inf
+    @example([_MAX, 2.0 ** 970])
+    @example([_MAX, 2.0 ** 969])  # a quarter of the way: rounds down to max
+    @example([_MAX, 2.0 ** 969, 2.0 ** 969])  # two quarters make the half: inf
+    @example([2.0 ** -1074] * 40)  # a subnormal run
+    @example([1e300, 0.1, 2.0 ** -1074, 3.0])  # finer terms, smaller parts
     @settings(max_examples=300, deadline=None)
     def test_bounds_enclose_every_exact_prefix_sum(self, terms):
         """lower[k] <= fsum(terms[:k]) <= upper(k) for every prefix, and the
-        exact reads, by fsum and then by the walk, are that fsum."""
-        with np.errstate(over="ignore"):
-            spreads = _PrefixSpreads(1.0, np.array(terms, dtype=np.float64),
-                                     operator.mul)
-            exact = _prefix_fsums(terms)
-            assert all(spreads.lower[k] <= want <= spreads.upper(k)
-                       for k, want in enumerate(exact))
+        exact reads, the first by one fsum and every later one carried, are
+        that fsum, also where the sum rounds to or past the largest double
+        and where it is subnormal."""
+        spreads = _spreads(terms)
+        exact = _prefix_fsums(terms)
+        assert all(spreads.lower[k] <= want <= spreads.upper(k)
+                   for k, want in enumerate(exact))
         assert [spreads(k).hex() for k in range(len(terms) + 1)] == [
             x.hex() for x in exact]
+
+    @given(st.lists(st.one_of(_TERM, st.floats(0.5, 1.0).map(_MAX.__mul__)),
+                    max_size=200), st.sets(st.integers(0, 200)))
+    # the sum rounds up to max, so its expansion holds -2^969; later terms
+    # keep it at max, then reach the half to 2^1024
+    @example([_MAX - 2.0 ** 971, 2.0 ** 970 + 2.0 ** 969] + [2.0 ** 969] * 3,
+             {2, 3, 5})
+    # the read at 3 is max, 2^900 above the exact sum; the carried fsum at 4
+    # overflows on the way to max, so it re-reads the prefix, and fsum of
+    # that overflows too: inf, as in the reference
+    @example([_MAX - 2.0 ** 971, 2.0 ** 971 - 2.0 ** 918, 2.0 ** 918 - 2.0 ** 900,
+              2.0 ** 970], {3, 4})
+    # the read at 2 rounds 1 + 2^-53 down to 1; only its residual 2^-53
+    # lifts the read at 3 past the tie, to 1 + 2^-52
+    @example([1.0, 2.0 ** -53, 2.0 ** -60], {2, 3})
+    # each read leaves a residual below half an ulp of its total
+    @example([1.0, 2.0 ** -60, 2.0 ** -120, 3.0, 2.0 ** -61, 5e-324], {1, 2, 4, 6})
+    @settings(max_examples=300, deadline=None)
+    def test_any_increasing_reads_are_fsum_of_their_prefix(self, terms, levels):
+        """Reads at a random increasing subset of the levels, so carried
+        segments hold many terms, are math.fsum of each prefix bit for bit,
+        also near the largest double, where the carried parts may be
+        negative."""
+        levels = sorted(k for k in levels if k <= len(terms))
+        spreads = _spreads(terms)
+        exact = _prefix_fsums(terms)
+        assert [spreads(k).hex() for k in levels] == [exact[k].hex() for k in levels]
 
     def test_flat_risk_returns_level_zero_quickly(self):
         # every level ties at 1.0 (sigma^2 * sum j^2 is far below half an ulp
@@ -367,8 +374,8 @@ class TestArrayScan:
 
     def test_near_tie_plateau_reads_past_the_fsum_budget(self, monkeypatch):
         # Q^2/a_(D+1)^2 + sigma^2 * S_D stays within a few ulps of 1 + c, so
-        # that many levels need their exact sums: after _FSUM_READS reads of
-        # one fsum each, they come from one _exact_prefix_sums walk
+        # that many levels need their exact sums: each read after the first
+        # carries the last one's exact sum, so no term is converted twice
         n = 300
         s = make_power_spectrum(1.0, n)
         sigma = 1e-3
@@ -376,14 +383,18 @@ class TestArrayScan:
                           for d in range(n)])
         weights = 1.0 / np.sqrt(1.0 + sigma ** 2 * (2.0 * noise[-1] - noise))
         p = SequenceProblem(s, explicit_class(weights, 1.0), sigma, n)
-        walks = []
+        converted = []  # the values each exact read converts to floats
 
-        def walk(terms):
-            walks.append(len(terms))
-            return _exact_prefix_sums(terms)
-        monkeypatch.setattr(truncation, "_exact_prefix_sums", walk)
+        class Counted(np.ndarray):
+            def tolist(self):
+                converted.append(self.size)
+                return super().tolist()
+
+        noise_terms = truncation._noise_terms
+        monkeypatch.setattr(truncation, "_noise_terms",
+                            lambda *args: noise_terms(*args).view(Counted))
         assert optimal_truncation(p) == scan_reference.optimal_truncation(p)
-        assert walks == [n]
+        assert len(converted) > 100 and sum(converted) <= n
 
 
 class TestLeastFavorable:

@@ -50,9 +50,9 @@ from .problem import (
 from .truncation import (
     _BLOCK_DOUBLES,
     _best_level,
+    _column_fsums,
     _derived,
     _exact_sum,
-    _row_fsums,
     _variances,
     optimal_truncation,
 )
@@ -184,10 +184,11 @@ def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
     of math.fsum on one row at a time.  The masks of P and Q_eq and the
     a_i^2 are built once; the rows then go in blocks of at most
     _BLOCK_DOUBLES values, whose budgets and two derivative sums are read
-    by _row_fsums, where a sum that overflows reads inf.  A block stops at
-    its first negative row, then at its first infeasible one; the rows
-    before it are summed, and the first whose derivative is inf or inf - inf
-    raises, else that row raises its error."""
+    by _column_fsums on .T views of the rows, where a sum that overflows
+    reads +-inf.  A block stops at its first negative row, then at its
+    first infeasible one; the rows before it are summed, and the first
+    whose derivative is inf or inf - inf raises, else that row raises its
+    error."""
     n, q2 = len(solution.r_star), solution.problem.ellipsoid.radius ** 2
     outside_p, in_qeq = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
     outside_p[np.fromiter(solution.set_p, np.intp, len(solution.set_p)) - 1] = False
@@ -199,11 +200,12 @@ def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             stop = _first((block < 0.0).any(axis=1), len(block))
-            budgets = _row_fsums(np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0))
+            budgets = _column_fsums(
+                np.where(block[:stop] > 0.0, block[:stop] * a2, 0.0).T)
             stop = _first(budgets > q2 * (1.0 + _REL_TOL), stop)
             h = block[:stop] - solution.r_star
-            gain = _row_fsums(h[:, outside_p])
-            loss = _row_fsums(np.maximum(-h[:, in_qeq], 0.0))
+            gain = _column_fsums(h[:, outside_p].T)
+            loss = _column_fsums(np.maximum(-h[:, in_qeq], 0.0).T)
             out.append(gain - loss)
             bad = _first(np.isinf(gain) | np.isinf(loss) | np.isinf(out[-1]), stop)
             if bad < stop:

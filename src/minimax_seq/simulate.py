@@ -12,17 +12,20 @@ fixed replication order through math.fsum.
 Monte Carlo draws its replications in blocks, each the next rows of the
 same generator, so the bits do not depend on the block size.  A
 replication's squared error is the math.fsum of its N squared coordinate
-errors; the N - D beyond the level are the same theta_j^2 in every row,
-so each row holds their sum once, as the few doubles of an exact
-expansion (_tail_expansion, through truncation._expansion), which keeps
-fsum's bits.  A block holds as many rows of those D + len(expansion)
-values as fit in _BLOCK_DOUBLES (at least one), and its rows are summed
-by the certified array kernel truncation._row_fsums, which returns
-math.fsum's bits (rows it cannot certify read fsum itself).  The squared
-errors stay one float64 array; their mean and sample variance are
-truncation._exact_sum of whole-array passes, the squared deviations
-formed by np.float_power, which calls libm pow as the Python float
-(e - mean) ** 2 does.  Every sum that overflows reads inf, and is
+errors; the N - D beyond the level are the same theta_j^2 in every
+replication, so each holds their sum once, as the few doubles of an
+exact expansion (_tail_expansion, through truncation._expansion), which
+keeps fsum's bits.  A block holds as many replications of those
+D + len(expansion) values as fit in _BLOCK_DOUBLES (at least one),
+stored one replication per column: a C-contiguous (D + len(expansion))
+x replications array.  Its columns are summed by the certified array
+kernel truncation._column_fsums, which returns math.fsum's bits (columns
+it cannot certify read the exact sum itself) and adds across contiguous
+rows, so its passes are vector operations rather than many short row
+reductions.  The squared errors stay one float64 array; their mean and
+sample variance are truncation._exact_sum of whole-array passes, the
+squared deviations formed by np.float_power, which calls libm pow as the
+Python float (e - mean) ** 2 does.  Every sum that overflows reads inf, and is
 reported as a ValidationError.
 """
 
@@ -43,9 +46,9 @@ from .problem import (
 from .truncation import (
     _BLOCK_DOUBLES,
     _checked_vector,
+    _column_fsums,
     _exact_sum,
     _expansion,
-    _row_fsums,
 )
 
 __all__ = [
@@ -137,9 +140,9 @@ def _tail_expansion(theta_tail: np.ndarray) -> list[float]:
     """Non-overlapping doubles whose exact sum is sum_j theta_j*theta_j
     over theta_tail, each square rounded as a double; [] for a zero sum
     (truncation._expansion of the squares).  A row that holds these parts
-    in place of the squares has the same exact sum, so fsum and _row_fsums
-    give it the same bits.  A square or sum that overflows raises
-    OverflowError.
+    in place of the squares has the same exact sum, so fsum and
+    _column_fsums give it the same bits.  A square or sum that overflows
+    raises OverflowError.
     """
     with np.errstate(over="ignore"):  # an infinite square is raised below
         squares = theta_tail * theta_tail
@@ -154,13 +157,13 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
 
     The replications read one Philox stream keyed master_seed in order, D
     normals each, so the estimate is reproducible bit-for-bit.  Each
-    replication's squared error is the math.fsum of its row, the D squared
-    errors of the estimated coordinates and the exact expansion of the
-    rest, read for a whole block at once by _row_fsums.  A block is
-    max(1, _BLOCK_DOUBLES // (D + len(expansion))) replications, one
-    sample_observations call at level D on the one generator, so a block
-    holds at most _BLOCK_DOUBLES values (or one row), and the bits do not
-    depend on the block size.  The squared errors are kept as one float64
+    replication's squared error is the math.fsum of its D squared errors
+    of the estimated coordinates and the exact expansion of the rest, one
+    column of its block, read for a whole block at once by _column_fsums.
+    A block is max(1, _BLOCK_DOUBLES // (D + len(expansion))) replications,
+    one sample_observations call at level D on the one generator, so a
+    block holds at most _BLOCK_DOUBLES values (or one replication), and
+    the bits do not depend on the block size.  The squared errors are kept as one float64
     array, 8 bytes per replication; the mean is _exact_sum of it, and the
     sample variance _exact_sum of its squared deviations, each a
     np.float_power(e - mean, 2.0), with the bits of (e - mean) ** 2.  A
@@ -180,20 +183,21 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     errors = np.empty(reps)
     try:
         with np.errstate(over="ignore"):  # an overflow is reported below
-            tail = _tail_expansion(theta[D:])
+            tail = np.array(_tail_expansion(theta[D:]))
             width = D + len(tail)
-            rows = max(1, _BLOCK_DOUBLES // max(1, width))
-            for r0 in range(0, reps, rows):
+            block = max(1, _BLOCK_DOUBLES // max(1, width))
+            for r0 in range(0, reps, block):
                 z = sample_observations(theta, problem, gen,
-                                        count=min(rows, reps - r0), D=D)
-                # the squares of theta - estimate(z, D), row by row, with
-                # the constant columns beyond D replaced by their exact sum
-                sq = np.empty((len(z), width))
-                head = sq[:, :D]
-                np.subtract(theta[:D], z, out=head)
+                                        count=min(block, reps - r0), D=D)
+                # the squares of theta - estimate(z, D), one replication
+                # per column, with the constant coordinates beyond D
+                # replaced by their exact sum
+                sq = np.empty((width, len(z)))
+                head = sq[:D]
+                np.subtract(theta[:D, None], z.T, out=head)
                 head *= head
-                sq[:, D:] = tail
-                errors[r0:r0 + len(z)] = _row_fsums(sq)
+                sq[D:] = tail[:, None]
+                errors[r0:r0 + len(z)] = _column_fsums(sq)
         total = _exact_sum(errors)
         if not math.isfinite(total):  # a squared error or their sum is inf
             raise OverflowError

@@ -9,7 +9,8 @@ Its worst-case squared risk over the ellipsoid has the closed form
 element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
 exactly rounded value of its exact sum, so results do not depend on
 summation order and are reproducible bit for bit.  A total is one
-math.fsum.  The closed forms and the level scans read one array of noise
+math.fsum, or where fsum overflows on the way to a finite sum, one
+integer sum (_exact_sum).  The closed forms and the level scans read one array of noise
 terms per spectrum and one of biases per class (_noise_terms, _bias_sq).
 The level scans (_best_level) are whole-array passes: one running sum of
 the noise terms, with Higham's bound on its error, encloses every level's
@@ -17,9 +18,12 @@ value, and only the few levels that may be the minimum read their exact
 prefix sums.  The first read is one math.fsum of its prefix; a later read
 carries the previous one as the few doubles of an exact expansion
 (_expansion) and adds only the terms since, so a scan with many near-tied
-levels converts each term once.  The row sums of a 2-d array (_row_fsums)
-read fsum's bits too, certified in a few whole-array passes.  A sum that
-overflows reads as inf (_exact_sum).
+levels converts each term once.  The column sums of a 2-d array
+(_column_fsums), one per Monte Carlo replication or certificate
+direction, read fsum's bits too, certified in a few whole-array passes
+that add across contiguous rows: each sum is one column of a
+(terms x sums) array.  A sum whose exactly rounded value overflows reads
+as +-inf; one that only passes the largest double on the way does not.
 """
 
 from __future__ import annotations
@@ -99,17 +103,49 @@ def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum of the 1-d float64 array terms, inf when fsum overflows.
-    An array longer than _BLOCK_DOUBLES is read as Python floats that many
-    at a time, so that no list of the whole array is held."""
+    """The exactly rounded sum of the 1-d float64 array terms, with the
+    bits of math.fsum; inf (or -inf) where that rounded sum overflows.
+
+    One math.fsum reads the terms as Python floats, at most _BLOCK_DOUBLES
+    at a time, so that no list of the whole array is held.  fsum raises
+    OverflowError when a partial sum passes the largest double on the way,
+    also where the exact sum rounds back below it; the sum is then read in
+    integers instead (_integer_sum).
+    """
     try:
-        if len(terms) <= _BLOCK_DOUBLES:
-            return math.fsum(terms.tolist())
-        return math.fsum(chain.from_iterable(
-            terms[i:i + _BLOCK_DOUBLES].tolist()
-            for i in range(0, len(terms), _BLOCK_DOUBLES)))
+        return math.fsum(_floats(terms))
     except OverflowError:
-        return math.inf
+        return _integer_sum(terms)
+
+
+def _floats(terms: np.ndarray):
+    """The values of the 1-d array terms as Python floats: one list, or
+    chained lists of _BLOCK_DOUBLES values for a longer array."""
+    if len(terms) <= _BLOCK_DOUBLES:
+        return terms.tolist()
+    return chain.from_iterable(terms[i:i + _BLOCK_DOUBLES].tolist()
+                               for i in range(0, len(terms), _BLOCK_DOUBLES))
+
+
+def _integer_sum(terms: np.ndarray) -> float:
+    """The exact sum of terms, rounded once.  A non-finite term decides the
+    sum as in math.fsum: nan, +-inf, or ValueError for inf - inf.  Every
+    finite double is n/d with d = 2^k, 0 <= k <= 1074, so the sum is an
+    integer count of 2^-1074; CPython's int true division rounds it
+    correctly and raises OverflowError only where the rounded sum itself
+    overflows, which reads as an infinity of its sign."""
+    finite = np.isfinite(terms)
+    if not finite.all():
+        return math.fsum(terms[~finite].tolist())
+    total = sum(n << (1075 - d.bit_length())
+                for n, d in map(float.as_integer_ratio, _floats(terms)))
+    try:
+        return total / _UNITS
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+_UNITS = 1 << 1074  # units of 2^-1074, the smallest subnormal, per 1.0
 
 
 def _expansion(terms: list) -> list:
@@ -129,8 +165,8 @@ def _expansion(terms: list) -> list:
     return parts
 
 
-# values per block for the callers of _row_fsums (Monte Carlo, the jmax
-# certificate): 256 rows at N = 64, one row at N > 16384; also the longest
+# values per block for the callers of _column_fsums (Monte Carlo, the jmax
+# certificate): 256 sums at N = 64, one sum at N > 16384; also the longest
 # derived array _derived keeps, and the longest list _exact_sum makes
 _BLOCK_DOUBLES = 16384
 
@@ -159,43 +195,49 @@ def _derived(owner, name: str, compute, stop=None) -> np.ndarray:
     return arr
 
 
-# rows whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
+# columns whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
 # below, the unit u*tau of the split nears the subnormals; above, x + tau
 # could overflow
 _SPAN_MIN, _SPAN_MAX = 2.0 ** -900, 2.0 ** 1020
 
 
-def _row_fsums(x: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of the 2-d float64 array x, bit for bit.
+def _column_fsums(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each column of the 2-d float64 array x, bit for bit, in
+    any memory layout.  Callers that hold a row per sum store it as a
+    column (Monte Carlo), or pass the .T view of their rows (the jmax
+    certificate); on a C-contiguous x every pass below is a vector
+    operation across contiguous rows.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation, Part I", 2008): with tau a power of two at least
-    (n + 2) * max|x| over a row of n values, q = (x + tau) - tau holds
+    (n + 2) * max|x| over a column of n values, q = (x + tau) - tau holds
     multiples of u*tau (u = 2^-53) whose sum t1 is exact in any order, and
-    x - q is exact; numpy's sum t2 of x - q is within
-    eta = gamma_{n-1} * n * u * tau of its exact sum (Higham, §4.2).
-    TwoSum splits t1 + t2 into r + t exactly, so the exact row sum lies
-    in r + t +- eta, and r is its correctly rounded value, fsum's result,
-    when |t| + eta is below half the smaller gap from r to a neighbour.
-    Every other row (one with a non-finite value or with (n + 2) * max|x|
-    outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or r = 0, whose sign
-    fsum decides) reads _exact_sum of the row, in row order: a row whose
-    fsum overflows reads inf, and fsum's ValueError (inf - inf) is raised
-    as it would be.
+    x - q is exact; numpy's sum t2 of x - q, in whatever order numpy adds,
+    is within eta = gamma_{n-1} * n * u * tau of its exact sum (Higham,
+    §4.2).  TwoSum splits t1 + t2 into r + t exactly, so the exact column
+    sum lies in r + t +- eta, and r is its correctly rounded value, fsum's
+    result, when |t| + eta is below half the smaller gap from r to a
+    neighbour.  Every other column (one with a non-finite value or with
+    (n + 2) * max|x| outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or
+    r = 0, whose sign fsum decides) reads _exact_sum of the column, in
+    column order: a column whose rounded sum overflows reads +-inf, and
+    fsum's ValueError (inf - inf) is raised as it would be.
     """
-    rows, n = x.shape
+    n, cols = x.shape
     if n == 0:
-        return np.zeros(rows)
+        return np.zeros(cols)
     u = 2.0 ** -53
     # gamma_{n-1} * n * u, rounded up by the factor (1 + 8u)
     eta_unit = (n - 1) * n * u * u / (1.0 - (n - 1) * u) * (1.0 + 8 * u)
     with np.errstate(invalid="ignore", over="ignore"):
-        span = np.abs(x).max(axis=1) * (n + 2)
-        tau = np.ldexp(1.0, np.frexp(span)[1])[:, None]  # tau > span
-        q = x + tau
+        q = np.abs(x)
+        span = q.max(axis=0) * (n + 2)
+        tau = np.ldexp(1.0, np.frexp(span)[1])  # tau > span
+        np.add(x, tau, out=q)
         q -= tau
-        t1 = q.sum(axis=1)
-        t2 = (x - q).sum(axis=1)
+        t1 = q.sum(axis=0)
+        np.subtract(x, q, out=q)
+        t2 = q.sum(axis=0)
         r = t1 + t2
         b = r - t1
         t = (t1 - (r - b)) + (t2 - b)
@@ -204,9 +246,9 @@ def _row_fsums(x: np.ndarray) -> np.ndarray:
         a = np.abs(r)
         half_gap = 0.5 * (a - np.nextafter(a, 0.0))
         ok = ((span >= _SPAN_MIN) & (span <= _SPAN_MAX)
-              & (np.abs(t) + eta_unit * tau[:, 0] < half_gap))
-    for i in np.flatnonzero(~ok):
-        r[i] = _exact_sum(x[i])
+              & (np.abs(t) + eta_unit * tau < half_gap))
+    for j in np.flatnonzero(~ok):
+        r[j] = _exact_sum(x[:, j])
     return r
 
 
@@ -234,9 +276,9 @@ class _PrefixSpreads:
     prefix; each later one fsums the terms since with the previous read's
     total and the _expansion of what that total leaves, so every term is
     converted once.  Those parts may be negative, so a carried fsum that
-    overflows re-reads the prefix, whose terms are not.  A prefix whose
-    fsum overflows, or that holds inf, reads as inf, and so does every
-    longer one.
+    overflows re-reads the prefix, whose terms are not, with _exact_sum.
+    A prefix whose rounded sum overflows, or that holds inf, reads as inf,
+    and so does every longer one.
     """
 
     def __init__(self, sig2: float, terms: np.ndarray, readout,

@@ -9,7 +9,9 @@ six decades above the noise level at which that sum equals Q^2.
 import dataclasses
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from minimax_seq import (
     sample_feasible_rectangles,
     source_set_bound,
 )
-from minimax_seq.truncation import _row_fsums
+from minimax_seq.truncation import _column_fsums
 
 import scan_reference
 
@@ -379,15 +381,36 @@ def _row(kind: str, width: int, rng) -> np.ndarray:
     return row
 
 
+def _row_fsums(x):
+    """_column_fsums of the rows of x, read through x.T."""
+    return _column_fsums(x.T)
+
+
+def _rounded_sum(values):
+    """math.fsum of the floats values; where fsum overflows on the way, the
+    exact sum (Fraction) rounded once, +-inf where that overflows, or, with
+    a non-finite value, fsum of the non-finite values, as fsum would give
+    it without the overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return math.fsum(special)
+        exact = sum(map(Fraction, values))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
 def _fsum_rows(x):
-    """[math.fsum(row) ...] as hex strings, inf where fsum overflows, or
-    ValueError where a row's fsum raises it."""
+    """[_rounded_sum(row) ...] as hex strings, or ValueError where a row's
+    fsum raises it."""
     out = []
     for row in x.tolist():
         try:
-            out.append(math.fsum(row).hex())
-        except OverflowError:
-            out.append(math.inf.hex())
+            out.append(_rounded_sum(row).hex())
         except ValueError:
             return ValueError
     return out
@@ -424,6 +447,52 @@ def test_row_fsums_are_fsum_of_every_row(x):
             _row_fsums(x)
     else:
         assert [v.hex() for v in _row_fsums(x).tolist()] == want
+
+
+def _layouts(x):
+    """The rows of the C-contiguous 2-d array x as the columns of three
+    arrays: a C-contiguous (width x rows) copy, the .T view of x, and a
+    strided slice of a larger array whose other entries are nan."""
+    rows, width = x.shape
+    wide = np.full((2 * width + 1, 3 * rows), math.nan)
+    strided = wide[1::2, ::3]
+    strided[...] = x.T
+    return {"C-contiguous": np.ascontiguousarray(x.T), ".T view": x.T,
+            "strided": strided}
+
+
+# fsum passes 2^1024 on the way, but the exact sum lies 2^900 below the
+# tie max + 2^970, so it rounds to the largest double
+OVER_THE_TOP = [sys.float_info.max - 2.0 ** 971, 2.0 ** 971 - 2.0 ** 918,
+                2.0 ** 918 - 2.0 ** 900, 2.0 ** 970]
+
+
+@given(row_arrays())
+@example(np.zeros((3, 0)))
+@example(np.array([[-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [-2.0 ** -1074, 0.0]]))
+@example(np.array([[1.0, 2.0 ** -53], [1.0, 3 * 2.0 ** -53], [2.0 ** 1023, 2.0 ** 1023]]))
+# numpy's sum drops 2^-135, below the tie 1 - 2^-54: the smaller gap decides
+@example(np.array([[1.0, -2.0 ** -54, -2.0 ** -135], [-1.0, 2.0 ** -54, 2.0 ** -135]]))
+@example(np.array([[1.0, 2.0], [math.inf, -math.inf]]))
+# the overflowing row reads inf, and the next one raises ValueError
+@example(np.array([[2.0 ** 1023, 2.0 ** 1023], [math.inf, -math.inf]]))
+@example(np.array([[math.inf, -math.inf], [2.0 ** 1023, 2.0 ** 1023]]))
+@example(np.array([[math.inf, 1.0], [math.nan, 1.0], [-math.inf, -math.inf]]))
+@example(np.array([OVER_THE_TOP, [-v for v in OVER_THE_TOP]]))
+@settings(max_examples=300, deadline=None)
+def test_column_fsums_are_fsum_of_every_column_in_each_layout(x):
+    """_column_fsums gives the bits of math.fsum for each column, whether
+    the array is C-contiguous, a .T view or strided: an overflowing sum
+    reads +-inf, one that fsum overflows on the way to a finite value
+    reads that value, and ValueError is raised where fsum raises it."""
+    want = _fsum_rows(x)
+    for name, columns in _layouts(x).items():
+        if isinstance(want, type):
+            with pytest.raises(want):
+                _column_fsums(columns)
+        else:
+            got = [v.hex() for v in _column_fsums(columns).tolist()]
+            assert got == want, name
 
 
 SCANS = ("optimal_truncation", "testing_radius_sq", "deterministic_rate_sq")

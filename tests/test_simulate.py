@@ -25,7 +25,7 @@ from minimax_seq import (
     truncation_risk,
 )
 from minimax_seq.simulate import _tail_expansion
-from minimax_seq.truncation import _BLOCK_DOUBLES, _row_fsums
+from minimax_seq.truncation import _BLOCK_DOUBLES, _column_fsums
 
 
 def toy_problem(sigma=0.1, n=16):
@@ -474,7 +474,7 @@ def test_tail_expansion_keeps_the_row_sums(case):
     full = np.hstack([head, np.broadcast_to(tail * tail, (len(head), len(tail)))])
     short = np.hstack([head, np.broadcast_to(np.array(parts), (len(head), len(parts)))])
     want = [math.fsum(row) for row in full.tolist()]
-    assert [x.hex() for x in _row_fsums(short)] == [x.hex() for x in want]
+    assert [x.hex() for x in _column_fsums(short.T)] == [x.hex() for x in want]
     assert [math.fsum(row).hex() for row in short.tolist()] == [x.hex() for x in want]
 
 

@@ -3,6 +3,7 @@ import operator
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from minimax_seq import truncation
 from minimax_seq.truncation import (
     _BLOCK_DOUBLES,
     _PrefixSpreads,
-    _row_fsums,
+    _column_fsums,
+    _exact_sum,
     _running_sums,
 )
 
@@ -150,14 +152,11 @@ def _scan_inputs(draw):
 
 
 def _prefix_fsums(terms):
-    """math.fsum of every prefix of terms, an overflowing sum read as inf."""
-    out = []
-    for k in range(len(terms) + 1):
-        try:
-            out.append(math.fsum(terms[:k]))
-        except OverflowError:
-            out.append(math.inf)
-    return out
+    """The exactly rounded sum of every prefix of the non-negative terms,
+    the bits of math.fsum where it does not overflow on the way; a sum that
+    rounds past the largest double reads inf (scan_reference's Fraction
+    sums)."""
+    return list(scan_reference._exact_prefix_sums(terms))
 
 
 _TERM = st.one_of(
@@ -175,12 +174,51 @@ class TestRowFsums:
     @pytest.mark.parametrize("shape", [(64, 64), (8, 512), (1, 4096)])
     def test_squared_errors_are_certified_without_fsum(self, monkeypatch, shape):
         """Rows of squared normal draws, the Monte Carlo case, all pass the
-        certificate; no row falls back to math.fsum.  (The bits are checked
+        certificate as the columns of a C-contiguous array and of a .T
+        view; no sum falls back to math.fsum.  (The bits are checked
         against fsum in test_properties.py.)"""
         x = np.random.default_rng(3).standard_normal(shape) ** 2
         want = [math.fsum(row) for row in x.tolist()]
+        columns = np.ascontiguousarray(x.T)
         monkeypatch.setattr(math, "fsum", None)  # a fallback would raise
-        assert _row_fsums(x).tolist() == want
+        assert _column_fsums(columns).tolist() == want
+        assert _column_fsums(x.T).tolist() == want
+
+
+# fsum passes 2^1024 on the way, but the exact sum lies 2^900 below the
+# tie max + 2^970, so it rounds to max
+_OVER_THE_TOP = [_MAX - 2.0 ** 971, 2.0 ** 971 - 2.0 ** 918, 2.0 ** 918 - 2.0 ** 900,
+                 2.0 ** 970]
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("pad", [0, _BLOCK_DOUBLES], ids=["list", "chunks"])
+    def test_sum_that_fsum_overflows_is_rounded_exactly(self, sign, pad):
+        terms = [sign * x for x in _OVER_THE_TOP] + [0.0] * pad
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        want = float(sum(map(Fraction, terms)))
+        assert want == sign * _MAX
+        assert _exact_sum(np.array(terms)).hex() == want.hex()
+
+    @pytest.mark.parametrize("terms, want", [
+        (_OVER_THE_TOP + [2.0 ** 900], math.inf),  # the tie rounds to 2^1024
+        ([-x for x in _OVER_THE_TOP] + [-2.0 ** 900], -math.inf),
+        ([_MAX, _MAX, -_MAX, -_MAX], 0.0),
+        ([1e308, 1e308, -1e308, 5e-324], 1e308),
+        ([1e308, 1e308, -math.inf], -math.inf),
+        ([1e308, 1e308, math.inf, math.nan], math.nan),
+    ])
+    def test_overflow_on_the_way_keeps_the_exact_sum(self, terms, want):
+        """Where fsum overflows on the way, the sum is the exact one rounded
+        once, +-inf only where that overflows; a non-finite term decides
+        it as in fsum."""
+        assert _exact_sum(np.array(terms)).hex() == want.hex()
+
+    def test_inf_minus_inf_raises_after_an_overflow(self):
+        with pytest.raises(ValueError):
+            _exact_sum(np.array([1e308, 1e308, math.inf, -math.inf]))
 
 
 class TestOptimalTruncation:
@@ -338,8 +376,8 @@ class TestArrayScan:
     @example([_MAX - 2.0 ** 971, 2.0 ** 970 + 2.0 ** 969] + [2.0 ** 969] * 3,
              {2, 3, 5})
     # the read at 3 is max, 2^900 above the exact sum; the carried fsum at 4
-    # overflows on the way to max, so it re-reads the prefix, and fsum of
-    # that overflows too: inf, as in the reference
+    # overflows on the way to max, so it re-reads the prefix, whose fsum
+    # overflows too: the exact sum rounds to max, as in the reference
     @example([_MAX - 2.0 ** 971, 2.0 ** 971 - 2.0 ** 918, 2.0 ** 918 - 2.0 ** 900,
               2.0 ** 970], {3, 4})
     # the read at 2 rounds 1 + 2^-53 down to 1; only its residual 2^-53

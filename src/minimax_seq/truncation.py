@@ -10,8 +10,9 @@ element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
 exactly rounded value of its exact sum, so results do not depend on
 summation order and are reproducible bit for bit.  A total is one
 math.fsum, or where fsum overflows on the way to a finite sum, one
-integer sum (_exact_sum).  The closed forms and the level scans read one array of noise
-terms per spectrum and one of biases per class (_noise_terms, _bias_sq).
+integer sum (_exact_sum).  The closed forms and the level scans read one
+array of noise terms per spectrum and one of biases per class
+(_noise_terms, _bias_sq).
 The level scans (_best_level) are whole-array passes: one running sum of
 the noise terms, with Higham's bound on its error, encloses every level's
 value, and only the few levels that may be the minimum read their exact
@@ -127,6 +128,9 @@ def _floats(terms: np.ndarray):
                                for i in range(0, len(terms), _BLOCK_DOUBLES))
 
 
+_UNITS = 1 << 1074  # units of 2^-1074, the smallest subnormal, per 1.0
+
+
 def _integer_sum(terms: np.ndarray) -> float:
     """The exact sum of terms, rounded once.  A non-finite term decides the
     sum as in math.fsum: nan, +-inf, or ValueError for inf - inf.  Every
@@ -143,9 +147,6 @@ def _integer_sum(terms: np.ndarray) -> float:
         return total / _UNITS
     except OverflowError:
         return math.inf if total > 0 else -math.inf
-
-
-_UNITS = 1 << 1074  # units of 2^-1074, the smallest subnormal, per 1.0
 
 
 def _expansion(terms: list) -> list:

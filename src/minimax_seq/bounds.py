@@ -146,6 +146,15 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     fill, later ones get zero.  The result is the exact maximizer of J over
     {r >= 0 : sum a_i^2 r_i <= Q^2}.  A pivot r_k or a value J(r*) that
     overflows raises ValidationError.
+
+    Only the coordinates up to the pivot can be non-zero, so J(r*), the
+    budget used and the members of P and Q_eq among them are read from
+    those alone, where every r_i before the pivot equals c_i.  A later
+    r_i is +0.0, which adds nothing to an exactly rounded sum and lies in
+    P and in Q_eq exactly where c_i = 0; the caps do not decrease, so
+    those form a run right after the pivot, found by one vector test when
+    the first cap after it is 0.  The caps, the costs a_i^2 c_i and the
+    running budget are whole-array passes over all N coordinates.
     """
     ensure_usable(problem)
     caps = _caps(problem.spectrum, problem.sigma)
@@ -167,16 +176,28 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
                     f"{float(left[k])!r}, over a_{k + 1}^2 = {float(a2[k])!r} "
                     "overflows")
 
-    value = _exact_sum(np.minimum(r, caps))
+    head = r[:k + 1]
+    value = _exact_sum(np.minimum(head, caps[:k + 1]))
     if value == math.inf:
         raise ValidationError(
             "J(r_star) is non-finite: sum_i min(r_i, sigma^2/s_i^2) overflows")
-    used = r > 0.0  # so that inf * 0 adds no NaN; fsum skips +0.0 terms
-    budget_used = _exact_sum(a2[used] * r[used])
-    set_p = frozenset((np.flatnonzero(r >= caps) + 1).tolist())
-    set_qeq = frozenset((np.flatnonzero(r == caps) + 1).tolist())
+    used = head > 0.0  # so that inf * 0 adds no NaN; fsum skips +0.0 terms
+    budget_used = _exact_sum(a2[:k + 1][used] * head[used])
+    # 1-based indices: r_i = c_i for i <= k, the pivot is k + 1, and the
+    # caps do not decrease because the s_i do not increase
+    set_p, set_qeq = list(range(1, k + 1)), list(range(1, k + 1))
+    if k < problem.n:
+        if r[k] >= caps[k]:
+            set_p.append(k + 1)
+        if r[k] == caps[k]:
+            set_qeq.append(k + 1)
+        if k + 1 < problem.n and caps[k + 1] == 0.0:
+            zero_caps = (np.flatnonzero(caps[k + 1:] == 0.0) + k + 2).tolist()
+            set_p += zero_caps
+            set_qeq += zero_caps
     r.flags.writeable = False
-    return KnapsackSolution(r, value, set_p, set_qeq, budget_used, problem)
+    return KnapsackSolution(r, value, frozenset(set_p), frozenset(set_qeq),
+                            budget_used, problem)
 
 
 def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:

@@ -180,22 +180,31 @@ def _build_pair(spec: RegimeSpec, n: int) -> tuple:
             f"({exc}); the noise grid cannot be resolved") from exc
 
 
-def _sweep_point(problem: SequenceProblem) -> tuple[SweepRow, tuple]:
+def _sweep_point(problem: SequenceProblem) -> tuple[SweepRow | None, tuple]:
     """One grid point, with one flag per entry of _OPTIMIZERS, set where
     that optimizer touches the end of its search range.
 
     Saturation is read from returned values (an optimizer at D = N-1, or
     the sandwich's water-filling capping every coordinate), not from
     warnings, which sweep silences.  A ValidationError passes through.
+
+    The two cheap scans run first (testing, then deterministic).  Below
+    N = _MAX_N, read from this module at call time, a point where either
+    of them saturates returns (None, flags) at once: sweep doubles N for
+    it whatever the sandwich would say, so the sandwich is not called and
+    its two flags read False.  At _MAX_N all four optimizers run, so the
+    SaturationError there names every one still at the end of its range.
     """
     n = problem.n
-    report = minimax_sandwich(problem)
     d_test, testing = testing_radius_sq(problem)
     d_det, deterministic = deterministic_rate_sq(problem)
+    scans = (d_test >= n - 1, d_det >= n - 1)
+    if any(scans) and n < _MAX_N:
+        return None, (False, *scans, False)
+    report = minimax_sandwich(problem)
     row = SweepRow(problem.sigma, report.d_star, report.upper, report.lower,
                    report.j_star, testing, deterministic)
-    return row, (report.d_star >= n - 1, d_test >= n - 1, d_det >= n - 1,
-                 report.saturated)
+    return row, (report.d_star >= n - 1, *scans, report.saturated)
 
 
 def sweep(spec: RegimeSpec) -> list[SweepRow]:
@@ -233,6 +242,18 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
     point.  A point still saturated at N = 2^20 raises a SaturationError
     that names the optimizers still at the end of their range for that
     point; a generator that cannot build the next N raises one too.
+
+    A point runs the testing and deterministic scans first, and below
+    N = 2^20 one that either of them saturates doubles N without calling
+    the sandwich (_sweep_point): its row would be dropped anyway, so the
+    rows are unchanged, and at 2^20 all four optimizers run, so the error
+    names every one still at the end of its range.  Skipping the sandwich cannot skip an error of
+    its own either.  The problem's validation runs first in every
+    optimizer, so it fails alike in any order, and on a valid generated
+    pair the sandwich never raises: a_1 >= 1 and the a_j do not decrease,
+    so the level-0 risk Q^2/a_1^2 is finite, the pivot r_k is at most the
+    budget left and J(r*) <= sum_i r_i <= sum_i a_i^2 r_i, which is Q^2
+    up to the rounding of the running budget, also finite.
     """
     rows, n, pair = [], spec.n, None
     with warnings.catch_warnings():

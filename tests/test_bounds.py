@@ -109,6 +109,23 @@ class TestWaterFilling:
         assert sorted(sol.set_p) == [1]
         assert 2 not in sol.set_qeq
 
+    def test_sums_read_only_up_to_the_pivot(self, monkeypatch):
+        # the pivot is coordinate k + 1 = 55 of N = 2^14: J(r*) and the
+        # budget used are sums of at most k + 1 values, not of N
+        n = 1 << 14
+        summed = []
+        exact_sum = bounds._exact_sum
+
+        def recorded(terms):
+            summed.append(len(terms))
+            return exact_sum(terms)
+
+        monkeypatch.setattr(bounds, "_exact_sum", recorded)
+        sol = maximize_J_over_ellipsoid(toy_problem(sigma=1e-4, n=n))
+        k = len(sol.set_p)
+        assert k == 54 and sol.r_star[k] > 0.0 and not sol.r_star[k + 1:].any()
+        assert len(summed) == 2 and max(summed) <= k + 1
+
     def test_feasibility_invariant(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 20))

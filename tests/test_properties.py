@@ -215,11 +215,29 @@ PIVOT_OVERFLOW = SequenceProblem(explicit_spectrum([1e-160, 1e-160]),
                                  explicit_class([1e-150, 1.0], 1e10), 0.1, 2)
 
 
+# a_1^2 sigma^2 rounds above Q^2, yet Q^2/a_1^2 rounds to the cap sigma^2
+PIVOT_AT_CAP = SequenceProblem(explicit_spectrum([1.0, 1.0]),
+                               explicit_class([3.7042823728344505, 4.0],
+                                              0.4724107787262926),
+                               0.1275309847301982, 2)
+# s_1^2 and s_2^2 overflow (zero caps) and a_1^2 does (a cost inf * 0 = NaN):
+# the pivot is coordinate 1, and coordinate 2 after it sits at its zero cap
+LEADING_ZERO_CAPS = SequenceProblem(explicit_spectrum([1e160, 1e155, 1.0]),
+                                    explicit_class([1e160, 1e160, 1e161], 1.0),
+                                    0.1, 3)
+# every cap is 0, and a_2^2 overflows: the pivot is coordinate 2
+NOISELESS_PIVOT = SequenceProblem(explicit_spectrum([1.0, 0.5, 0.25]),
+                                  explicit_class([1.0, 1e155, 1e160], 1.0), 0.0, 3)
+
+
 @given(st.one_of(problems(), tied_problems()), st.booleans())
 @example(OVERFLOWING_WEIGHTS, False)
 @example(OVERFLOWING_WEIGHTS, True)
 @example(NOISELESS_UNDERFLOW, False)
 @example(PIVOT_OVERFLOW, False)
+@example(PIVOT_AT_CAP, False)
+@example(LEADING_ZERO_CAPS, False)
+@example(NOISELESS_PIVOT, False)
 @settings(max_examples=200, deadline=None)
 def test_water_filling_matches_sorted_loop(problem, noiseless):
     """The index-order array fill has the bits and the pivot error of a

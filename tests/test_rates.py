@@ -149,17 +149,49 @@ class TestSweep:
         # at n = 64 the first four points resolve at once; 1e-7 needs N = 256
         grid = (1e-2, 1e-3, 1e-4, 1e-5, 1e-7)
         spec = RegimeSpec.from_tag("pp", 1.0, 2.0, grid, n=64)
-        calls = []
-        point = rates_mod._sweep_point
+        calls, sandwiches = [], []
+        point, sandwich = rates_mod._sweep_point, rates_mod.minimax_sandwich
 
         def counted(problem):
             calls.append((problem.sigma, problem.n))
             return point(problem)
 
+        def counted_sandwich(problem):
+            sandwiches.append((problem.sigma, problem.n))
+            return sandwich(problem)
+
         monkeypatch.setattr(rates_mod, "_sweep_point", counted)
+        monkeypatch.setattr(rates_mod, "minimax_sandwich", counted_sandwich)
         rows = sweep(spec)
         assert calls == [(s, 64) for s in grid] + [(1e-7, 128), (1e-7, 256)]
+        # the scans saturate at (1e-7, 64) and (1e-7, 128), so only the
+        # points that yield a row run the sandwich
+        assert sandwiches == [(s, 64) for s in grid[:4]] + [(1e-7, 256)]
         assert rows == whole_grid_rows(spec)
+
+    @pytest.mark.parametrize("tag, names", [
+        ("pp", "estimation, testing, deterministic, water-filling"),
+        ("pe", "estimation, testing, deterministic, water-filling"),
+        ("ep", "estimation, deterministic, water-filling"),
+        ("ee", None),
+    ])
+    def test_huge_radius_ends_as_with_every_optimizer_run(self, monkeypatch, tag,
+                                                          names):
+        # Q^2 = 1e308: where a scan saturates below the largest N, the
+        # sandwich is skipped; the sweep still ends in the rows, or the
+        # error naming the optimizers, of running all four at every N
+        monkeypatch.setattr(rates_mod, "_MAX_N", 256)
+        spec = RegimeSpec.from_tag(tag, 1.0, 1.0, (1e-2, 1e-4, 1e-6),
+                                   radius=1e154, n=64)
+        if names is None:
+            assert sweep(spec) == whole_grid_rows(spec)
+            return
+        with pytest.raises(SaturationError) as info:
+            sweep(spec)
+        assert str(info.value) == (
+            f"regime {tag}: sigma = 0.01 still saturated at N = 256, where these "
+            f"optimizers touch the end of their range: {names}; refusing to grow "
+            "the model further")
 
     @pytest.mark.parametrize("field, value, needle", [
         ("radius", 1e200, "Q^2"), ("radius", -1.0, "Q > 0"),

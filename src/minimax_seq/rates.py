@@ -247,13 +247,14 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
     N = 2^20 one that either of them saturates doubles N without calling
     the sandwich (_sweep_point): its row would be dropped anyway, so the
     rows are unchanged, and at 2^20 all four optimizers run, so the error
-    names every one still at the end of its range.  Skipping the sandwich cannot skip an error of
-    its own either.  The problem's validation runs first in every
-    optimizer, so it fails alike in any order, and on a valid generated
-    pair the sandwich never raises: a_1 >= 1 and the a_j do not decrease,
-    so the level-0 risk Q^2/a_1^2 is finite, the pivot r_k is at most the
-    budget left and J(r*) <= sum_i r_i <= sum_i a_i^2 r_i, which is Q^2
-    up to the rounding of the running budget, also finite.
+    names every one still at the end of its range.  Skipping the sandwich
+    cannot skip an error of its own either.  The problem's validation runs
+    first in every optimizer, so it fails alike in any order, and on a
+    valid generated pair the sandwich never raises: a_1 >= 1 and the a_j
+    do not decrease, so the level-0 risk Q^2/a_1^2 is finite, the pivot
+    r_k is at most the budget left and J(r*) <= sum_i r_i <=
+    sum_i a_i^2 r_i, which is Q^2 up to the rounding of the running
+    budget, also finite.
     """
     rows, n, pair = [], spec.n, None
     with warnings.catch_warnings():

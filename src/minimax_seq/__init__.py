@@ -56,7 +56,6 @@ from .bounds import (
 from .simulate import (
     RiskEstimate,
     SimulationConfig,
-    empirical_worst_case,
     monte_carlo_risk,
     sample_observations,
 )

@@ -297,7 +297,8 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
 def minimax_sandwich(problem: SequenceProblem) -> SandwichReport:
     """Certified two-sided interval [upper/2.2, upper] for the minimax error.
 
-    ``upper`` is the best truncation bound (RMS); ``chain_ok`` confirms the
+    ``upper`` is the best truncation bound (RMS), rounded to nearest, so it
+    can lie about 1 ulp below the exact bound; ``chain_ok`` confirms the
     computable chain J(r*) <= upper^2 <= 2 J(r*) within relative slack 1e-9.
     When the budget is not exhausted by the water-filling (every coordinate
     capped), the finite window is too small for the rectangle bound: a
@@ -329,15 +330,8 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     phi^2(s_{D+1}^2) that overflows reads as inf, as that route's Q^2/a^2
     does; a risk that is inf at every level raises ValidationError.
     """
-    def phi_or_inf(t: float) -> float:
-        try:
-            return phi(t)
-        except OverflowError:  # a Python float power raises instead of inf
-            return math.inf
-
     def bias_sq(s: np.ndarray) -> np.ndarray:
-        return np.float_power([phi_or_inf(t) for t in np.float_power(s, 2.0).tolist()],
-                              2.0)
+        return np.float_power([phi(t) for t in np.float_power(s, 2.0).tolist()], 2.0)
 
     problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
                               sigma, spectrum.n_max)

@@ -47,6 +47,7 @@ __all__ = [
     "ensure_usable",
     "problem_to_json",
     "problem_from_json",
+    "load_problem",
 ]
 
 
@@ -73,6 +74,20 @@ def _integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """value as a float; a bool or a string is not a JSON number."""
+    if isinstance(value, (bool, str)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values):
+    """Explicit values, with every entry of a list checked by _number."""
+    for value in values if isinstance(values, list) else ():
+        _number("each value", value)
+    return values
 
 
 def _seed(name: str, value) -> int:
@@ -176,10 +191,16 @@ class IndexFunction:
                 f"index function of kind {self.kind!r} undefined at t={t!r} "
                 f"(domain (0, {self.t_max!r}])"
             )
-        return float(self.fn(t))
+        try:
+            return float(self.fn(t))
+        except OverflowError:  # a Python float power raises instead of giving inf
+            raise ValidationError(
+                f"index function of kind {self.kind!r} overflows at t={t!r}") from None
 
     def check_samples(self, points: Sequence[float]) -> None:
-        """Verify monotonicity, positivity and decay toward 0 at sample points."""
+        """Verify positivity and monotonicity at the sample points, and that
+        phi does not grow toward 0 below the smallest of them.  Samples cannot
+        decide phi(0+) = 0: a phi tending to a constant, like 1 + t, passes."""
         pts = sorted(float(t) for t in points)
         vals = [self(t) for t in pts]
         for t, v in zip(pts, vals):
@@ -196,7 +217,10 @@ class IndexFunction:
             t = pts[0] * 10.0 ** (-3 * k)
             if t <= 0.0:
                 break
-            v = float(self.fn(t))
+            try:
+                v = float(self.fn(t))
+            except OverflowError:  # phi is bounded near 0: an intermediate value
+                break
             if v > probe * (1.0 + 1e-12):
                 raise ValidationError("index function does not decay toward 0")
             probe = v
@@ -535,11 +559,12 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if isinstance(kind, str) and kind in _FORMULAS:
         _reject_unknown(sp_doc, {"kind", "p", "n_max"}, "spectrum")
         spectrum = _generator("spectrum", kind)(
-            _field(sp_doc, "p", float, "spectrum"),
+            _field(sp_doc, "p", partial(_number, "p"), "spectrum"),
             _field(sp_doc, "n_max", partial(_integer, "n_max"), "spectrum"))
     elif kind == "explicit":
         _reject_unknown(sp_doc, {"kind", "values"}, "spectrum")
-        spectrum = _field(sp_doc, "values", explicit_spectrum, "spectrum")
+        spectrum = _field(sp_doc, "values",
+                          lambda values: explicit_spectrum(_numbers(values)), "spectrum")
     else:
         raise ValidationError(f"unknown spectrum kind {kind!r}")
 
@@ -547,20 +572,22 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     if not isinstance(cl_doc, dict) or "kind" not in cl_doc:
         raise ValidationError("class must be an object with a 'kind'")
     kind = cl_doc["kind"]
-    radius = _field(cl_doc, "Q", float, "class") if "Q" in cl_doc else 1.0
+    radius = _field(cl_doc, "Q", partial(_number, "Q"), "class") if "Q" in cl_doc else 1.0
     if isinstance(kind, str) and kind in _FORMULAS:
         _reject_unknown(cl_doc, {"kind", "kappa", "Q"}, "class")
-        ellipsoid = _generator("class", kind)(_field(cl_doc, "kappa", float, "class"),
-                                              spectrum.n_max, radius)
+        ellipsoid = _generator("class", kind)(
+            _field(cl_doc, "kappa", partial(_number, "kappa"), "class"),
+            spectrum.n_max, radius)
     elif kind == "explicit":
         _reject_unknown(cl_doc, {"kind", "values", "Q"}, "class")
         ellipsoid = _field(cl_doc, "values",
-                           lambda values: explicit_class(values, radius), "class")
+                           lambda values: explicit_class(_numbers(values), radius),
+                           "class")
     else:
         raise ValidationError(f"unknown class kind {kind!r}")
 
     return SequenceProblem(spectrum, ellipsoid,
-                           _field(doc, "sigma", float, "problem"),
+                           _field(doc, "sigma", partial(_number, "sigma"), "problem"),
                            _field(doc, "N", partial(_integer, "N"), "problem"))
 
 

@@ -22,6 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,14 +51,45 @@ __all__ = [
     "deterministic_rate_sq",
 ]
 
-REGIME_TAGS = ("pp", "pe", "ep", "ee")
-_KIND = {"p": "power", "e": "exponential"}
-
 
 class IllposednessLabel(Enum):
     MILD = "mild"
     MODERATE = "moderate"
     SEVERE = "severe"
+
+
+class _Regime(NamedTuple):
+    spectrum_kind: str
+    smoothness_kind: str
+    coordinates: Callable  # (sigma, bound) -> the fit's (x, y)
+    theory: Callable  # (p, kappa) -> the rate exponent
+    label: IllposednessLabel
+
+
+# Each regime tag and what it means (see the module docstring).
+_REGIMES = {
+    "pp": _Regime("power", "power", lambda sigma, bound: (np.log(sigma), np.log(bound)),
+                  lambda p, kappa: kappa / (kappa + p + 0.5), IllposednessLabel.MODERATE),
+    "pe": _Regime("power", "exponential",
+                  lambda sigma, bound: (np.log(np.log(1.0 / sigma)),
+                                        np.log(bound / sigma)),
+                  lambda p, kappa: p + 0.5, IllposednessLabel.MILD),
+    "ep": _Regime("exponential", "power",
+                  lambda sigma, bound: (np.log(np.log(1.0 / sigma)), np.log(bound)),
+                  lambda p, kappa: -kappa, IllposednessLabel.SEVERE),
+    "ee": _Regime("exponential", "exponential",
+                  lambda sigma, bound: (np.log(sigma), np.log(bound)),
+                  lambda p, kappa: kappa / (p + kappa), IllposednessLabel.MODERATE),
+}
+REGIME_TAGS = tuple(_REGIMES)
+
+
+def _regime(tag) -> _Regime:
+    try:
+        return _REGIMES[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise ValidationError(
+            f"unknown regime tag {tag!r}; use one of {REGIME_TAGS}") from None
 
 
 @dataclass(frozen=True)
@@ -109,9 +141,8 @@ class RegimeSpec:
     @classmethod
     def from_tag(cls, tag: str, p: float, kappa: float, sigma_grid,
                  radius: float = 1.0, n: int = 64) -> "RegimeSpec":
-        if tag not in REGIME_TAGS:
-            raise ValidationError(f"unknown regime tag {tag!r}; use one of {REGIME_TAGS}")
-        return cls(_KIND[tag[0]], _KIND[tag[1]], float(p), float(kappa),
+        regime = _regime(tag)
+        return cls(regime.spectrum_kind, regime.smoothness_kind, float(p), float(kappa),
                    float(radius), int(n), tuple(sigma_grid))
 
 
@@ -277,20 +308,6 @@ def sweep(spec: RegimeSpec) -> list[SweepRow]:
     return rows
 
 
-_FIT_MODE = {"pp": "power", "ee": "power", "ep": "loglog", "pe": "mild"}
-
-
-def _theory_value(spec: RegimeSpec) -> float:
-    tag = spec.tag
-    if tag == "pp":
-        return spec.kappa / (spec.kappa + spec.p + 0.5)
-    if tag == "ee":
-        return spec.kappa / (spec.p + spec.kappa)
-    if tag == "ep":
-        return -spec.kappa
-    return spec.p + 0.5  # pe
-
-
 def fit_rate(table, spec: RegimeSpec) -> RateFit:
     """Least-squares rate fit in the regime's coordinates (see module docs)."""
     rows = list(table)
@@ -301,19 +318,15 @@ def fit_rate(table, spec: RegimeSpec) -> RateFit:
     if np.any(bound <= 0.0):
         raise ValidationError("degenerate grid: non-positive bounds")
 
-    mode = _FIT_MODE[spec.tag]
-    if mode == "power":
-        x, y = np.log(sigma), np.log(bound)
-    elif mode == "loglog":
-        x, y = np.log(np.log(1.0 / sigma)), np.log(bound)
-    else:
-        x, y = np.log(np.log(1.0 / sigma)), np.log(bound / sigma)
+    regime = _REGIMES[spec.tag]
+    x, y = regime.coordinates(sigma, bound)
     if float(np.ptp(x)) <= 0.0:
         raise ValidationError("degenerate grid: no spread in fit coordinates")
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.max(np.abs(slope * x + intercept - y)))
     trace = tuple((row.sigma, row.d_star) for row in rows)
-    return RateFit(spec.tag, float(slope), _theory_value(spec), residual, trace)
+    return RateFit(spec.tag, float(slope), regime.theory(spec.p, spec.kappa), residual,
+                   trace)
 
 
 _RESIDUAL_THRESHOLD = 0.5
@@ -327,12 +340,9 @@ def classify_illposedness(fit: RateFit) -> IllposednessLabel:
     A residual above _RESIDUAL_THRESHOLD means the fit does not follow its
     regime's shape and classification is refused.
     """
+    label = _regime(fit.regime).label
     if fit.residual > _RESIDUAL_THRESHOLD:
         raise ValidationError(
             f"ambiguous fit: residual {fit.residual!r} exceeds "
             f"{_RESIDUAL_THRESHOLD!r} in fit coordinates")
-    if fit.regime == "pe":
-        return IllposednessLabel.MILD
-    if fit.regime == "ep":
-        return IllposednessLabel.SEVERE
-    return IllposednessLabel.MODERATE
+    return label

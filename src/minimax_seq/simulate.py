@@ -56,7 +56,6 @@ __all__ = [
     "RiskEstimate",
     "sample_observations",
     "monte_carlo_risk",
-    "empirical_worst_case",
 ]
 
 
@@ -219,36 +218,3 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     std_error = math.sqrt(var / reps)
     return RiskEstimate(mean, std_error, reps, config.master_seed)
 
-
-def empirical_worst_case(problem: SequenceProblem, D: int, candidates,
-                         config: SimulationConfig) -> tuple[object, RiskEstimate]:
-    """Largest Monte Carlo risk among explicit candidate elements.
-
-    Candidates must lie in the ellipsoid.  All candidates share the same
-    noise streams (common random numbers), so comparisons differ only in
-    their bias contributions.  Ties keep the earliest candidate.
-    """
-    ensure_usable(problem)
-    candidates = list(candidates)
-    if not candidates:
-        raise ValidationError("candidate list is empty")
-    a = problem.ellipsoid.weights
-    q2 = problem.ellipsoid.radius ** 2
-    vectors = []
-    for pos, cand in enumerate(candidates):
-        theta = _checked_vector(cand, problem.n)
-        with np.errstate(over="ignore"):  # inf lies outside, reported below
-            radius_sq = _exact_sum((a * theta) ** 2)
-        if radius_sq > q2 * (1.0 + 1e-12):
-            raise ValidationError(
-                f"candidate {pos} lies outside the ellipsoid "
-                f"(sum a^2 theta^2 = {radius_sq!r} > Q^2 = {q2!r})")
-        vectors.append(theta)
-
-    worst = worst_risk = None
-    for cand, theta in zip(candidates, vectors):
-        risk = monte_carlo_risk(problem, theta, D, config)
-        if worst_risk is None or risk.mean_sq_error > worst_risk.mean_sq_error:
-            worst, worst_risk = cand, risk
-    assert worst is not None and worst_risk is not None
-    return worst, worst_risk

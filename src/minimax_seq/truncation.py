@@ -418,9 +418,11 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
 def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     """Best truncation level and the resulting error bound (RMS units).
 
-    Scans D = 0..N-1 for the smallest total risk, breaking ties toward the
-    smaller level, and stops early once the variance term alone exceeds the
-    incumbent (the variance is non-decreasing in D).  Warns when the best
+    Finds the smallest total risk over D = 0..N-1, breaking ties toward the
+    smaller level, in whole-array passes that read exact sums only at the
+    candidate levels (_best_level).  The answer is the one a scan that
+    stops once the variance term alone exceeds the incumbent would give
+    (the variance is non-decreasing in D).  Warns when the best
     level sits at the end of the finite range, which signals that N is too
     small to trust the minimum.  A risk that is inf at every level raises.
     """

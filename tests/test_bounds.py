@@ -10,6 +10,7 @@ from minimax_seq import (
     SequenceProblem,
     ValidationError,
     certify_maximizer,
+    exp_power_index,
     explicit_class,
     explicit_spectrum,
     gateaux_derivative_J,
@@ -425,6 +426,13 @@ class TestSourceSetBound:
         sp = explicit_spectrum([1e100])
         with pytest.raises(ValidationError, match=r"level D = 0$"):
             source_set_bound(power_index(1.56, 1.0), sp, 0.1)
+
+    def test_overflowing_phi_is_validation_error(self):
+        # (1e-20)^-50 overflows inside exp(-t^-50); the Python float power
+        # raised a bare OverflowError
+        sp = explicit_spectrum([1.0, 1e-10])
+        with pytest.raises(ValidationError, match="'exp_power' overflows at t="):
+            source_set_bound(exp_power_index(1.0, 0.01), sp, 0.1)
 
     def test_nan_spectrum_is_validation_error(self):
         sp = explicit_spectrum([1.0, math.nan, 0.25])

@@ -149,6 +149,12 @@ class TestExitCodes:
         (None, "N", 50.7),
         ("spectrum", "kind", ["power"]),  # not a string, so not a known kind
         ("class", "kind", {"a": 1}),
+        # numbers must be JSON numbers, not strings or bools
+        (None, "sigma", "1e-2"),
+        (None, "sigma", True),
+        ("class", "Q", " 1 "),
+        ("class", "kappa", "2"),
+        ("spectrum", "p", False),
     ])
     def test_bad_config_value_is_validation_error(self, tmp_path, where, key,
                                                   value):
@@ -163,6 +169,16 @@ class TestExitCodes:
         code, out, err = run_cli(["optimal", "--config", str(config)])
         assert (code, out) == (2, b"")
         assert_one_line_error(err, key.encode())
+
+    @pytest.mark.parametrize("values, weights", [
+        (["1", 0.5], [1.0, 2.0]),
+        ([1.0, 0.5], [1.0, True]),
+    ])
+    def test_explicit_values_must_be_json_numbers(self, tmp_path, values, weights):
+        config = explicit_config(tmp_path, values, weights, 0.1)
+        code, out, err = run_cli(["optimal", "--config", str(config)])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, b"each value must be a number")
 
     def test_overflowing_prefix_sum_reads_as_infinite(self, tmp_path):
         # 1/s_j^2 = 1e308, so the noise sum overflows at D = 2; sigma^2 = 1e-320

@@ -143,6 +143,29 @@ class TestSourceSetConversion:
         with pytest.raises(ValidationError, match="j=1"):
             ellipsoid_from_source_set(log_power_index(1.0), sp)
 
+    # a Python float power raised a bare OverflowError in these cases
+    def test_overflowing_phi_in_the_exponent_is_validation_error(self):
+        # (1e-20)^-50 overflows inside exp(-t^-50), whose value is 0
+        sp = explicit_spectrum([1.0, 1e-10])
+        with pytest.raises(ValidationError,
+                           match=r"j=2: .*'exp_power' overflows at t=1\.0000000000000001e-20$"):
+            ellipsoid_from_source_set(exp_power_index(1.0, 0.01), sp)
+
+    def test_overflowing_phi_value_is_validation_error(self):
+        # (1e200)^20 overflows
+        sp = explicit_spectrum([1e100, 1.0])
+        with pytest.raises(ValidationError,
+                           match=r"j=1: .*'power' overflows at t=1e\+200$"):
+            ellipsoid_from_source_set(power_index(40.0, 1.0), sp)
+
+    def test_decay_probe_that_overflows_ends_the_probing(self):
+        # phi is finite at both sample points; the third probe, 1e-9 below
+        # them, overflows in t^-50 and so cannot show growth toward 0
+        sp = explicit_spectrum([1.0, 0.95])
+        cls = ellipsoid_from_source_set(exp_power_index(1.0, 0.01), sp)
+        assert cls.weights.tolist() == [1.0 / exp_power_index(1.0, 0.01)(float(t))
+                                        for t in sp.values ** 2]
+
     # check_samples is called with the sample points of the source set;
     # each phi below breaks exactly one of its three checks
     def test_non_monotone_phi_rejected(self):
@@ -421,6 +444,50 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError,
                            match=f"{where} key '{key}': {key} must be an integer"):
             problem_from_json(doc)
+
+    @pytest.mark.parametrize("where, key", [
+        ("spectrum", "p"), ("class", "kappa"), ("class", "Q"), ("problem", "sigma"),
+    ])
+    @pytest.mark.parametrize("value", ["1", " 1 ", "1e-2", True, False])
+    def test_numbers_must_be_json_numbers(self, where, key, value):
+        doc = problem_to_json(SequenceProblem(make_power_spectrum(1.0, 4),
+                                              make_power_class(1.0, 4), 0.1, 4))
+        (doc if where == "problem" else doc[where])[key] = value
+        with pytest.raises(ValidationError,
+                           match=f"^{where} key '{key}': {key} must be a number, "
+                                 f"got {value!r}$"):
+            problem_from_json(doc)
+
+    @pytest.mark.parametrize("where, key", [
+        ("spectrum", "p"), ("class", "kappa"), ("class", "Q"), ("problem", "sigma"),
+    ])
+    def test_json_integers_are_numbers(self, where, key):
+        doc = problem_to_json(SequenceProblem(make_power_spectrum(1.0, 4),
+                                              make_power_class(1.0, 4), 0.1, 4))
+        (doc if where == "problem" else doc[where])[key] = 1
+        p = problem_from_json(doc)
+        assert {"p": p.spectrum.param, "kappa": p.ellipsoid.param,
+                "Q": p.ellipsoid.radius, "sigma": p.sigma}[key] == 1.0
+
+    @pytest.mark.parametrize("where", ["spectrum", "class"])
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_explicit_values_must_be_json_numbers(self, where, bad):
+        doc = problem_to_json(SequenceProblem(explicit_spectrum([1.0, 0.5]),
+                                              explicit_class([1.0, 2.0], 1.0), 0.1, 2))
+        doc[where]["values"][0] = bad
+        with pytest.raises(ValidationError,
+                           match=f"^{where} key 'values': each value must be a number, "
+                                 f"got {bad!r}$"):
+            problem_from_json(doc)
+
+    def test_explicit_json_integers_are_numbers(self):
+        doc = {"spectrum": {"kind": "explicit", "values": [1, 1]},
+               "class": {"kind": "explicit", "values": [1, 2], "Q": 1},
+               "sigma": 0, "N": 2}
+        p = problem_from_json(doc)
+        assert p.spectrum.values.tolist() == [1.0, 1.0]
+        assert p.ellipsoid.weights.tolist() == [1.0, 2.0]
+        assert (p.ellipsoid.radius, p.sigma) == (1.0, 0.0)
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValidationError, match="missing"):

@@ -405,6 +405,12 @@ class TestClassification:
         fit = fit_rate(sweep(spec), spec)
         assert classify_illposedness(fit) is IllposednessLabel.SEVERE
 
+    @pytest.mark.parametrize("regime", ["pq", "", None, ["pp"]])
+    def test_unknown_regime_refused(self, regime):
+        fit = RateFit(regime, 0.5, 0.5, residual=0.0, d_star_trace=())
+        with pytest.raises(ValidationError, match="^unknown regime tag .*; use one of "):
+            classify_illposedness(fit)
+
     def test_ambiguous_fit_refused(self):
         fit = RateFit("pp", 0.5, 0.5, residual=0.9, d_star_trace=())
         with pytest.raises(ValidationError, match="ambiguous"):

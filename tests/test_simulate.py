@@ -10,7 +10,6 @@ from minimax_seq import (
     SequenceProblem,
     SimulationConfig,
     ValidationError,
-    empirical_worst_case,
     estimate,
     explicit_class,
     explicit_spectrum,
@@ -174,67 +173,6 @@ class TestMonteCarloRisk:
         got = monte_carlo_risk(p, theta, n // 2, config)
         assert ((got.mean_sq_error.hex(), got.std_error.hex())
                 == (want.mean_sq_error.hex(), want.std_error.hex()))
-
-
-class TestEmpiricalWorstCase:
-    def test_spikes_worst_at_first_excluded_coordinate(self):
-        p = toy_problem(sigma=0.01)
-        d = 3
-        candidates = [least_favorable(p, k) for k in range(d, p.n)]
-        config = SimulationConfig(200, 5, p.n)
-        worst, risk = empirical_worst_case(p, d, candidates, config)
-        np.testing.assert_array_equal(worst, least_favorable(p, d))
-
-    def test_single_candidate(self):
-        p = toy_problem()
-        theta = least_favorable(p, 2)
-        worst, risk = empirical_worst_case(p, 2, [theta],
-                                           SimulationConfig(50, 3, p.n))
-        assert worst is theta
-
-    def test_least_favorable_beats_zero(self):
-        p = toy_problem(sigma=0.01)
-        zero = np.zeros(p.n)
-        spike = least_favorable(p, 4)
-        worst, _ = empirical_worst_case(p, 4, [zero, spike],
-                                        SimulationConfig(100, 11, p.n))
-        assert worst is spike
-
-    def test_outside_candidate_rejected(self):
-        p = toy_problem()
-        for outside, message in [(np.full(p.n, 1.0), "candidate 1"),
-                                 (np.zeros(p.n - 1), "element length"),
-                                 (np.zeros((p.n, 1)), "element length")]:
-            with pytest.raises(ValidationError, match=message):
-                empirical_worst_case(p, 2, [least_favorable(p, 2), outside],
-                                     SimulationConfig(10, 1, p.n))
-
-    def test_unrepresentable_radius_squared_rejected(self):
-        # Q^2 = 1e400 overflows: the problem check rejects it before any use
-        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
-                            explicit_class([1.0, 2.0], 1e200), 0.1, 2)
-        with pytest.raises(ValidationError, match="radius"):
-            empirical_worst_case(p, 1, [np.zeros(2)], SimulationConfig(10, 1, 2))
-
-    def test_overflowing_candidate_is_outside_not_a_warning(self):
-        # (a * theta)^2 = 1e400 overflows to inf, which lies outside the
-        # ellipsoid; numpy's overflow warning must not escape first
-        p = SequenceProblem(explicit_spectrum([1.0, 0.5]),
-                            explicit_class([1.0, 1e200], 1.0), 0.1, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="lies outside the ellipsoid"):
-                empirical_worst_case(p, 1, [np.array([0.0, 1.0])],
-                                     SimulationConfig(10, 1, 2))
-
-    def test_overflowing_radius_sum_is_outside(self):
-        # each (a * theta)^2 = 1e308 is finite, their sum is not; fsum
-        # raised OverflowError
-        p = SequenceProblem(explicit_spectrum([1.0, 1.0]),
-                            explicit_class([1.0, 1.0], 1e154), 0.1, 2)
-        with pytest.raises(ValidationError,
-                           match=r"candidate 0 lies outside .* = inf > Q\^2"):
-            empirical_worst_case(p, 1, [[1e154, 1e154]], SimulationConfig(5, 1, 2))
 
     def test_common_random_numbers_make_comparison_exact(self):
         # under shared streams the risk gap between two spikes is exactly

@@ -112,7 +112,8 @@ class RegimeSpec:
         for name, value in (("p", self.p), ("kappa", self.kappa)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"regime needs finite {name} > 0, got {value!r}")
-        # the rules validate_problem applies to every problem the sweep builds
+        # validate_problem's rules on N, Q and sigma, which it applies to every
+        # problem the sweep builds; the arrays it builds check their own rules
         if not self.n >= 1:
             raise ValidationError(f"regime needs start dimension N at least 1, got {self.n!r}")
         if self.n > _MAX_N:

@@ -256,6 +256,12 @@ class TestValidation:
         assert validate_problem(p).violations == (
             (1, "spectrum finite", "s_1 = inf"), (2, "a finite", "a_2 = inf"))
 
+    def test_spectrum_rules_then_class_rules_then_scalar_rules(self):
+        p = SequenceProblem(explicit_spectrum([math.inf, 1.0]),
+                            explicit_class([-1.0, 2.0], 1.0), -1.0, 2)
+        assert [v[1] for v in validate_problem(p).violations] == [
+            "spectrum finite", "a positive", "sigma positive"]
+
     def test_zero_dimension_flagged(self):
         p = SequenceProblem(explicit_spectrum([]), explicit_class([], 1.0), 0.1, 0)
         assert [v[1] for v in validate_problem(p).violations] == ["N at least 1"]
@@ -326,13 +332,28 @@ class TestValidationCache:
 
 
 class TestValidationRecord:
-    """Each spectrum and class records a pass of the rules on its own
-    array; the rules on sigma, Q and N still run for every problem."""
+    """Each spectrum and class runs the rules on its own array once, when it
+    is built; the rules on sigma, Q and N still run for every problem."""
 
-    def test_failing_arrays_raise_again_on_every_call(self):
+    @pytest.fixture()
+    def array_rules(self, monkeypatch):
+        """The owner ("spectrum" or "class") of each run of the array rules."""
+        runs = []
+        real = problem_mod._array_violations
+
+        def counted(what, *args):
+            runs.append(what)
+            return real(what, *args)
+
+        monkeypatch.setattr(problem_mod, "_array_violations", counted)
+        return runs
+
+    def test_failing_arrays_raise_again_on_every_call(self, array_rules):
         bad_s = explicit_spectrum([1.0, 2.0, 0.5])
         bad_a = explicit_class([2.0, 1.0, 3.0], 1.0)
         good_s, good_a = make_power_spectrum(1.0, 3), make_power_class(2.0, 3)
+        built = ["spectrum", "class", "spectrum", "class"]
+        assert array_rules == built
         for spectrum, ellipsoid, needle in ((bad_s, good_a, "spectrum non-increasing"),
                                             (good_s, bad_a, "a non-decreasing")):
             messages = []
@@ -341,40 +362,44 @@ class TestValidationRecord:
                     radius_sq(SequenceProblem(spectrum, ellipsoid, sigma, 3))
                 messages.append(str(info.value))
             assert len(set(messages)) == 1
-            assert not (bad_s._valid or bad_a._valid)
-        assert good_s._valid and good_a._valid
+            assert array_rules == built  # checking again ran no array rule
+        assert array_rules == built
 
     @pytest.mark.parametrize("sigma, radius, n", [
         (-1.0, 1.0, 4), (math.nan, 1.0, 4), (1e200, 1.0, 4), (0.0, 1.0, 4),
         (0.1, 1e200, 4), (0.1, -2.0, 4), (0.1, math.nan, 4), (0.1, 1.0, 5),
         (1e200, 1e-200, 3),
     ])
-    def test_recorded_arrays_report_what_fresh_ones_do(self, sigma, radius, n):
+    def test_recorded_arrays_report_what_fresh_ones_do(self, sigma, radius, n,
+                                                        array_rules):
         def fresh():
             return (make_power_spectrum(1.0, 4), explicit_class([1.0, 2.0, 4.0, 8.0],
                                                                 radius))
 
         want = validate_problem(SequenceProblem(*fresh(), sigma, n)).violations
         spectrum, ellipsoid = fresh()
+        built = len(array_rules)
         # the arrays pass their own rules on a clean problem, or on this one
         validate_problem(SequenceProblem(spectrum, ellipsoid, 0.1, 4))
-        assert spectrum._valid and ellipsoid._valid
+        assert len(array_rules) == built
         for _ in range(2):
             got = validate_problem(SequenceProblem(spectrum, ellipsoid, sigma, n))
             assert got.violations == want and got.passed is not bool(want)
+        assert len(array_rules) == built
 
-    def test_recorded_class_still_reports_a_bad_spectrum_in_order(self):
+    def test_recorded_class_still_reports_a_bad_spectrum_in_order(self, array_rules):
         spectrum = explicit_spectrum([1.0, math.inf, 0.5])
         ellipsoid = explicit_class([1.0, 2.0, 3.0], 1.0)
         fresh_class = explicit_class([1.0, 2.0, 3.0], 1.0)
         validate_problem(SequenceProblem(make_power_spectrum(1.0, 3), ellipsoid, 0.1, 3))
-        assert ellipsoid._valid
+        built = ["spectrum", "class", "class", "spectrum"]
+        assert array_rules == built
         got = validate_problem(SequenceProblem(spectrum, ellipsoid, -1.0, 3))
         want = validate_problem(SequenceProblem(spectrum, fresh_class, -1.0, 3))
         assert got.violations == want.violations
         assert [v[1] for v in got.violations] == [
             "spectrum non-increasing", "spectrum finite", "sigma positive"]
-        assert not spectrum._valid
+        assert array_rules == built
 
     def test_derived_arrays_are_read_only(self):
         p = SequenceProblem(make_power_spectrum(1.0, 32), make_power_class(1.5, 32),

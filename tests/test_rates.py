@@ -311,20 +311,28 @@ _CALLS = (optimal_truncation, radius_sq, deterministic_rate_sq,
 @settings(max_examples=60, deadline=None)
 def test_shared_objects_give_the_bits_of_fresh_ones(spec):
     """The spectrum and class a sweep shares across its grid points, with
-    their recorded validation and derived arrays, give the bits, warnings
-    and errors of objects built afresh for every call, sigma = 0 included."""
+    the violations they found when built and their derived arrays, give the
+    bits, warnings and errors of objects built afresh for every call,
+    sigma = 0 included; the shared pair never runs its array rules again."""
     n = spec.n
     spectrum, ellipsoid = rates_mod._build_pair(spec, n)  # as sweep builds it
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
         # warms the shared pair
         rates_mod._sweep_point(SequenceProblem(spectrum, ellipsoid, spec.sigma_grid[0], n))
-    for sigma in spec.sigma_grid + (0.0,):
-        shared = SequenceProblem(spectrum, ellipsoid, sigma, n)
-        fresh = fresh_problem(spec, sigma, n)
-        for call in _CALLS + (rates_mod._sweep_point,):
-            assert _outcome(call, shared) == _outcome(call, fresh), call.__name__
-    assert spectrum._valid and ellipsoid._valid
+    array_rules = []
+    real = problem_mod._array_violations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problem_mod, "_array_violations",
+                      lambda *args: array_rules.append(args[1]) or real(*args))
+        for sigma in spec.sigma_grid + (0.0,):
+            shared = SequenceProblem(spectrum, ellipsoid, sigma, n)
+            fresh = fresh_problem(spec, sigma, n)
+            for call in _CALLS + (rates_mod._sweep_point,):
+                assert _outcome(call, shared) == _outcome(call, fresh), call.__name__
+    # only the fresh objects, one spectrum and one class per sigma, ran them
+    assert len(array_rules) == 2 * (len(spec.sigma_grid) + 1)
+    assert not any(x is spectrum.values or x is ellipsoid.weights for x in array_rules)
     derived = [k for owner in (spectrum, ellipsoid) for k, v in vars(owner).items()
                if isinstance(v, np.ndarray) and k.startswith("_")]
     # arrays above _BLOCK_DOUBLES values are computed on every call, not kept

@@ -84,8 +84,13 @@ def _number(name: str, value) -> float:
 
 
 def _numbers(values):
-    """Explicit values, with every entry of a list checked by _number."""
-    for value in values if isinstance(values, list) else ():
+    """Explicit values, with each entry of a list or tuple checked by
+    _number, and each entry of an array that holds no ints or floats."""
+    if isinstance(values, np.ndarray):
+        entries = () if values.dtype.kind in "iuf" else values.ravel().tolist()
+    else:
+        entries = values if isinstance(values, (list, tuple)) else ()
+    for value in entries:
         _number("each value", value)
     return values
 
@@ -235,6 +240,7 @@ class IndexFunction:
 class SequenceProblem:
     """A spectrum, a smoothness class, and a noise level of common length.
 
+    sigma is a number and N an integer; a bool or a string is neither.
     ``_usable`` records a passed ensure_usable: every field is frozen and the
     arrays are read-only, so the outcome cannot change afterwards.  Problems
     may share their spectrum and class (the points of a sweep at one N do):
@@ -250,8 +256,8 @@ class SequenceProblem:
     _usable: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "sigma", _number("sigma", self.sigma))
+        object.__setattr__(self, "n", _integer("N", self.n))
 
 
 @dataclass(frozen=True)
@@ -272,31 +278,34 @@ _FORMULAS = {
 
 def _spectrum(kind: str, p: float, n_max: int) -> SingularSpectrum:
     """The generated spectrum of ``kind`` with exponent p, length n_max."""
+    p, n_max = _number("p", p), _integer("n_max", n_max)
     if not (p > 0 and math.isfinite(p)):
         raise ValidationError(f"{kind} spectrum needs finite p > 0, got {p!r}")
     if not n_max >= 1:
         raise ValidationError(f"spectrum length must be >= 1, got {n_max!r}")
     formula, name = _FORMULAS[kind]
-    values = formula(_indices(n_max), -float(p))
+    values = formula(_indices(n_max), -p)
     if values[-1] <= 0.0:
         raise ValidationError(f"{name.format('-p')} underflows to 0 "
                               f"at j={n_max} for p={p!r}; reduce n_max")
-    return SingularSpectrum(values, kind, float(p))
+    return SingularSpectrum(values, kind, p)
 
 
 def _class(kind: str, kappa: float, n_max: int, radius: float) -> EllipsoidClass:
     """The generated class of ``kind`` with exponent kappa, length n_max."""
+    kappa, n_max, radius = (_number("kappa", kappa), _integer("n_max", n_max),
+                            _number("Q", radius))
     if not (kappa > 0 and math.isfinite(kappa)):
         raise ValidationError(f"{kind} class needs finite kappa > 0, got {kappa!r}")
     if not n_max >= 1 or not radius > 0:
         raise ValidationError("class needs n_max >= 1 and radius > 0")
     formula, name = _FORMULAS[kind]
     with np.errstate(over="ignore"):  # reported below, as one ValidationError
-        weights = formula(_indices(n_max), float(kappa))
+        weights = formula(_indices(n_max), kappa)
     if not np.all(np.isfinite(weights)):
         raise ValidationError(f"{name.format('kappa')} overflows "
                               f"at j={n_max} for kappa={kappa!r}; reduce n_max")
-    return EllipsoidClass(weights, float(radius), kind, float(kappa))
+    return EllipsoidClass(weights, radius, kind, kappa)
 
 
 def _generator(what: str, kind: str):
@@ -317,8 +326,9 @@ def make_exponential_spectrum(p: float, n_max: int) -> SingularSpectrum:
 
 
 def explicit_spectrum(values: Sequence[float]) -> SingularSpectrum:
-    """Wrap explicitly given singular values (validated via validate_problem)."""
-    return SingularSpectrum(values, "explicit", None)
+    """Wrap explicitly given singular values; each must be a number, not a
+    bool or a string (their rules are reported by validate_problem)."""
+    return SingularSpectrum(_numbers(values), "explicit", None)
 
 
 def make_power_class(kappa: float, n_max: int, radius: float = 1.0) -> EllipsoidClass:
@@ -332,9 +342,9 @@ def make_exponential_class(kappa: float, n_max: int, radius: float = 1.0) -> Ell
 
 
 def explicit_class(weights: Sequence[float], radius: float) -> EllipsoidClass:
-    """Wrap explicitly given weights (validated via validate_problem)."""
-    arr = np.asarray(weights, dtype=np.float64)
-    return EllipsoidClass(arr, float(radius), "explicit", None)
+    """Wrap explicitly given weights and radius; each must be a number, not
+    a bool or a string (their rules are reported by validate_problem)."""
+    return EllipsoidClass(_numbers(weights), _number("Q", radius), "explicit", None)
 
 
 def power_index(kappa: float, p: float) -> IndexFunction:
@@ -541,8 +551,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
             _field(sp_doc, "n_max", partial(_integer, "n_max"), "spectrum"))
     elif kind == "explicit":
         _reject_unknown(sp_doc, {"kind", "values"}, "spectrum")
-        spectrum = _field(sp_doc, "values",
-                          lambda values: explicit_spectrum(_numbers(values)), "spectrum")
+        spectrum = _field(sp_doc, "values", explicit_spectrum, "spectrum")
     else:
         raise ValidationError(f"unknown spectrum kind {kind!r}")
 
@@ -559,8 +568,7 @@ def problem_from_json(doc: dict) -> SequenceProblem:
     elif kind == "explicit":
         _reject_unknown(cl_doc, {"kind", "values", "Q"}, "class")
         ellipsoid = _field(cl_doc, "values",
-                           lambda values: explicit_class(_numbers(values), radius),
-                           "class")
+                           lambda values: explicit_class(values, radius), "class")
     else:
         raise ValidationError(f"unknown class kind {kind!r}")
 

@@ -35,6 +35,8 @@ from .problem import (
     SequenceProblem,
     ValidationError,
     _generator,
+    _integer,
+    _number,
 )
 from .truncation import _best_level, _derived, _prefix_spreads
 
@@ -123,7 +125,7 @@ class RegimeSpec:
         if not (q > 0.0 and 0.0 < q * q < math.inf):
             raise ValidationError(
                 f"regime needs radius Q > 0 with Q^2 positive and finite, got {q!r}")
-        grid = tuple(float(s) for s in self.sigma_grid)
+        grid = tuple(_number("sigma", s) for s in self.sigma_grid)
         if not grid:
             raise ValidationError("sigma grid must be non-empty")
         for s in grid:
@@ -143,8 +145,9 @@ class RegimeSpec:
     def from_tag(cls, tag: str, p: float, kappa: float, sigma_grid,
                  radius: float = 1.0, n: int = 64) -> "RegimeSpec":
         regime = _regime(tag)
-        return cls(regime.spectrum_kind, regime.smoothness_kind, float(p), float(kappa),
-                   float(radius), int(n), tuple(sigma_grid))
+        return cls(regime.spectrum_kind, regime.smoothness_kind, _number("p", p),
+                   _number("kappa", kappa), _number("Q", radius), _integer("N", n),
+                   tuple(sigma_grid))
 
 
 @dataclass(frozen=True)

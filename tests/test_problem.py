@@ -99,6 +99,48 @@ class TestSpectrumConstructors:
             np.testing.assert_allclose(sp.values * j ** p, 1.0, rtol=5e-16)
 
 
+class TestArgumentsAreNumbers:
+    """The constructors read their arguments as a problem document does: a
+    bool or a string is not a number, and a length is an integer."""
+
+    @pytest.mark.parametrize("values, bad", [
+        (["1", True], "'1'"), ([1.0, True], "True"), (np.array([True, False]), "True"),
+    ])
+    def test_explicit_values(self, values, bad):
+        with pytest.raises(ValidationError, match=f"^each value must be a number, got {bad}$"):
+            explicit_spectrum(values)
+
+    def test_explicit_weights_and_radius(self):
+        with pytest.raises(ValidationError, match="^each value must be a number, got '2'$"):
+            explicit_class(["2", True], "1.5")
+        with pytest.raises(ValidationError, match="^Q must be a number, got '1.5'$"):
+            explicit_class([1.0, 2.0], "1.5")
+        assert explicit_class(np.array([1, 2]), 1).weights.tolist() == [1.0, 2.0]
+
+    def test_problem_sigma_and_dimension(self):
+        spectrum, ellipsoid = make_power_spectrum(1.0, 3), make_power_class(2.0, 3)
+        with pytest.raises(ValidationError, match="^sigma must be a number, got '0.1'$"):
+            SequenceProblem(spectrum, ellipsoid, "0.1", 3)
+        with pytest.raises(ValidationError, match="^N must be an integer, got 3.7$"):
+            SequenceProblem(spectrum, ellipsoid, 0.1, 3.7)
+        p = SequenceProblem(spectrum, ellipsoid, np.float64(0.1), np.int64(3))
+        assert (type(p.sigma), type(p.n)) == (float, int)
+
+    @pytest.mark.parametrize("make", [make_power_spectrum, make_exponential_spectrum,
+                                      make_power_class, make_exponential_class])
+    def test_generated_length(self, make):
+        with pytest.raises(ValidationError, match="^n_max must be an integer, got 3.5$"):
+            make(1.0, 3.5)
+
+    def test_generated_exponent_and_radius(self):
+        with pytest.raises(ValidationError, match="^p must be a number, got '1'$"):
+            make_power_spectrum("1", 3)
+        with pytest.raises(ValidationError, match="^kappa must be a number, got True$"):
+            make_exponential_class(True, 3)
+        with pytest.raises(ValidationError, match="^Q must be a number, got '1'$"):
+            make_power_class(1.0, 3, "1")
+
+
 class TestSourceSetConversion:
     def test_power_index_power_spectrum(self):
         # phi(t) = t^(kappa/2p) turns s_j = j^-p into weights j^kappa

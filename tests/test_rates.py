@@ -131,6 +131,18 @@ class TestSweep:
         with pytest.raises(ValidationError, match="finite"):
             RegimeSpec.from_tag("pp", p, kappa, (1e-3,))
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"p": "1", "kappa": True}, "p must be a number, got '1'"),
+        ({"kappa": True}, "kappa must be a number, got True"),
+        ({"sigma_grid": ("1e-2", "1e-3")}, "sigma must be a number, got '1e-2'"),
+        ({"radius": "1"}, "Q must be a number, got '1'"),
+        ({"n": 64.0}, "N must be an integer, got 64.0"),
+    ])
+    def test_spec_arguments_must_be_numbers(self, bad, message):
+        args = {"p": 1.0, "kappa": 2.0, "sigma_grid": (1e-3,), **bad}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            RegimeSpec.from_tag("pp", **args)
+
     def test_rows_follow_grid_order(self):
         grid = (1e-2, 1e-3, 1e-4)
         rows = sweep(RegimeSpec.from_tag("pp", 1.0, 2.0, grid))

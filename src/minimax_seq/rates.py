@@ -96,7 +96,11 @@ def _regime(tag) -> _Regime:
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """One regime cell: generator kinds, their exponents, and a noise grid."""
+    """One regime cell: generator kinds, their exponents, and a noise grid.
+
+    p, kappa, the radius and each noise level must be numbers and n an
+    integer; a bool or a string is neither.
+    """
 
     spectrum_kind: str
     smoothness_kind: str
@@ -111,6 +115,9 @@ class RegimeSpec:
                            ("smoothness", self.smoothness_kind)):
             if not (isinstance(kind, str) and kind in _FORMULAS):
                 raise ValidationError(f"unknown {name} kind {kind!r}")
+        for name, label in (("p", "p"), ("kappa", "kappa"), ("radius", "Q")):
+            object.__setattr__(self, name, _number(label, getattr(self, name)))
+        object.__setattr__(self, "n", _integer("N", self.n))
         for name, value in (("p", self.p), ("kappa", self.kappa)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"regime needs finite {name} > 0, got {value!r}")
@@ -145,8 +152,7 @@ class RegimeSpec:
     def from_tag(cls, tag: str, p: float, kappa: float, sigma_grid,
                  radius: float = 1.0, n: int = 64) -> "RegimeSpec":
         regime = _regime(tag)
-        return cls(regime.spectrum_kind, regime.smoothness_kind, _number("p", p),
-                   _number("kappa", kappa), _number("Q", radius), _integer("N", n),
+        return cls(regime.spectrum_kind, regime.smoothness_kind, p, kappa, radius, n,
                    tuple(sigma_grid))
 
 

@@ -142,6 +142,8 @@ class TestSweep:
         args = {"p": 1.0, "kappa": 2.0, "sigma_grid": (1e-3,), **bad}
         with pytest.raises(ValidationError, match=f"^{message}$"):
             RegimeSpec.from_tag("pp", **args)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3,)), **bad)
 
     def test_rows_follow_grid_order(self):
         grid = (1e-2, 1e-3, 1e-4)

@@ -29,9 +29,9 @@ One kernel, _derivatives, serves gateaux_derivative_J and certify_maximizer.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .problem import (
 )
 from .truncation import (
     _BLOCK_DOUBLES,
+    _SUM,
     _best_level,
     _column_fsums,
     _derived,
@@ -81,17 +82,18 @@ _MAX_DIRECTION_VALUES = 1 << 25  # most certificate directions x N per draw
 
 
 def _caps(spectrum: SingularSpectrum, sigma: float) -> np.ndarray:
-    """sigma^2/s_i^2, with the squares s_i^2 computed once per spectrum."""
+    """sigma^2/s_i^2, with the squares s_i^2 computed once per spectrum.
+    An infinite cap is legal: callers silence overflow and division by
+    zero."""
     if sigma == 0.0:  # not 0/0 where s_i^2 underflows
         return np.zeros(spectrum.n_max)
-    with np.errstate(divide="ignore", over="ignore"):  # an infinite cap is legal
-        return (float(sigma) ** 2) / _derived(spectrum, "_squares",
-                                              lambda: spectrum.values ** 2)
+    return (float(sigma) ** 2) / _derived(spectrum, "_squares", np.square,
+                                          spectrum.values)
 
 
 def _weights_sq(ellipsoid: EllipsoidClass) -> np.ndarray:
     """a_i^2, inf where it overflows, computed once per class."""
-    return _derived(ellipsoid, "_squares", lambda: ellipsoid.weights ** 2)
+    return _derived(ellipsoid, "_squares", np.square, ellipsoid.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +136,9 @@ def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
     if np.any(arr < 0.0):
         j = int(np.nonzero(arr < 0.0)[0][0])
         raise ValidationError(f"r_{j + 1} = {arr[j]!r} is negative")
-    return _exact_sum(np.minimum(arr, _caps(spectrum, sigma)))
+    with np.errstate(divide="ignore", over="ignore"):
+        caps = _caps(spectrum, sigma)
+    return _exact_sum(np.minimum(arr, caps))
 
 
 def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
@@ -149,55 +153,57 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
 
     Only the coordinates up to the pivot can be non-zero, so J(r*), the
     budget used and the members of P and Q_eq among them are read from
-    those alone, where every r_i before the pivot equals c_i.  A later
-    r_i is +0.0, which adds nothing to an exactly rounded sum and lies in
-    P and in Q_eq exactly where c_i = 0; the caps do not decrease, so
-    those form a run right after the pivot, found by one vector test when
-    the first cap after it is 0.  The caps, the costs a_i^2 c_i and the
-    running budget are whole-array passes over all N coordinates.
+    those alone, where every r_i before the pivot equals c_i, with a_i^2
+    and c_i finite (else its cost would not fit the budget left).  The
+    pivot's r_k is at most c_k: r_k = 0 where the budget left b is spent or
+    a_k^2 c_k is inf * 0, and otherwise its cost a_k^2 c_k rounds above b,
+    so a_k^2 c_k > b exactly and b / a_k^2 rounds to at most c_k.  So
+    min(r_k, c_k) = r_k, and the pivot lies in P exactly where it lies
+    in Q_eq: P = Q_eq.  A later r_i is +0.0, which adds nothing to an
+    exactly rounded sum and lies in P and in Q_eq exactly where c_i = 0;
+    the caps do not decrease, so those form a run right after the pivot,
+    found by one vector test when the first cap after it is 0.  The caps,
+    the costs a_i^2 c_i and the running budget are whole-array passes over
+    all N coordinates; the pivot's values are Python floats.
     """
     ensure_usable(problem)
-    caps = _caps(problem.spectrum, problem.sigma)
-    r = np.zeros(problem.n)
+    n = problem.n
     # a_i^2 = inf (exponential classes) is legal and comes last: each such
     # coordinate gets r_i = 0, also through a cost inf * 0 = NaN at a zero cap
     a2 = _weights_sq(problem.ellipsoid)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        caps = _caps(problem.spectrum, problem.sigma)
         cost = a2 * caps
         left = np.subtract.accumulate(
             np.concatenate(([problem.ellipsoid.radius ** 2], cost)))
-        k = _first(~(cost <= left[:-1]), problem.n)
-        r[:k] = caps[:k]
-        if k < problem.n and left[k] > 0.0:
-            r[k] = left[k] / a2[k]
-            if r[k] == math.inf:
-                raise ValidationError(
-                    f"r_star is non-finite at index {k + 1}: the budget left, "
-                    f"{float(left[k])!r}, over a_{k + 1}^2 = {float(a2[k])!r} "
-                    "overflows")
-
-    head = r[:k + 1]
-    value = _exact_sum(np.minimum(head, caps[:k + 1]))
+        k = _first(~(cost <= left[:-1]), n)
+    r = np.zeros(n)
+    r[:k] = caps[:k]
+    # 1-based indices: r_i = c_i for i <= k, the pivot is k + 1, and the
+    # caps do not decrease because the s_i do not increase
+    members, used = range(1, k + 1), k
+    if k < n:
+        budget_left, a2_k, cap_k = left.item(k), a2.item(k), caps.item(k)
+        r_k = budget_left / a2_k if budget_left > 0.0 else 0.0
+        if r_k == math.inf:
+            raise ValidationError(
+                f"r_star is non-finite at index {k + 1}: the budget left, "
+                f"{budget_left!r}, over a_{k + 1}^2 = {a2_k!r} overflows")
+        r[k] = r_k
+        if r_k > 0.0:  # a_k^2 may be inf where r_k = 0, and inf * 0 is NaN
+            used += 1
+        tail = [k + 1] if r_k == cap_k else []
+        if k + 1 < n and caps.item(k + 1) == 0.0:
+            tail += (np.flatnonzero(caps[k + 1:] == 0.0) + k + 2).tolist()
+        members = chain(members, tail)
+    value = _exact_sum(r[:k + 1])
     if value == math.inf:
         raise ValidationError(
             "J(r_star) is non-finite: sum_i min(r_i, sigma^2/s_i^2) overflows")
-    used = head > 0.0  # so that inf * 0 adds no NaN; fsum skips +0.0 terms
-    budget_used = _exact_sum(a2[:k + 1][used] * head[used])
-    # 1-based indices: r_i = c_i for i <= k, the pivot is k + 1, and the
-    # caps do not decrease because the s_i do not increase
-    set_p, set_qeq = list(range(1, k + 1)), list(range(1, k + 1))
-    if k < problem.n:
-        if r[k] >= caps[k]:
-            set_p.append(k + 1)
-        if r[k] == caps[k]:
-            set_qeq.append(k + 1)
-        if k + 1 < problem.n and caps[k + 1] == 0.0:
-            zero_caps = (np.flatnonzero(caps[k + 1:] == 0.0) + k + 2).tolist()
-            set_p += zero_caps
-            set_qeq += zero_caps
+    budget_used = _exact_sum(a2[:used] * r[:used])
     r.flags.writeable = False
-    return KnapsackSolution(r, value, frozenset(set_p), frozenset(set_qeq),
-                            budget_used, problem)
+    members = frozenset(members)
+    return KnapsackSolution(r, value, members, members, budget_used, problem)
 
 
 def _derivatives(solution: KnapsackSolution, rows: np.ndarray) -> np.ndarray:
@@ -278,7 +284,11 @@ def sample_feasible_rectangles(problem: SequenceProblem, count: int,
 
 def _first(mask: np.ndarray, default: int) -> int:
     """Index of the first True in mask, or default when there is none."""
-    return int(mask.argmax()) if mask.any() else default
+    if mask.size:
+        j = int(mask.argmax())  # stops at the first True
+        if mask[j]:
+            return j
+    return default
 
 
 def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
@@ -336,7 +346,7 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
     problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
                               sigma, spectrum.n_max)
     best_d, best = _best_level(
-        problem, "source-set optimum", _variances, operator.add, bias_sq,
+        problem, "source-set optimum", _variances, _SUM, bias_sq,
         nonfinite="source-set bound is non-finite: the risk is inf at every "
                   "level, and the bias phi(s_1^2)^2 overflows at level D = 0")
     return best_d, best, best / SQUARED_FACTOR

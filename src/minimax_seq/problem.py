@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,10 +111,21 @@ def _indices(n_max) -> np.ndarray:
     return np.arange(1, n_max + 1, dtype=np.float64)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+class _Generated(NamedTuple):
+    """A fresh array that _spectrum or _class built from _FORMULAS.  The
+    object built on it takes the array without a copy, and the
+    generator-match rule holds for it by construction."""
+
+    array: np.ndarray
+
+
+def _freeze(arr) -> tuple[np.ndarray, bool]:
+    """arr as a read-only float64 array, and whether it is a generator's:
+    a _Generated array is taken as it is, any other array is copied."""
+    generated = isinstance(arr, _Generated)
+    out = arr.array if generated else np.array(arr, dtype=np.float64, copy=True)
     out.flags.writeable = False
-    return out
+    return out, generated
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +140,13 @@ class SingularSpectrum:
     them alone stays valid: ``_violations`` holds the violations of the
     rules on the values, found once when the spectrum is built, and the
     level scans and the water-filling keep their sigma-free arrays
-    (squares, noise terms, running sums) in the instance, computed once
-    (truncation._derived).
+    (squares, noise terms, their running sums and the widened running
+    sums) in the instance, computed once (truncation._derived), for a
+    spectrum of at most truncation._BLOCK_DOUBLES values.  The values are a
+    copy of the array passed in, except for the array a make_* generator
+    has just built, which is taken as it is; the generator-match rule of a
+    generated kind runs on every spectrum but that one, whose values are
+    the formula's by construction.
     """
 
     values: np.ndarray
@@ -139,11 +155,12 @@ class SingularSpectrum:
     _violations: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.ndim != 1:
+        values, generated = _freeze(self.values)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1:
             raise ValidationError("spectrum values must be 1-d")
         object.__setattr__(self, "_violations", _array_violations(
-            "spectrum", self.values, self.kind, self.param))
+            "spectrum", values, self.kind, self.param, generated))
 
     @property
     def n_max(self) -> int:
@@ -161,9 +178,11 @@ class EllipsoidClass:
     weights mean faster coefficient decay, i.e. smoother solutions.
 
     As for SingularSpectrum, ``_violations`` holds the violations of the
-    rules on the weights, found once when the class is built, and the
+    rules on the weights, found once when the class is built, the
     sigma-free arrays derived from the weights and Q (the default bias
-    Q^2/a_j^2, the squares a_j^2) are kept in the instance, computed once.
+    Q^2/a_j^2, the squares a_j^2) are kept in the instance, computed once,
+    and a generator's own array is taken without a copy or a
+    generator-match check.
     """
 
     weights: np.ndarray
@@ -173,11 +192,12 @@ class EllipsoidClass:
     _violations: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        if self.weights.ndim != 1:
+        weights, generated = _freeze(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if weights.ndim != 1:
             raise ValidationError("class weights must be 1-d")
         object.__setattr__(self, "_violations", _array_violations(
-            "class", self.weights, self.kind, self.param))
+            "class", weights, self.kind, self.param, generated))
 
     def __len__(self) -> int:
         return self.weights.size
@@ -288,7 +308,7 @@ def _spectrum(kind: str, p: float, n_max: int) -> SingularSpectrum:
     if values[-1] <= 0.0:
         raise ValidationError(f"{name.format('-p')} underflows to 0 "
                               f"at j={n_max} for p={p!r}; reduce n_max")
-    return SingularSpectrum(values, kind, p)
+    return SingularSpectrum(_Generated(values), kind, p)
 
 
 def _class(kind: str, kappa: float, n_max: int, radius: float) -> EllipsoidClass:
@@ -302,10 +322,10 @@ def _class(kind: str, kappa: float, n_max: int, radius: float) -> EllipsoidClass
     formula, name = _FORMULAS[kind]
     with np.errstate(over="ignore"):  # reported below, as one ValidationError
         weights = formula(_indices(n_max), kappa)
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValidationError(f"{name.format('kappa')} overflows "
                               f"at j={n_max} for kappa={kappa!r}; reduce n_max")
-    return EllipsoidClass(weights, radius, kind, kappa)
+    return EllipsoidClass(_Generated(weights), radius, kind, kappa)
 
 
 def _generator(what: str, kind: str):
@@ -407,34 +427,50 @@ def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) ->
 _ARRAY_RULES = {"spectrum": ("s", "spectrum", "non-increasing", ">", operator.gt, -1.0),
                 "class": ("a", "a", "non-decreasing", "<", operator.lt, 1.0)}
 
+# the largest double whose square rounds to 0: a_j^2 > 0 exactly where
+# a_j > this, with no square computed (and none to overflow)
+_SQUARE_UNDERFLOW = float.fromhex("0x1.6a09e667f3bccp-538")
 
-def _array_violations(what: str, x: np.ndarray, kind: str, param) -> tuple:
+
+def _hits(mask: np.ndarray) -> list:
+    """The indices where mask is True."""
+    return mask.nonzero()[0].tolist()
+
+
+def _first_hit(mask: np.ndarray) -> list:
+    """The first index where mask is True, as a list of at most one."""
+    return mask.nonzero()[0][:1].tolist()
+
+
+def _array_violations(what: str, x: np.ndarray, kind: str, param,
+                      generated: bool) -> tuple:
     """The violations of the rules on a spectrum's values or a class's
     weights (``what``): positive, monotone, finite, a_j^2 > 0 (class only)
-    and, for a generated kind, the generator's bits."""
+    and, for a generated kind, the generator's bits, which a generator's
+    own array (``generated``) has by construction.  Each rule is one
+    whole-array mask, and only the indices where it holds a True are
+    formatted."""
     sym, name, order, op, breaks, sign = _ARRAY_RULES[what]
-    v: list = []
+    positive = x > 0.0
     # messages print Python floats (1.0, not np.float64(1.0))
-    for j in np.nonzero(~(x > 0.0))[0].tolist():
-        v.append((j + 1, f"{name} positive", f"{sym}_{j + 1} = {float(x[j])!r}"))
+    v = [(j + 1, f"{name} positive", f"{sym}_{j + 1} = {x.item(j)!r}")
+         for j in _hits(~positive)]
     # compared, not subtracted: inf - inf would warn
-    for j in np.nonzero(breaks(x[1:], x[:-1]))[0].tolist():
-        v.append((j + 2, f"{name} {order}", f"{sym}_{j + 2} = {float(x[j + 1])!r} "
-                                            f"{op} {sym}_{j + 1} = {float(x[j])!r}"))
+    v += [(j + 2, f"{name} {order}", f"{sym}_{j + 2} = {x.item(j + 1)!r} "
+                                     f"{op} {sym}_{j + 1} = {x.item(j)!r}")
+          for j in _hits(breaks(x[1:], x[:-1]))]
     # +inf passes the sign and order rules; only the first index is named
     firsts = [(x == math.inf, f"{name} finite")]
     if what == "class":  # the bias Q^2/a_j^2 needs a_j^2 > 0; a_j^2 = inf is fine
-        with np.errstate(over="ignore"):
-            firsts.append(((x > 0.0) & ~(x * x > 0.0), "a squared positive"))
-    for bad, rule in firsts:
-        for j in np.flatnonzero(bad)[:1].tolist():
-            v.append((j + 1, rule, f"{sym}_{j + 1} = {float(x[j])!r}"))
-    if kind in _FORMULAS and param is not None:
+        firsts.append((positive & (x <= _SQUARE_UNDERFLOW), "a squared positive"))
+    v += [(j + 1, rule, f"{sym}_{j + 1} = {x.item(j)!r}")
+          for bad, rule in firsts for j in _first_hit(bad)]
+    if kind in _FORMULAS and param is not None and not generated:
         expect = _FORMULAS[kind][0](np.arange(1, x.size + 1, dtype=np.float64),
                                     sign * param)
-        for j in np.flatnonzero(x != expect)[:1].tolist():
-            v.append((j + 1, f"{what} generator mismatch",
-                      f"{kind} kind expected {float(expect[j])!r}, stored {float(x[j])!r}"))
+        v += [(j + 1, f"{what} generator mismatch",
+               f"{kind} kind expected {expect.item(j)!r}, stored {x.item(j)!r}")
+              for j in _first_hit(x != expect)]
     return tuple(v)
 
 

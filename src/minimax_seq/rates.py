@@ -18,7 +18,6 @@ search range.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +37,7 @@ from .problem import (
     _integer,
     _number,
 )
-from .truncation import _best_level, _derived, _prefix_spreads
+from .truncation import _MAX, _SUM, _best_level, _derived, _prefix_spreads
 
 __all__ = [
     "REGIME_TAGS",
@@ -186,7 +185,7 @@ def testing_radius_sq(problem: SequenceProblem) -> tuple[int, float]:
 
     The fourth powers make this never exceed the estimation bound squared.
     """
-    return _best_level(problem, "testing radius optimum", _testing_spreads, np.maximum)
+    return _best_level(problem, "testing radius optimum", _testing_spreads, _MAX)
 
 
 def _deterministic_spreads(sig2: float, spectrum):
@@ -194,8 +193,8 @@ def _deterministic_spreads(sig2: float, spectrum):
     are computed once per spectrum."""
     spread = np.zeros(spectrum.n_max + 1)
     if sig2:
-        spread[1:] = sig2 / _derived(spectrum, "_float_power_2",
-                                     lambda: np.float_power(spectrum.values, 2.0))
+        spread[1:] = sig2 / _derived(spectrum, "_float_power_2", np.float_power,
+                                     spectrum.values, 2.0)
     return spread
 
 
@@ -203,7 +202,7 @@ def deterministic_rate_sq(problem: SequenceProblem) -> tuple[int, float]:
     """Squared bound for bounded deterministic noise: minimize over D the sum
     Q^2/a_{D+1}^2 + sigma^2/s_D^2 (bias only at D = 0)."""
     return _best_level(problem, "deterministic rate optimum", _deterministic_spreads,
-                       operator.add)
+                       _SUM)
 
 
 _OPTIMIZERS = ("estimation", "testing", "deterministic", "water-filling")

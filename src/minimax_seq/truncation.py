@@ -113,8 +113,14 @@ def _exact_sum(terms: np.ndarray) -> float:
     also where the exact sum rounds back below it; the sum is then read in
     integers instead (_integer_sum).
     """
+    return _fsum(_floats(terms), terms)
+
+
+def _fsum(floats, terms: np.ndarray) -> float:
+    """math.fsum(floats), the values of the 1-d array terms as Python
+    floats; where fsum overflows on the way, _integer_sum(terms)."""
     try:
-        return math.fsum(_floats(terms))
+        return math.fsum(floats)
     except OverflowError:
         return _integer_sum(terms)
 
@@ -126,6 +132,15 @@ def _floats(terms: np.ndarray):
         return terms.tolist()
     return chain.from_iterable(terms[i:i + _BLOCK_DOUBLES].tolist()
                                for i in range(0, len(terms), _BLOCK_DOUBLES))
+
+
+def _column_floats(x: np.ndarray, cols: list) -> list:
+    """The values of the columns cols of the 2-d array x as Python floats:
+    one list per column from one conversion, or where those columns hold
+    more than _BLOCK_DOUBLES values, _floats of each."""
+    if x.shape[0] * len(cols) <= _BLOCK_DOUBLES:
+        return x[:, cols].T.tolist()
+    return [_floats(x[:, j]) for j in cols]
 
 
 _UNITS = 1 << 1074  # units of 2^-1074, the smallest subnormal, per 1.0
@@ -167,31 +182,36 @@ def _expansion(terms: list) -> list:
 
 
 # values per block for the callers of _column_fsums (Monte Carlo, the jmax
-# certificate): 256 sums at N = 64, one sum at N > 16384; also the longest
-# derived array _derived keeps, and the longest list _exact_sum makes
+# certificate): 256 sums at N = 64, one sum at N > 16384; also the length of
+# the longest spectrum or class whose derived arrays _derived keeps, and the
+# longest list _exact_sum makes
 _BLOCK_DOUBLES = 16384
 
 
-def _derived(owner, name: str, compute, stop=None) -> np.ndarray:
-    """compute(), a read-only array that depends only on ``owner``, a
-    SingularSpectrum or EllipsoidClass, computed once per owner.
+def _derived(owner, name: str, compute, source: np.ndarray, *args,
+             stop=None) -> np.ndarray:
+    """compute(source, *args), a read-only array that depends only on
+    ``owner``, a SingularSpectrum or EllipsoidClass, computed once per
+    owner.
 
     Those objects are frozen and their arrays read-only, so the result
     stays valid: it is kept in the owner's __dict__ under ``name`` and
     shared by every problem built on the owner, such as the grid points of
-    a sweep at one N.  An array of more than _BLOCK_DOUBLES values is
-    computed on every call instead, so that a deep sweep holds no extra
-    copies of its longest arrays.  A caller that reads only the first stop
-    values passes stop: unless the array is kept, compute(stop) computes
-    those alone, and they are not kept.  Overflow and division by zero are
-    silent.
+    a sweep at one N.  The lookup comes first, and callers pass constant
+    names and module-level functions, so a kept array costs one dict read.
+    An owner of more than _BLOCK_DOUBLES values keeps none of its arrays:
+    they are computed on every call instead, so that a deep sweep holds no
+    extra copies of its longest arrays.  A caller that reads only the first
+    stop values of an elementwise compute passes stop: unless the array is
+    kept, compute(source[:stop], *args) computes those alone, and they are
+    not kept.  Overflow and division by zero are silent.
     """
     arr = owner.__dict__.get(name)
     if arr is None:
         with np.errstate(divide="ignore", over="ignore"):
-            arr = compute() if stop is None else compute(stop)
+            arr = compute(source[:stop], *args)
         arr.flags.writeable = False
-        if stop is None and arr.size <= _BLOCK_DOUBLES:
+        if stop is None and len(owner) <= _BLOCK_DOUBLES:
             owner.__dict__[name] = arr
     return arr
 
@@ -222,7 +242,8 @@ def _column_fsums(x: np.ndarray) -> np.ndarray:
     (n + 2) * max|x| outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or
     r = 0, whose sign fsum decides) reads _exact_sum of the column, in
     column order: a column whose rounded sum overflows reads +-inf, and
-    fsum's ValueError (inf - inf) is raised as it would be.
+    fsum's ValueError (inf - inf) is raised as it would be.  Those columns
+    are converted to Python floats together, a group of them at a time.
     """
     n, cols = x.shape
     if n == 0:
@@ -248,8 +269,14 @@ def _column_fsums(x: np.ndarray) -> np.ndarray:
         half_gap = 0.5 * (a - np.nextafter(a, 0.0))
         ok = ((span >= _SPAN_MIN) & (span <= _SPAN_MAX)
               & (np.abs(t) + eta_unit * tau < half_gap))
-    for j in np.flatnonzero(~ok):
-        r[j] = _exact_sum(x[:, j])
+    # the other columns: a group of at most _BLOCK_DOUBLES values, or one
+    # longer column, per conversion to floats
+    bad = np.flatnonzero(~ok).tolist()
+    group = max(1, _BLOCK_DOUBLES // n)
+    for start in range(0, len(bad), group):
+        cols = bad[start:start + group]
+        r[cols] = [_fsum(floats, x[:, j])
+                   for j, floats in zip(cols, _column_floats(x, cols))]
     return r
 
 
@@ -269,9 +296,8 @@ class _PrefixSpreads:
     Widening it by g = 2*(n + 2)*u also covers the rounding of the
     widening product; a double that bounds the exact sum bounds its rounded
     value too, and readout, correctly rounded and monotone, keeps the
-    order.  A running sum that overflows reads as the largest double in
-    ``lower``: the exact sum there is at least that double over
-    1 + gamma_n.
+    order.  ``widened`` holds the running sums widened down (_widened), so
+    ``lower`` is readout(sigma^2, widened).
 
     Exact reads go in increasing D.  The first is one math.fsum of the
     prefix; each later one fsums the terms since with the previous read's
@@ -283,18 +309,15 @@ class _PrefixSpreads:
     """
 
     def __init__(self, sig2: float, terms: np.ndarray, readout,
-                 approx: np.ndarray) -> None:
+                 approx: np.ndarray, widened: np.ndarray) -> None:
         self.sig2, self.terms, self.readout, self.approx = sig2, terms, readout, approx
-        self.g = 2.0 * (len(terms) + 2) * 2.0 ** -53  # 1 - g and 1 + g are exact
-        low = approx
-        if low[-1] == math.inf:
-            low = np.minimum(low, _MAX_DOUBLE)
-        self.lower = readout(sig2, low * (1.0 - self.g))
+        self.g = _slack(len(terms))
+        self.lower = readout(sig2, widened)
         # the last read's prefix length, its total and a list with its exact sum
         self.at, self.total, self.carry = 0, 0.0, []
 
     def upper(self, d: int) -> float:
-        return self.readout(self.sig2, float(self.approx[d]) * (1.0 + self.g))
+        return self.readout(self.sig2, self.approx.item(d) * (1.0 + self.g))
 
     def __call__(self, d: int) -> float:
         if self.total < math.inf:
@@ -310,6 +333,12 @@ class _PrefixSpreads:
         return self.readout(self.sig2, self.total)
 
 
+def _slack(n: int) -> float:
+    """g = 2*(n + 2)*u for the running sums of n terms; 1 - g and 1 + g
+    are exact."""
+    return 2.0 * (n + 2) * 2.0 ** -53
+
+
 def _running_sums(terms: np.ndarray) -> np.ndarray:
     """0, then the running sums of terms, added left to right
     (np.add.accumulate, the loop behind np.cumsum)."""
@@ -319,38 +348,68 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _widened(approx: np.ndarray) -> np.ndarray:
+    """The running sums approx of n terms times 1 - g (_slack(n)), each a
+    lower bound on its exact sum.  A running sum that overflows reads as
+    the largest double: the exact sum there is at least that double over
+    1 + gamma_n."""
+    if approx[-1] == math.inf:
+        approx = np.minimum(approx, _MAX_DOUBLE)
+    return approx * (1.0 - _slack(len(approx) - 1))
+
+
+def _inverse_power(values: np.ndarray, power: float) -> np.ndarray:
+    return 1.0 / np.float_power(values, power)
+
+
+def _quotients(weights: np.ndarray, q2: float) -> np.ndarray:
+    return q2 / np.float_power(weights, 2.0)
+
+
+# the name under which a spectrum keeps its noise terms of each power
+_TERMS = {power: f"_inverse_power_{power}" for power in (2.0, 4.0)}
+
+
 def _noise_terms(spectrum, power: float, stop=None) -> np.ndarray:
-    """1/s_j^power for j = 1..n_max (at least j <= stop), once per spectrum
-    (_derived): inf where s_j^power underflows, 0 where it overflows."""
-    return _derived(spectrum, f"_inverse_power_{power}", lambda stop=None:
-                    1.0 / np.float_power(spectrum.values[:stop], power), stop)
+    """1/s_j^power for j = 1..n_max (at least j <= stop), power 2 or 4, once
+    per spectrum (_derived): inf where s_j^power underflows, 0 where it
+    overflows."""
+    return _derived(spectrum, _TERMS[power], _inverse_power, spectrum.values,
+                    power, stop=stop)
 
 
 def _bias_sq(cls, stop=None) -> np.ndarray:
     """Q^2/a_(D+1)^2 for D = 0..n_max-1 (at least D < stop), once per class
     (_derived): 0 where a_(D+1)^2 overflows, inf where the quotient does."""
-    return _derived(cls, "_bias", lambda stop=None: cls.radius ** 2
-                    / np.float_power(cls.weights[:stop], 2.0), stop)
+    return _derived(cls, "_bias", _quotients, cls.weights, cls.radius ** 2, stop=stop)
 
 
 def _prefix_spreads(power: float, readout):
     """spreads(sigma^2, spectrum) for a scan whose level-D spread is
     readout(sigma^2, S_D), with S_D the exactly rounded sum of 1/s_j^power
     over j <= D: a _PrefixSpreads, or for sigma^2 = 0 the exact spreads,
-    all 0 (also where S_D is inf).  The terms and their running sums do
-    not depend on sigma and are computed once per spectrum."""
+    all 0 (also where S_D is inf).  The terms, their running sums and the
+    widened running sums do not depend on sigma and are computed once per
+    spectrum (_derived), under names built here, once per scan."""
+    sums_name, widened_name = f"_running_sums_{power}", f"_widened_{power}"
+
     def spreads(sig2: float, spectrum: SingularSpectrum):
         if sig2 == 0.0:
             return np.zeros(spectrum.n_max + 1)
         terms = _noise_terms(spectrum, power)
-        approx = _derived(spectrum, f"_running_sums_{power}",
-                          lambda: _running_sums(terms))
-        return _PrefixSpreads(sig2, terms, readout, approx)
+        approx = _derived(spectrum, sums_name, _running_sums, terms)
+        return _PrefixSpreads(sig2, terms, readout, approx,
+                              _derived(spectrum, widened_name, _widened, approx))
     return spreads
 
 
 # sigma^2 * sum_{j<=D} 1/s_j^2
 _variances = _prefix_spreads(2.0, operator.mul)
+
+# how a scan combines a level's bias and spread: the operation on whole
+# arrays and the same one on Python floats
+_SUM = (operator.add, operator.add)
+_MAX = (np.maximum, max)
 
 
 def _best_level(problem: SequenceProblem, name: str, spreads, combine,
@@ -362,14 +421,14 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     The problem is checked first.  Then bias_sq(s) gives the bias of every
     level, by default Q^2/a_(D+1)^2, and spreads(sigma^2, spectrum) the
     spreads of the levels 0..N: an array when they are exact, otherwise a
-    _PrefixSpreads.  combine is operator.add or np.maximum.  Terms, biases
-    and bounds are whole-array passes: squares and fourth powers are
-    np.float_power, which calls libm pow as the numpy-scalar x ** 2 and
-    x ** 4 do, so they keep those bits; a term that overflows, or divides
-    by a power that underflows, is inf, with no warning.  What
-    does not depend on sigma (the default bias, the noise terms and their
-    running sums) is computed once per class or spectrum (_derived), so the
-    grid points of a sweep at one N share it; sigma^2 only scales it.
+    _PrefixSpreads.  combine is _SUM or _MAX.  Terms, biases and bounds
+    are whole-array passes: squares and fourth powers are np.float_power,
+    which calls libm pow as the numpy-scalar x ** 2 and x ** 4 do, so they
+    keep those bits; a term that overflows, or divides by a power that
+    underflows, is inf, with no warning.  What does not depend on sigma
+    (the default bias, the noise terms and their running sums, widened or
+    not) is computed once per class or spectrum (_derived), so the grid
+    points of a sweep at one N share it; sigma^2 only scales it.
 
     Exact spreads give the first argmin at once.  Otherwise the spreads'
     lower bounds give a lower bound on each value; the upper bound at the
@@ -380,7 +439,8 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     reads its exact spread.  Either way the result is the first argmin over
     all levels.  It equals the early-stopping scan's answer: the spreads
     are non-decreasing and combine(b, v) >= v, so once a spread exceeds
-    the incumbent no later level reaches it.
+    the incumbent no later level reaches it.  A level's bias and bounds are
+    read as Python floats, and combined as such.
 
     A value that is inf at every level raises ValidationError(nonfinite)
     when that message is given.  Otherwise a best level at N-1 warns that
@@ -388,22 +448,23 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     """
     ensure_usable(problem)
     n, cls = problem.n, problem.ellipsoid
+    combine_all, combine_one = combine
     with np.errstate(divide="ignore", over="ignore"):
         bias = (_bias_sq(cls) if bias_sq is None
                 else bias_sq(problem.spectrum.values))
         spread = spreads(problem.sigma ** 2, problem.spectrum)
         if isinstance(spread, np.ndarray):
-            values = combine(bias, spread[:n])
+            values = combine_all(bias, spread[:n])
             best_d = int(values.argmin())
-            best = float(values[best_d])
+            best = values.item(best_d)
         else:
-            low = combine(bias, spread.lower[:n])
+            low = combine_all(bias, spread.lower[:n])
             d = int(low.argmin())
-            levels = (low <= combine(bias[d], spread.upper(d))).nonzero()[0]
+            levels = (low <= combine_one(bias.item(d), spread.upper(d))).nonzero()[0]
             best_d, best = 0, math.inf
             for d, low_d in zip(levels.tolist(), low[levels].tolist()):
                 if low_d < best:
-                    value = float(combine(bias[d], spread(d)))
+                    value = float(combine_one(bias.item(d), spread(d)))
                     if value < best:
                         best_d, best = d, value
     if nonfinite is not None and best == math.inf:
@@ -427,7 +488,7 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
     small to trust the minimum.  A risk that is inf at every level raises.
     """
     best_d, best_total = _best_level(
-        problem, "optimal level", _variances, operator.add,
+        problem, "optimal level", _variances, _SUM,
         nonfinite=f"upper bound is non-finite: the truncation risk is inf at "
                   f"every level D = 0..{problem.n - 1}")
     return best_d, math.sqrt(best_total)

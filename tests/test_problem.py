@@ -563,3 +563,37 @@ def test_values_are_immutable():
     sp = make_power_spectrum(1.0, 5)
     with pytest.raises(ValueError):
         sp.values[0] = 2.0
+
+
+class TestGeneratorFormula:
+    """A make_* generator evaluates its formula once, and the object built
+    on the result takes that array as it is; an object built directly with
+    a generated kind still checks the generator's bits."""
+
+    @pytest.mark.parametrize("make, args", [
+        (make_power_spectrum, (1.0, 64)), (make_exponential_spectrum, (0.5, 64)),
+        (make_power_class, (2.0, 64)), (make_exponential_class, (0.5, 64)),
+    ])
+    def test_each_build_evaluates_its_formula_once(self, make, args, monkeypatch):
+        built = []
+        for kind, (formula, name) in list(problem_mod._FORMULAS.items()):
+            def counted(j, c, formula=formula):
+                built.append(formula(j, c))
+                return built[-1]
+            monkeypatch.setitem(problem_mod._FORMULAS, kind, (counted, name))
+        made = make(*args)
+        assert len(built) == 1
+        stored = made.values if isinstance(made, SingularSpectrum) else made.weights
+        assert stored is built[0] and not stored.flags.writeable
+        assert made._violations == ()
+
+    def test_direct_spectrum_one_ulp_off_is_a_mismatch(self):
+        values = make_power_spectrum(1.0, 8).values.copy()
+        values[3] = np.nextafter(values[3], 1.0)
+        direct = SingularSpectrum(values, "power", 1.0)
+        assert direct.values is not values
+        report = validate_problem(SequenceProblem(direct, make_power_class(1.0, 8), 0.1, 8))
+        assert [(idx, rule) for idx, rule, _ in report.violations] == [
+            (4, "spectrum generator mismatch")]
+        assert report.violations[0][2] == (
+            f"power kind expected {0.25!r}, stored {float(values[3])!r}")

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minimax_seq
+import minimax_seq.problem as problem_mod
 from minimax_seq import (
     SaturationWarning,
     SequenceProblem,
@@ -45,6 +46,7 @@ from minimax_seq import (
 )
 from minimax_seq.truncation import _column_fsums
 
+import array_reference
 import scan_reference
 
 KINDS = ("power", "exponential", "explicit")
@@ -593,3 +595,63 @@ def test_array_source_set_scan_matches_the_per_level_loop(case):
     """source_set_bound's array bias and scan read the per-level loop's bits."""
     assert _scan_outcome(source_set_bound, *case) == _scan_outcome(
         scan_reference.source_set_bound, *case)
+
+
+# values that break the array rules or sit at their edges: NaN, +-inf, 0,
+# negatives, subnormals, and the weights on either side of the largest one
+# whose square rounds to 0
+_RULE_EDGES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310, 1e-200,
+    problem_mod._SQUARE_UNDERFLOW, math.nextafter(problem_mod._SQUARE_UNDERFLOW, 1.0),
+    1e-150, 1.0, 1e200, sys.float_info.max])
+
+
+@st.composite
+def rule_arrays(draw):
+    """(what, x, kind, param, generated) for _array_violations: a
+    generator's array or a sorted drawn one, lengths 0 to 12, then a few
+    edits: an edge value, a swapped neighbour pair, an equal neighbour, or a
+    value moved 1 ulp."""
+    what = draw(st.sampled_from(("spectrum", "class")))
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(0, 12))
+    param = None if kind == "explicit" else draw(st.floats(0.05, 3.0))
+    if param is not None and draw(st.booleans()):
+        sign = -1.0 if what == "spectrum" else 1.0
+        x = problem_mod._FORMULAS[kind][0](np.arange(1, n + 1, dtype=np.float64),
+                                           sign * param)
+    else:
+        x = np.array(sorted(draw(st.lists(st.floats(0.0, 1e300) | _RULE_EDGES,
+                                          min_size=n, max_size=n)),
+                            reverse=what == "spectrum"), dtype=np.float64)
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        j = draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(("edge", "swap", "equal", "ulp")))
+        if edit == "edge":
+            x[j] = draw(_RULE_EDGES)
+        elif edit == "swap" and j + 1 < n:
+            x[j], x[j + 1] = x[j + 1], x[j]
+        elif edit == "equal" and j + 1 < n:
+            x[j + 1] = x[j]
+        elif edit == "ulp":
+            x[j] = np.nextafter(x[j], draw(st.sampled_from((-math.inf, math.inf))))
+    return what, x, kind, param, draw(st.booleans())
+
+
+@given(rule_arrays())
+@example(("class", np.zeros(0), "power", 1.0, False))
+@example(("spectrum", np.array([math.nan]), "explicit", None, False))
+# subnormal weights: every square underflows, the last one's just does not
+@example(("class", np.array([5e-324, 1e-200, problem_mod._SQUARE_UNDERFLOW,
+                             math.nextafter(problem_mod._SQUARE_UNDERFLOW, 1.0)]),
+          "explicit", None, False))
+# a power spectrum 1 ulp off its generator at j = 3, direct or a generator's
+@example(("spectrum", np.array([1.0, 0.5, math.nextafter(1.0 / 3.0, 1.0), 0.25]),
+          "power", 1.0, False))
+@example(("spectrum", np.array([1.0, 0.5, math.nextafter(1.0 / 3.0, 1.0), 0.25]),
+          "power", 1.0, True))
+@settings(max_examples=300, deadline=None)
+def test_array_rules_match_the_per_value_loops(case):
+    """_array_violations returns exactly the violations, in order and with
+    their messages, of the per-value loops in tests/array_reference.py."""
+    assert problem_mod._array_violations(*case) == array_reference.array_violations(*case)

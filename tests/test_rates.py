@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import sys
 import warnings
 import weakref
 
@@ -320,14 +321,39 @@ _CALLS = (optimal_truncation, radius_sq, deterministic_rate_sq,
           maximize_J_over_ellipsoid, minimax_sandwich)
 
 
+def fresh_derived(spectrum, ellipsoid) -> dict:
+    """Every sigma-free array the optimizers keep on a spectrum or class,
+    by (owner, name), computed afresh with plain numpy."""
+    s, a = spectrum.values, ellipsoid.weights
+    out = {}
+    with np.errstate(divide="ignore", over="ignore"):
+        out["spectrum", "_squares"] = s * s
+        out["spectrum", "_float_power_2"] = np.float_power(s, 2.0)
+        for power in (2.0, 4.0):
+            terms = 1.0 / np.float_power(s, power)
+            sums = np.concatenate(([0.0], np.cumsum(terms)))
+            out["spectrum", f"_inverse_power_{power}"] = terms
+            out["spectrum", f"_running_sums_{power}"] = sums
+            out["spectrum", f"_widened_{power}"] = (np.minimum(sums, sys.float_info.max)
+                                                    * (1.0 - (len(s) + 2) * 2.0 ** -52))
+        out["class", "_squares"] = a * a
+        out["class", "_bias"] = ellipsoid.radius ** 2 / np.float_power(a, 2.0)
+    return out
+
+
 @given(regime_cells())
 @example(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3, 1e-5), n=2 * _BLOCK_DOUBLES))
+@example(RegimeSpec.from_tag("pp", 1.0, 2.0, (1e-3, 1e-5), n=_BLOCK_DOUBLES))
+@example(RegimeSpec.from_tag("pe", 1.0, 0.01, (1e-3, 1e-5), n=_BLOCK_DOUBLES + 1))
 @settings(max_examples=60, deadline=None)
 def test_shared_objects_give_the_bits_of_fresh_ones(spec):
     """The spectrum and class a sweep shares across its grid points, with
     the violations they found when built and their derived arrays, give the
     bits, warnings and errors of objects built afresh for every call,
-    sigma = 0 included; the shared pair never runs its array rules again."""
+    sigma = 0 included; the shared pair never runs its array rules again.
+    A pair of at most _BLOCK_DOUBLES values keeps every sigma-free array
+    the optimizers derive, read-only and with the bits of a fresh
+    computation; a longer pair keeps none."""
     n = spec.n
     spectrum, ellipsoid = rates_mod._build_pair(spec, n)  # as sweep builds it
     with warnings.catch_warnings():
@@ -347,10 +373,13 @@ def test_shared_objects_give_the_bits_of_fresh_ones(spec):
     # only the fresh objects, one spectrum and one class per sigma, ran them
     assert len(array_rules) == 2 * (len(spec.sigma_grid) + 1)
     assert not any(x is spectrum.values or x is ellipsoid.weights for x in array_rules)
-    derived = [k for owner in (spectrum, ellipsoid) for k, v in vars(owner).items()
-               if isinstance(v, np.ndarray) and k.startswith("_")]
-    # arrays above _BLOCK_DOUBLES values are computed on every call, not kept
-    assert bool(derived) is (n <= _BLOCK_DOUBLES)
+    kept = {(what, k): v for what, owner in (("spectrum", spectrum), ("class", ellipsoid))
+            for k, v in vars(owner).items() if isinstance(v, np.ndarray) and k.startswith("_")}
+    want = fresh_derived(spectrum, ellipsoid) if n <= _BLOCK_DOUBLES else {}
+    assert set(kept) == set(want)
+    for key, arr in kept.items():
+        assert not arr.flags.writeable, key
+        assert arr.dtype == np.float64 and arr.tobytes() == want[key].tobytes(), key
 
 
 class TestRateFits:

@@ -37,6 +37,7 @@ from minimax_seq.truncation import (
     _column_fsums,
     _exact_sum,
     _running_sums,
+    _widened,
 )
 
 import scan_reference
@@ -183,6 +184,34 @@ class TestRowFsums:
         monkeypatch.setattr(math, "fsum", None)  # a fallback would raise
         assert _column_fsums(columns).tolist() == want
         assert _column_fsums(x.T).tolist() == want
+
+
+    def test_fallback_columns_of_a_one_level_block_are_fsum(self, monkeypatch):
+        """A Monte Carlo block at D = 1 (one squared error per replication,
+        then the constant tail's part) whose sums are mostly ties: every
+        column that falls back reads math.fsum's bits, or inf where fsum
+        overflows on the way, over several groups of columns."""
+        rng = np.random.default_rng(5)
+        cols = 3 * (_BLOCK_DOUBLES // 2) + 5
+        head = 1.0 + rng.integers(0, 2 ** 20, cols) * 2.0 ** -52
+        head[rng.random(cols) < 0.25] = 0.0  # a zero sum whose sign fsum decides
+        block = np.vstack([head, np.full(cols, 2.0 ** -53)])  # 1 + k u + u/2: ties
+        huge = np.array([[_MAX, 2.0 ** 1000, 1.0], [_MAX, _MAX, 2.0 ** -60]])
+
+        def fsum_or_inf(column):
+            try:
+                return math.fsum(column)
+            except OverflowError:
+                return math.inf
+
+        fallbacks = []
+        real = truncation._fsum
+        monkeypatch.setattr(truncation, "_fsum",
+                            lambda *args: fallbacks.append(1) or real(*args))
+        for x in (block, np.ascontiguousarray(huge)):
+            want = [fsum_or_inf(column).hex() for column in x.T.tolist()]
+            assert [v.hex() for v in _column_fsums(x).tolist()] == want
+        assert len(fallbacks) > cols // 2
 
 
 # fsum passes 2^1024 on the way, but the exact sum lies 2^900 below the
@@ -336,7 +365,8 @@ def _spreads(terms):
     """The exact-read object of a scan over terms, with readout S_D."""
     terms = np.array(terms, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return _PrefixSpreads(1.0, terms, operator.mul, _running_sums(terms))
+        approx = _running_sums(terms)
+        return _PrefixSpreads(1.0, terms, operator.mul, approx, _widened(approx))
 
 
 class TestArrayScan:

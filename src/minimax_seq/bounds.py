@@ -181,7 +181,7 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
     r[:k] = caps[:k]
     # 1-based indices: r_i = c_i for i <= k, the pivot is k + 1, and the
     # caps do not decrease because the s_i do not increase
-    members, used = range(1, k + 1), k
+    used, tail = k, []  # the budget's terms, and the members of P after k
     if k < n:
         budget_left, a2_k, cap_k = left.item(k), a2.item(k), caps.item(k)
         r_k = budget_left / a2_k if budget_left > 0.0 else 0.0
@@ -192,17 +192,17 @@ def maximize_J_over_ellipsoid(problem: SequenceProblem) -> KnapsackSolution:
         r[k] = r_k
         if r_k > 0.0:  # a_k^2 may be inf where r_k = 0, and inf * 0 is NaN
             used += 1
-        tail = [k + 1] if r_k == cap_k else []
+        if r_k == cap_k:
+            tail.append(k + 1)
         if k + 1 < n and caps.item(k + 1) == 0.0:
             tail += (np.flatnonzero(caps[k + 1:] == 0.0) + k + 2).tolist()
-        members = chain(members, tail)
     value = _exact_sum(r[:k + 1])
     if value == math.inf:
         raise ValidationError(
             "J(r_star) is non-finite: sum_i min(r_i, sigma^2/s_i^2) overflows")
     budget_used = _exact_sum(a2[:used] * r[:used])
     r.flags.writeable = False
-    members = frozenset(members)
+    members = frozenset(chain(range(1, k + 1), tail))
     return KnapsackSolution(r, value, members, members, budget_used, problem)
 
 

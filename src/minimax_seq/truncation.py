@@ -274,9 +274,9 @@ def _column_fsums(x: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~ok).tolist()
     group = max(1, _BLOCK_DOUBLES // n)
     for start in range(0, len(bad), group):
-        cols = bad[start:start + group]
-        r[cols] = [_fsum(floats, x[:, j])
-                   for j, floats in zip(cols, _column_floats(x, cols))]
+        part = bad[start:start + group]
+        r[part] = [_fsum(floats, x[:, j])
+                   for j, floats in zip(part, _column_floats(x, part))]
     return r
 
 

@@ -42,8 +42,9 @@ def array_violations(what, x, kind, param, generated):
         v += [(j + 1, rule, f"{sym}_{j + 1} = {values[j]!r}")
               for j in _first(values, test)]
     if kind in _FORMULAS and param is not None and not generated:
-        expect = _FORMULAS[kind][0](np.arange(1, len(values) + 1, dtype=np.float64),
-                                    sign * param).tolist()
+        with np.errstate(over="ignore"):
+            expect = _FORMULAS[kind][0](np.arange(1, len(values) + 1, dtype=np.float64),
+                                        sign * param).tolist()
         v += [(j + 1, f"{what} generator mismatch",
                f"{kind} kind expected {expect[j]!r}, stored {values[j]!r}")
               for j in _first(zip(values, expect), lambda pair: pair[0] != pair[1])]

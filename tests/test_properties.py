@@ -650,6 +650,8 @@ def rule_arrays(draw):
           "power", 1.0, False))
 @example(("spectrum", np.array([1.0, 0.5, math.nextafter(1.0 / 3.0, 1.0), 0.25]),
           "power", 1.0, True))
+# a direct exponential class whose formula overflows: a mismatch, no warning
+@example(("class", np.array([1.0, 2.0]), "exponential", 800.0, False))
 @settings(max_examples=300, deadline=None)
 def test_array_rules_match_the_per_value_loops(case):
     """_array_violations returns exactly the violations, in order and with

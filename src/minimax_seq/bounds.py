@@ -126,13 +126,22 @@ class SandwichReport:
     saturated: bool
 
 
+def _rectangle(r, n: int) -> np.ndarray:
+    """r as a float64 array of shape (n,) with no NaN coordinate."""
+    arr = np.asarray(r, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValidationError(f"r has shape {arr.shape}, expected ({n},)")
+    j = _first(np.isnan(arr), n)
+    if j < n:
+        raise ValidationError(f"r_{j + 1} is NaN")
+    return arr
+
+
 def hyperrectangle_J(r, spectrum: SingularSpectrum, sigma: float) -> float:
     """J(r) = sum_i min{r_i, sigma^2/s_i^2}, the subset-estimator risk on
-    the rectangle {theta_i^2 <= r_i}; inf when the sum overflows."""
-    arr = np.asarray(r, dtype=np.float64)
-    if arr.shape != (spectrum.n_max,):
-        raise ValidationError(
-            f"r has shape {arr.shape}, expected ({spectrum.n_max},)")
+    the rectangle {theta_i^2 <= r_i}; inf when the sum overflows.  A NaN
+    or negative coordinate raises ValidationError."""
+    arr = _rectangle(r, spectrum.n_max)
     if np.any(arr < 0.0):
         j = int(np.nonzero(arr < 0.0)[0][0])
         raise ValidationError(f"r_{j + 1} = {arr[j]!r} is negative")
@@ -251,12 +260,10 @@ def gateaux_derivative_J(solution: KnapsackSolution, r) -> float:
     """One-sided derivative of J at r* toward the feasible point r.
 
     Non-positive (up to rounding) for every feasible r exactly when r* is
-    a maximizer, so this is the optimality certificate.
+    a maximizer, so this is the optimality certificate.  A NaN coordinate
+    of r raises ValidationError.
     """
-    arr = np.asarray(r, dtype=np.float64)
-    n = len(solution.r_star)
-    if arr.shape != (n,):
-        raise ValidationError(f"r has shape {arr.shape}, expected ({n},)")
+    arr = _rectangle(r, len(solution.r_star))
     return float(_derivatives(solution, arr[None])[0])
 
 
@@ -298,7 +305,8 @@ def certify_maximizer(solution: KnapsackSolution, count: int = 1000,
 
     The result has the bits, and the errors, of
     ``max(gateaux_derivative_J(solution, row) for row in rows)``: the rows
-    go through the same kernel, which walks them in blocks.
+    go through the same kernel, which walks them in blocks.  Only the NaN
+    check is gateaux_derivative_J's own, and a sampled row holds no NaN.
     """
     rows = sample_feasible_rectangles(solution.problem, count, seed)
     return max(_derivatives(solution, rows).tolist())

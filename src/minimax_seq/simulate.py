@@ -6,8 +6,8 @@ draws only those.  A Monte Carlo run with master seed m reads the one
 stream keyed m, in replication order: replication r holds the normals
 r*D .. r*D + D - 1 of that stream, coordinate k of a replication reads the
 k-th of its D, and D = 0 draws nothing.  Values therefore depend only on
-the seed, and repeated runs are bit-identical.  Averages accumulate in
-fixed replication order through math.fsum.
+the seed, and repeated runs are bit-identical.  Averages are exactly
+rounded sums, with the bits of math.fsum in replication order.
 
 Monte Carlo draws its replications in blocks, each the next rows of the
 same generator, so the bits do not depend on the block size.  A
@@ -23,9 +23,12 @@ kernel truncation._column_fsums, which returns math.fsum's bits (columns
 it cannot certify read the exact sum itself) and adds across contiguous
 rows, so its passes are vector operations rather than many short row
 reductions.  The squared errors stay one float64 array; their mean and
-sample variance are truncation._exact_sum of whole-array passes, the
-squared deviations formed by np.float_power, which calls libm pow as the
-Python float (e - mean) ** 2 does.  Every sum that overflows reads inf, and is
+sample variance are truncation._exact_sum of it and of its squared
+deviations, which past a few hundred replications certifies fsum's bits
+in whole-array passes over blocks of at most _BLOCK_DOUBLES values
+rather than converting each term for fsum.  The squared deviations are
+formed by np.float_power, which calls libm pow as the Python float
+(e - mean) ** 2 does.  Every sum that overflows reads inf, and is
 reported as a ValidationError.
 """
 
@@ -174,6 +177,7 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     if config.n != n:
         raise ValidationError(
             f"config dimension {config.n} does not match problem N = {n}")
+    D = _integer("D", D)
     if not 0 <= D <= n:
         raise ValidationError(f"level D = {D} out of range 0..{n}")
     theta = _checked_vector(theta, n)

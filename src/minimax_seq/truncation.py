@@ -8,9 +8,11 @@ Its worst-case squared risk over the ellipsoid has the closed form
 (squared bias plus accumulated noise variance), attained at the spike
 element with theta_{D+1} = Q/a_{D+1}.  Every sum of noise terms is the
 exactly rounded value of its exact sum, so results do not depend on
-summation order and are reproducible bit for bit.  A total is one
+summation order and are reproducible bit for bit.  A 1-d total
+(_exact_sum) of more than _ARRAY_SUM_MIN values is certified in a few
+whole-array passes to be fsum's result (_certified_sum); any other is one
 math.fsum, or where fsum overflows on the way to a finite sum, one
-integer sum (_exact_sum).  The closed forms and the level scans read one
+integer sum.  The closed forms and the level scans read one
 array of noise terms per spectrum and one of biases per class
 (_noise_terms, _bias_sq).
 The level scans (_best_level) are whole-array passes: one running sum of
@@ -23,8 +25,11 @@ levels converts each term once.  The column sums of a 2-d array
 (_column_fsums), one per Monte Carlo replication or certificate
 direction, read fsum's bits too, certified in a few whole-array passes
 that add across contiguous rows: each sum is one column of a
-(terms x sums) array.  A sum whose exactly rounded value overflows reads
-as +-inf; one that only passes the largest double on the way does not.
+(terms x sums) array.  Both certificates are one kernel (_certified):
+error-free extraction with Higham's bound, which holds in any order of
+addition, so numpy's summation order never moves a bit.  A sum whose
+exactly rounded value overflows reads as +-inf; one that only passes the
+largest double on the way does not.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .problem import (
     SequenceProblem,
     SingularSpectrum,
     ValidationError,
+    _integer,
     ensure_usable,
 )
 
@@ -85,6 +91,7 @@ def _checked_vector(x, n: int) -> np.ndarray:
 def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
     """Accumulated noise amplification sum_{j=1..n} 1/s_j^2 (0 for n = 0);
     inf when the sum overflows."""
+    n = _integer("n", n)
     if not 0 <= n <= spectrum.n_max:
         raise ValidationError(f"n = {n} out of range 0..{spectrum.n_max}")
     return _exact_sum(_noise_terms(spectrum, 2.0, n)[:n])
@@ -93,7 +100,7 @@ def rho_squared(spectrum: SingularSpectrum, n: int) -> float:
 def truncation_risk(problem: SequenceProblem, D: int) -> RiskDecomposition:
     """Exact worst-case squared risk of truncating at level D (0 <= D <= N-1)."""
     ensure_usable(problem)
-    n = problem.n
+    n, D = problem.n, _integer("D", D)
     if not 0 <= D <= n - 1:
         raise ValidationError(
             f"level D = {D} out of range 0..{n - 1} (a_(D+1) must exist)")
@@ -107,13 +114,52 @@ def _exact_sum(terms: np.ndarray) -> float:
     """The exactly rounded sum of the 1-d float64 array terms, with the
     bits of math.fsum; inf (or -inf) where that rounded sum overflows.
 
-    One math.fsum reads the terms as Python floats, at most _BLOCK_DOUBLES
-    at a time, so that no list of the whole array is held.  fsum raises
-    OverflowError when a partial sum passes the largest double on the way,
-    also where the exact sum rounds back below it; the sum is then read in
-    integers instead (_integer_sum).
+    An array of more than _ARRAY_SUM_MIN values is first certified in
+    whole-array passes (_certified_sum).  Any other array, and one that
+    fails the certificate, is one math.fsum of the terms as Python floats,
+    at most _BLOCK_DOUBLES at a time, so that no list of the whole array
+    is held.  fsum raises OverflowError when a partial sum passes the
+    largest double on the way, also where the exact sum rounds back below
+    it; the sum is then read in integers instead (_integer_sum).
     """
+    if len(terms) > _ARRAY_SUM_MIN:
+        total = _certified_sum(terms)
+        if total is not None:
+            return total
     return _fsum(_floats(terms), terms)
+
+
+def _certified_sum(terms: np.ndarray) -> float | None:
+    """math.fsum of the non-empty 1-d float64 array terms, bit for bit,
+    certified as one column of _column_fsums is (_certified); None where
+    the certificate does not hold: a non-finite value, (n + 2) * max|x|
+    outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or r = 0.
+
+    One pass reads max|x| from the array's maximum and minimum.  One more
+    splits x into q = (x + tau) - tau and x - q, at most _BLOCK_DOUBLES
+    values at a time into one buffer, and adds up the blocks' sums t1 and
+    t2 as Python floats: t1 is exact, and t2 lies within Higham's bound of
+    its exact sum in any grouping, so neither the blocks nor numpy's
+    summation order move the bits.
+    """
+    n = len(terms)
+    # a nan reads nan in both, and max(nan, nan) is nan
+    span = (n + 2) * max(float(terms.max()), -float(terms.min()))
+    if not _in_span(span):
+        return None
+    tau = math.ldexp(1.0, math.frexp(span)[1])  # tau > span
+    buf = np.empty(min(n, _BLOCK_DOUBLES))
+    t1 = t2 = 0.0
+    for start in range(0, n, _BLOCK_DOUBLES):
+        block = terms[start:start + _BLOCK_DOUBLES]
+        q = buf[:len(block)]
+        np.add(block, tau, out=q)
+        q -= tau
+        t1 += float(q.sum())
+        np.subtract(block, q, out=q)
+        t2 += float(q.sum())
+    total, ok = _certified(t1, t2, tau, n)
+    return total if ok else None
 
 
 def _fsum(floats, terms: np.ndarray) -> float:
@@ -183,8 +229,8 @@ def _expansion(terms: list) -> list:
 
 # values per block for the callers of _column_fsums (Monte Carlo, the jmax
 # certificate): 256 sums at N = 64, one sum at N > 16384; also the length of
-# the longest spectrum or class whose derived arrays _derived keeps, and the
-# longest list _exact_sum makes
+# the longest spectrum or class whose derived arrays _derived keeps, the
+# longest list _exact_sum makes and the buffer of _certified_sum
 _BLOCK_DOUBLES = 16384
 
 
@@ -216,10 +262,53 @@ def _derived(owner, name: str, compute, source: np.ndarray, *args,
     return arr
 
 
-# columns whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
+# sums whose (n + 2) * max|x| lies outside [2^-900, 2^1020] go to fsum:
 # below, the unit u*tau of the split nears the subnormals; above, x + tau
 # could overflow
 _SPAN_MIN, _SPAN_MAX = 2.0 ** -900, 2.0 ** 1020
+
+# the longest 1-d array that _exact_sum reads with math.fsum alone.  With
+# timeit on one core of a shared 2-core x86-64 host, the certified passes
+# cost about 9.5 us at any length up to 384 values and 11 us at 800, and
+# fsum 4 us at 128 values, 9.5 us at 320 and 26 us at 800
+_ARRAY_SUM_MIN = 320
+
+
+def _in_span(span):
+    """Whether span, the (n + 2) * max|x| of a sum of n values x, lies in
+    [_SPAN_MIN, _SPAN_MAX], where _certified holds: a bool, or a bool
+    array."""
+    return (span >= _SPAN_MIN) & (span <= _SPAN_MAX)
+
+
+def _certified(t1, t2, tau, n: int):
+    """r, the rounded t1 + t2, and whether r is the correctly rounded
+    value of the exact sum of n values x split by tau, with fsum's bits;
+    Python floats or arrays of them, one per sum.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, Part I", 2008): with tau a power of two above
+    (n + 2) * max|x|, which lies in [_SPAN_MIN, _SPAN_MAX] (_in_span),
+    q = (x + tau) - tau holds multiples of u*tau (u = 2^-53) whose sum t1
+    is exact in any order, and x - q is exact; a float sum t2 of x - q, in
+    any order, is within eta = gamma_{n-1} * n * u * tau of its exact sum
+    (Higham, §4.2).  TwoSum splits t1 + t2 into r + t exactly, so the
+    exact sum lies in r + t +- eta, and r is its correctly rounded value
+    when |t| + eta is below half the smaller gap from r to a neighbour.
+    A possible tie fails that test, and so does r = 0, whose sign fsum
+    decides.  Arrays run under the caller's errstate.
+    """
+    u = 2.0 ** -53
+    # gamma_{n-1} * n * u, rounded up by the factor (1 + 8u)
+    eta_unit = (n - 1) * n * u * u / (1.0 - (n - 1) * u) * (1.0 + 8 * u)
+    r = t1 + t2
+    b = r - t1
+    t = (t1 - (r - b)) + (t2 - b)
+    # half the gap from |r| down to its neighbour, the smaller of r's two
+    # gaps (0 when r = 0)
+    a = abs(r)
+    half_gap = 0.5 * (a - np.nextafter(a, 0.0))
+    return r, abs(t) + eta_unit * tau < half_gap
 
 
 def _column_fsums(x: np.ndarray) -> np.ndarray:
@@ -229,28 +318,20 @@ def _column_fsums(x: np.ndarray) -> np.ndarray:
     certificate); on a C-contiguous x every pass below is a vector
     operation across contiguous rows.
 
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, Part I", 2008): with tau a power of two at least
-    (n + 2) * max|x| over a column of n values, q = (x + tau) - tau holds
-    multiples of u*tau (u = 2^-53) whose sum t1 is exact in any order, and
-    x - q is exact; numpy's sum t2 of x - q, in whatever order numpy adds,
-    is within eta = gamma_{n-1} * n * u * tau of its exact sum (Higham,
-    §4.2).  TwoSum splits t1 + t2 into r + t exactly, so the exact column
-    sum lies in r + t +- eta, and r is its correctly rounded value, fsum's
-    result, when |t| + eta is below half the smaller gap from r to a
-    neighbour.  Every other column (one with a non-finite value or with
-    (n + 2) * max|x| outside [_SPAN_MIN, _SPAN_MAX], a possible tie, or
-    r = 0, whose sign fsum decides) reads _exact_sum of the column, in
-    column order: a column whose rounded sum overflows reads +-inf, and
-    fsum's ValueError (inf - inf) is raised as it would be.  Those columns
-    are converted to Python floats together, a group of them at a time.
+    Each column is certified as in _certified: tau is a power of two above
+    (n + 2) * max|x| over a column of n values, t1 and t2 are numpy's
+    column sums of q = (x + tau) - tau and x - q, in whatever order numpy
+    adds.  A column that is not certified (one with a non-finite value or
+    with (n + 2) * max|x| outside [_SPAN_MIN, _SPAN_MAX], a possible tie,
+    or r = 0) reads math.fsum of the column, in column order, through
+    _fsum, not _exact_sum, whose certificate it has already failed: a
+    column whose rounded sum overflows reads +-inf, and fsum's ValueError
+    (inf - inf) is raised as it would be.  Those columns are
+    converted to Python floats together, a group of them at a time.
     """
     n, cols = x.shape
     if n == 0:
         return np.zeros(cols)
-    u = 2.0 ** -53
-    # gamma_{n-1} * n * u, rounded up by the factor (1 + 8u)
-    eta_unit = (n - 1) * n * u * u / (1.0 - (n - 1) * u) * (1.0 + 8 * u)
     with np.errstate(invalid="ignore", over="ignore"):
         q = np.abs(x)
         span = q.max(axis=0) * (n + 2)
@@ -260,15 +341,8 @@ def _column_fsums(x: np.ndarray) -> np.ndarray:
         t1 = q.sum(axis=0)
         np.subtract(x, q, out=q)
         t2 = q.sum(axis=0)
-        r = t1 + t2
-        b = r - t1
-        t = (t1 - (r - b)) + (t2 - b)
-        # half the gap from |r| down to its neighbour, the smaller of r's
-        # two gaps (0 when r = 0)
-        a = np.abs(r)
-        half_gap = 0.5 * (a - np.nextafter(a, 0.0))
-        ok = ((span >= _SPAN_MIN) & (span <= _SPAN_MAX)
-              & (np.abs(t) + eta_unit * tau < half_gap))
+        r, ok = _certified(t1, t2, tau, n)
+        ok &= _in_span(span)
     # the other columns: a group of at most _BLOCK_DOUBLES values, or one
     # longer column, per conversion to floats
     bad = np.flatnonzero(~ok).tolist()
@@ -497,7 +571,7 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
 def least_favorable(problem: SequenceProblem, D: int) -> np.ndarray:
     """Boundary spike theta_{D+1} = Q/a_{D+1} attaining the worst bias at
     level D, as a read-only array."""
-    n = problem.n
+    n, D = problem.n, _integer("D", D)
     if not 0 <= D <= n - 1:
         raise ValidationError(f"level D = {D} out of range 0..{n - 1}")
     theta = np.zeros(n)
@@ -511,16 +585,17 @@ def least_favorable(problem: SequenceProblem, D: int) -> np.ndarray:
 def subset_truncation_risk(problem: SequenceProblem, P) -> float:
     """Worst-case squared risk of the estimator keeping the index set P.
 
-    P uses 1-based indices within {1..N} and must leave the complement
-    non-empty.  The risk is Q^2/a_k^2 + sigma^2 * sum_{j in P} 1/s_j^2 with
-    k the smallest index outside P; it is never below the risk of the
-    initial segment of the same size.  The problem is checked first; a
+    P holds integer 1-based indices within {1..N} and must leave the
+    complement non-empty.  The risk is
+    Q^2/a_k^2 + sigma^2 * sum_{j in P} 1/s_j^2 with k the smallest index
+    outside P; it is never below the risk of the initial segment of the
+    same size.  The problem is checked first; a
     bias or noise sum that overflows reads as inf, as in truncation_risk
     and rho_squared.
     """
     ensure_usable(problem)
     n = problem.n
-    idx = sorted(set(int(j) for j in P))
+    idx = sorted(set(_integer("each index in P", j) for j in P))
     if idx and (idx[0] < 1 or idx[-1] > n):
         raise ValidationError(f"P must be a subset of 1..{n}")
     if len(idx) == n:
@@ -536,7 +611,7 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
 
 def estimate(z, D: int) -> np.ndarray:
     """Keep the first D observed coefficients, zero the rest (read-only)."""
-    n = len(z)
+    n, D = len(z), _integer("D", D)
     if not 0 <= D <= n:
         raise ValidationError(f"level D = {D} out of range 0..{n}")
     fitted = np.zeros(n)

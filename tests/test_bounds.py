@@ -63,6 +63,14 @@ class TestHyperrectangleJ:
         with pytest.raises(ValidationError, match="negative"):
             hyperrectangle_J([0.1, -0.1, 0.0], sp, 0.1)
 
+    @pytest.mark.parametrize("n", [3, 600])
+    def test_nan_entry_rejected(self, n):
+        # min(nan, cap) is nan, which would read as a nan J
+        r = np.zeros(n)
+        r[1] = math.nan
+        with pytest.raises(ValidationError, match=r"^r_2 is NaN$"):
+            hyperrectangle_J(r, make_power_spectrum(1.0, n), 0.1)
+
 
 class TestWaterFilling:
     def test_three_coordinate_example(self):
@@ -197,6 +205,15 @@ class TestGateauxCertificate:
                                   set_p=frozenset(), set_qeq=frozenset())
         deriv = gateaux_derivative_J(bad, good.r_star)
         assert deriv > 0.1
+
+    def test_nan_direction_rejected(self):
+        # a NaN coordinate fails neither the sign nor the budget test, so
+        # the derivative would read nan
+        sol = maximize_J_over_ellipsoid(toy_problem())
+        r = sol.r_star.copy()
+        r[[4, 9]] = math.nan
+        with pytest.raises(ValidationError, match=r"^r_5 is NaN$"):
+            gateaux_derivative_J(sol, r)
 
     def test_infeasible_direction_rejected(self):
         p = toy_problem()

@@ -1,5 +1,6 @@
-"""truncation._column_fsums returns the bits of math.fsum for every column
-whatever order numpy adds in.
+"""truncation._column_fsums, and the certified 1-d sums of
+truncation._exact_sum, return the bits of math.fsum whatever order numpy
+adds in.
 
 numpy picks its reduction loops by the CPU's features at run time, so the
 grouping of the kernel's maxima and sums differs between machines.  The
@@ -7,7 +8,9 @@ kernel certifies each result, and a column it cannot certify reads the
 exact sum, so its bits must not move.  The check sums fixed-seed rows
 (squared normals as in Monte Carlo, signed values of mixed scales, and
 near-ties that the last bits of dust decide) as the columns of a
-C-contiguous array and of a .T view, in this process and again in a child
+C-contiguous array and of a .T view, and each row, and each block's values
+in one 1-d array, through the certified 1-d path (_certified_sum, whose
+uncertified sums would read fsum), in this process and again in a child
 process with numpy's AVX-512 loops off; the override is set only in the
 child's environment.  Run from the repository root as a script, the check
 prints its mismatch counts and exits 1 on any mismatch:
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from minimax_seq.truncation import _BLOCK_DOUBLES, _column_fsums
+from minimax_seq.truncation import _BLOCK_DOUBLES, _certified_sum, _column_fsums
 
 NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
@@ -57,21 +60,33 @@ def parity_rows() -> list:
     return blocks
 
 
+def _differs(got: float | None, want: float) -> bool:
+    """Whether a certified sum got (None where uncertified) has other bits
+    than want."""
+    return got is not None and got.hex() != want.hex()
+
+
 def mismatches(blocks: list) -> dict:
-    """Count of rows whose column sum differs in its bits from math.fsum of
-    the row, in each layout."""
-    out = {"C-contiguous": 0, ".T view": 0}
+    """Count of rows whose column sum, or certified 1-d sum, differs in its
+    bits from math.fsum of the row, in each layout; and of blocks whose
+    values summed as one 1-d array differ from their fsum."""
+    out = {"C-contiguous": 0, ".T view": 0, "1-d rows": 0, "1-d blocks": 0}
     for rows in blocks:
         want = np.array([math.fsum(row) for row in rows.tolist()])
         for name, columns in (("C-contiguous", np.ascontiguousarray(rows.T)),
                               (".T view", rows.T)):
             got = _column_fsums(columns)
             out[name] += int((got.view(np.int64) != want.view(np.int64)).sum())
+        out["1-d rows"] += sum(_differs(_certified_sum(row), w)
+                               for row, w in zip(rows, want.tolist()))
+        out["1-d blocks"] += _differs(_certified_sum(rows.ravel()),
+                                      math.fsum(rows.ravel().tolist()))
     return out
 
 
 def test_column_fsums_match_fsum_here():
-    assert mismatches(parity_rows()) == {"C-contiguous": 0, ".T view": 0}
+    assert mismatches(parity_rows()) == {"C-contiguous": 0, ".T view": 0,
+                                         "1-d rows": 0, "1-d blocks": 0}
 
 
 def test_column_fsums_match_fsum_without_avx512():

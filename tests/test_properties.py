@@ -44,7 +44,13 @@ from minimax_seq import (
     sample_feasible_rectangles,
     source_set_bound,
 )
-from minimax_seq.truncation import _column_fsums
+from minimax_seq.truncation import (
+    _ARRAY_SUM_MIN,
+    _BLOCK_DOUBLES,
+    _certified,
+    _column_fsums,
+    _exact_sum,
+)
 
 import array_reference
 import scan_reference
@@ -515,6 +521,110 @@ def test_column_fsums_are_fsum_of_every_column_in_each_layout(x):
             assert got == want, name
 
 
+@st.composite
+def sum_arrays(draw):
+    """1-d float64 arrays of one or two of the row kinds above, of lengths
+    on both sides of _ARRAY_SUM_MIN and past _BLOCK_DOUBLES."""
+    n = draw(st.sampled_from([0, 1, 7, _ARRAY_SUM_MIN, _ARRAY_SUM_MIN + 1, 800,
+                              4099, _BLOCK_DOUBLES + 3, 2 * _BLOCK_DOUBLES + 5]))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cut = int(rng.integers(0, n + 1)) if len(kinds) == 2 else n
+    return np.concatenate([_row(kinds[0], cut, rng), _row(kinds[-1], n - cut, rng)])
+
+
+def _padded(*values, n=_ARRAY_SUM_MIN + 44):
+    """values, then zeros up to length n, past the crossover."""
+    return np.concatenate([values, np.zeros(n - len(values))])
+
+
+@given(sum_arrays())
+# exact two-term midpoints, and one a lost 2^-200 decides
+@example(_padded(1.5, 2.0 ** -53))
+@example(_padded(1.0, 2.0 ** -53))
+@example(_padded(-1.0 - 2.0 ** -52, -(2.0 ** -53)))
+@example(_padded(1.5, 2.0 ** -53, 2.0 ** -200))
+# cancellation to +-0
+@example(np.concatenate([np.arange(1.0, 400.0), -np.arange(1.0, 400.0)]))
+@example(np.full(_ARRAY_SUM_MIN + 1, -0.0))
+@example(_padded(-0.0, 1e-300, -1e-300, n=_BLOCK_DOUBLES + 1) * -1.0)
+# subnormals
+@example(np.full(600, 5e-324))
+@example(_padded(3 * 2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1022))
+# (n + 2) * max|x| at 2^-900 and 2^1020, and one ulp outside
+@example(np.full(510, 2.0 ** -909))
+@example(np.full(510, math.nextafter(2.0 ** -909, 0.0)))
+@example(np.full(510, 2.0 ** 1011))
+@example(np.full(510, math.nextafter(2.0 ** 1011, math.inf)))
+@example(_padded(2.0 ** 1011, -(2.0 ** 1011) / 3, n=510))  # a tie at the top
+@example(np.full(510, 2.0 ** 1014))  # a span of 2^1023: tau would overflow
+# inf and nan entries
+@example(_padded(1.0, math.inf))
+@example(_padded(-math.inf, 1e308, 1e308))
+@example(_padded(math.nan, 1.0))
+@example(_padded(math.inf, -math.inf))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_fsum(x):
+    """_exact_sum gives math.fsum's bits on either side of the crossover,
+    in one block or several: a sum that fsum overflows on the way to a
+    finite value reads that value, one whose rounded value overflows reads
+    +-inf, and ValueError is raised where fsum raises it."""
+    want = _fsum_rows(x[None])
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _exact_sum(x)
+    else:
+        assert [_exact_sum(x).hex()] == want
+
+
+_U = Fraction(1, 2 ** 53)
+
+
+def _higham_bound(n: int, tau: float) -> Fraction:
+    """gamma_{n-1} * n * u * tau exactly: the most by which a float sum of
+    n values of magnitude at most u * tau can miss their exact sum."""
+    m = (n - 1) * _U
+    return m / (1 - m) * n * _U * Fraction(tau)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(t1, t2, tau, n) as the split of n values by tau yields them: tau a
+    power of two above the sum, t1 a multiple of u * tau and t2 of at most
+    n * u * tau, with t1 + t2 drawn within a few bounds of a midpoint
+    between two doubles."""
+    n = draw(st.integers(2, 1 << 22))
+    r = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-800, 900)))
+    tau = math.ldexp(1.0, math.frexp(r)[1] + draw(st.integers(1, 60)))
+    unit = tau * 2.0 ** -53
+    t1 = round(r / unit) * unit
+    half = (r - math.nextafter(r, 0.0)) / 2  # the smaller half gap
+    t = half - draw(st.floats(0.0, 2.0)) * float(_higham_bound(n, tau))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return sign * t1, sign * ((r - t1) + draw(st.sampled_from([-t, t]))), tau, n
+
+
+@given(certificate_cases())
+# |t| plus the bound, as computed, is exactly half the gap, and the bound
+# reaches past the midpoint
+@example((1.5, float.fromhex("0x1.ffffec7e40000p-54"), 8192.0, 800))
+@example((1.0 + 2.0 ** -52, float.fromhex("0x1.fffffffffffc0p-54"), 32.0, 2))
+@settings(max_examples=300, deadline=None)
+def test_certificate_holds_across_its_error_bound(case):
+    """Where _certified accepts r, every sum within Higham's bound of
+    t1 + t2 rounds to r: the exact sum of the values that t2 sums
+    inexactly may lie anywhere within it.  numpy's float sums of real
+    arrays miss by far less than that bound, so a loosened test (<= for <,
+    or half the bound) still gives fsum's bits on every array above; this
+    property sees it."""
+    t1, t2, tau, n = case
+    r, ok = _certified(t1, t2, tau, n)
+    assert r == t1 + t2
+    if ok:
+        centre, bound = Fraction(t1) + Fraction(t2), _higham_bound(n, tau)
+        assert float(centre - bound) == float(centre + bound) == r
+
+
 SCANS = ("optimal_truncation", "testing_radius_sq", "deterministic_rate_sq")
 
 
@@ -609,9 +719,7 @@ _RULE_EDGES = st.sampled_from([
 @st.composite
 def rule_arrays(draw):
     """(what, x, kind, param, generated) for _array_violations: a
-    generator's array or a sorted drawn one, lengths 0 to 12, then a few
-    edits: an edge value, a swapped neighbour pair, an equal neighbour, or a
-    value moved 1 ulp."""
+    generator's array or a sorted drawn one, lengths 0 to 12."""
     what = draw(st.sampled_from(("spectrum", "class")))
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(0, 12))
@@ -624,36 +732,60 @@ def rule_arrays(draw):
         x = np.array(sorted(draw(st.lists(st.floats(0.0, 1e300) | _RULE_EDGES,
                                           min_size=n, max_size=n)),
                             reverse=what == "spectrum"), dtype=np.float64)
-    for _ in range(draw(st.integers(0, 3)) if n else 0):
-        j = draw(st.integers(0, n - 1))
-        edit = draw(st.sampled_from(("edge", "swap", "equal", "ulp")))
-        if edit == "edge":
-            x[j] = draw(_RULE_EDGES)
-        elif edit == "swap" and j + 1 < n:
-            x[j], x[j + 1] = x[j + 1], x[j]
-        elif edit == "equal" and j + 1 < n:
-            x[j + 1] = x[j]
-        elif edit == "ulp":
-            x[j] = np.nextafter(x[j], draw(st.sampled_from((-math.inf, math.inf))))
     return what, x, kind, param, draw(st.booleans())
 
 
-@given(rule_arrays())
-@example(("class", np.zeros(0), "power", 1.0, False))
-@example(("spectrum", np.array([math.nan]), "explicit", None, False))
+# up to 3 edits (edit, j, value) of an array: an edge value, a swapped
+# neighbour pair, an equal neighbour, or a value moved 1 ulp toward +-inf
+_RULE_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("edge"), st.integers(0, 11), _RULE_EDGES),
+    st.tuples(st.sampled_from(("swap", "equal")), st.integers(0, 11), st.none()),
+    st.tuples(st.just("ulp"), st.integers(0, 11),
+              st.sampled_from((-math.inf, math.inf)))), max_size=3)
+
+
+def _edited(x: np.ndarray, edits) -> np.ndarray:
+    """A copy of x with the edits applied in turn at index j mod len(x).
+    A value moved 1 ulp past the largest double is inf, with no warning
+    (np.nextafter would warn of an overflow)."""
+    x = x.copy()
+    for edit, j, value in edits if len(x) else ():
+        j %= len(x)
+        if edit == "edge":
+            x[j] = value
+        elif edit == "swap" and j + 1 < len(x):
+            x[j], x[j + 1] = x[j + 1], x[j]
+        elif edit == "equal" and j + 1 < len(x):
+            x[j + 1] = x[j]
+        elif edit == "ulp":
+            x[j] = math.nextafter(x[j], value)
+    return x
+
+
+@given(rule_arrays(), _RULE_EDITS)
+@example(("class", np.zeros(0), "power", 1.0, False), [])
+@example(("spectrum", np.array([math.nan]), "explicit", None, False), [])
 # subnormal weights: every square underflows, the last one's just does not
 @example(("class", np.array([5e-324, 1e-200, problem_mod._SQUARE_UNDERFLOW,
                              math.nextafter(problem_mod._SQUARE_UNDERFLOW, 1.0)]),
-          "explicit", None, False))
+          "explicit", None, False), [])
 # a power spectrum 1 ulp off its generator at j = 3, direct or a generator's
 @example(("spectrum", np.array([1.0, 0.5, math.nextafter(1.0 / 3.0, 1.0), 0.25]),
-          "power", 1.0, False))
+          "power", 1.0, False), [])
 @example(("spectrum", np.array([1.0, 0.5, math.nextafter(1.0 / 3.0, 1.0), 0.25]),
-          "power", 1.0, True))
+          "power", 1.0, True), [])
 # a direct exponential class whose formula overflows: a mismatch, no warning
-@example(("class", np.array([1.0, 2.0]), "exponential", 800.0, False))
+@example(("class", np.array([1.0, 2.0]), "exponential", 800.0, False), [])
+# the largest weight or value moved 1 ulp up: inf, which the rules flag
+@example(("class", np.array([1.0, sys.float_info.max]), "explicit", None, False),
+         [("ulp", 1, math.inf)])
+@example(("spectrum", np.array([sys.float_info.max, 1.0]), "power", 1.0, False),
+         [("ulp", 0, math.inf), ("swap", 0, None)])
 @settings(max_examples=300, deadline=None)
-def test_array_rules_match_the_per_value_loops(case):
+def test_array_rules_match_the_per_value_loops(case, edits):
     """_array_violations returns exactly the violations, in order and with
-    their messages, of the per-value loops in tests/array_reference.py."""
+    their messages, of the per-value loops in tests/array_reference.py, on
+    an array after a few edits."""
+    what, x, kind, param, generated = case
+    case = (what, _edited(x, edits), kind, param, generated)
     assert problem_mod._array_violations(*case) == array_reference.array_violations(*case)

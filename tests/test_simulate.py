@@ -141,6 +141,13 @@ class TestMonteCarloRisk:
         want = p.sigma ** 2 * rho_squared(p.spectrum, p.n)
         assert abs(est.mean_sq_error - want) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("d", [2.5, 2.0])
+    def test_non_integer_level_rejected(self, d):
+        # not a raw TypeError from slicing theta
+        p = toy_problem()
+        with pytest.raises(ValidationError, match="D must be an integer"):
+            monte_carlo_risk(p, np.zeros(p.n), d, SimulationConfig(4, 1, p.n))
+
     def test_bit_identical_reruns(self):
         p = toy_problem()
         theta = least_favorable(p, 3)

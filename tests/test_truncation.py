@@ -2,6 +2,7 @@ import math
 import operator
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from minimax_seq import (
 )
 from minimax_seq import truncation
 from minimax_seq.truncation import (
+    _ARRAY_SUM_MIN,
     _BLOCK_DOUBLES,
     _PrefixSpreads,
     _column_fsums,
@@ -249,6 +251,38 @@ class TestExactSum:
         with pytest.raises(ValueError):
             _exact_sum(np.array([1e308, 1e308, math.inf, -math.inf]))
 
+    @pytest.mark.parametrize("n", [_ARRAY_SUM_MIN + 1, 800, 3 * _BLOCK_DOUBLES + 5])
+    def test_long_sums_are_certified_without_fsum(self, monkeypatch, n):
+        """Squared normal draws, the Monte Carlo mean's terms, and their
+        squared deviations pass the certificate past the crossover, in one
+        block or several; no sum falls back to math.fsum."""
+        errors = np.random.default_rng(11).standard_normal(n) ** 2
+        deviations = np.float_power(errors - math.fsum(errors.tolist()) / n, 2.0)
+        want = [math.fsum(errors.tolist()), math.fsum(deviations.tolist())]
+        monkeypatch.setattr(math, "fsum", None)  # a fallback would raise
+        assert [_exact_sum(errors), _exact_sum(deviations)] == want
+
+    def test_short_sums_are_fsum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(truncation, "_certified_sum", calls.append)
+        assert _exact_sum(np.full(_ARRAY_SUM_MIN, 0.1)) == math.fsum([0.1] * _ARRAY_SUM_MIN)
+        assert calls == []
+
+    def test_long_sums_hold_no_temporary_of_their_length(self):
+        """The passes over 2^20 values allocate one buffer of at most
+        _BLOCK_DOUBLES values: numpy reports its allocations to
+        tracemalloc."""
+        x = np.random.default_rng(12).random(1 << 20)
+        want = math.fsum(x.tolist())
+        tracemalloc.start()
+        try:
+            got = _exact_sum(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * 8 * _BLOCK_DOUBLES
+
 
 class TestOptimalTruncation:
     @given(_scan_inputs())
@@ -463,6 +497,33 @@ class TestArrayScan:
                             lambda *args: noise_terms(*args).view(Counted))
         assert optimal_truncation(p) == scan_reference.optimal_truncation(p)
         assert len(converted) > 100 and sum(converted) <= n
+
+
+_LEVEL_READS = {
+    "rho_squared": lambda p, v: rho_squared(p.spectrum, v),
+    "truncation_risk": truncation_risk,
+    "least_favorable": least_favorable,
+    "estimate": lambda p, v: estimate(np.zeros(p.n), v),
+    "subset_truncation_risk": lambda p, v: subset_truncation_risk(p, [v]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_READS))
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_levels_must_be_integers(name, value):
+    """A level, or an index of P, that is not an integer raises a one-line
+    ValidationError: not a raw TypeError or IndexError, and not the
+    truncated index (a P entry 1.5 is not index 1, True is not 1)."""
+    with pytest.raises(ValidationError, match=r"must be an integer, got") as info:
+        _LEVEL_READS[name](toy_problem(n=8), value)
+    assert "\n" not in str(info.value)
+
+
+def test_integer_levels_of_any_type_keep_their_values():
+    p = toy_problem(n=8)
+    assert rho_squared(p.spectrum, np.int64(3)) == rho_squared(p.spectrum, 3)
+    assert truncation_risk(p, np.int32(3)) == truncation_risk(p, 3)
+    assert subset_truncation_risk(p, np.array([1, 3])) == subset_truncation_risk(p, {1, 3})
 
 
 class TestLeastFavorable:

@@ -341,20 +341,18 @@ def source_set_bound(phi: IndexFunction, spectrum: SingularSpectrum,
                      sigma: float) -> tuple[int, float, float]:
     """Minimax bound for source-set smoothness, in squared units.
 
-    Returns (D*, bound_sq, bound_sq / 4.84) where bound_sq minimizes
-    phi^2(s_{D+1}^2) + sigma^2 * rho_D^2 over D.  The problem is first
-    validated on the ellipsoid route (weights 1/phi(s_j^2), Q = 1), whose
-    optimal_truncation gives the same value up to rounding.  A bias
-    phi^2(s_{D+1}^2) that overflows reads as inf, as that route's Q^2/a^2
-    does; a risk that is inf at every level raises ValidationError.
+    The source set {phi(T*T) v : ||v|| <= 1} is the ellipsoid with weights
+    a_j = 1/phi(s_j^2) and Q = 1 (ellipsoid_from_source_set), and the bound
+    is that problem's: (D*, bound_sq, bound_sq / 4.84), where bound_sq is
+    the least squared truncation risk 1/a_(D+1)^2 + sigma^2 * rho_D^2 and
+    D* its first minimizer, the bits of optimal_truncation's level and of
+    truncation_risk there.  A bias that overflows reads as inf; a risk
+    that is inf at every level raises ValidationError.
     """
-    def bias_sq(s: np.ndarray) -> np.ndarray:
-        return np.float_power([phi(t) for t in np.float_power(s, 2.0).tolist()], 2.0)
-
     problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
                               sigma, spectrum.n_max)
     best_d, best = _best_level(
-        problem, "source-set optimum", _variances, _SUM, bias_sq,
+        problem, "source-set optimum", _variances, _SUM,
         nonfinite="source-set bound is non-finite: the risk is inf at every "
                   "level, and the bias phi(s_1^2)^2 overflows at level D = 0")
     return best_d, best, best / SQUARED_FACTOR

@@ -179,7 +179,7 @@ class EllipsoidClass:
 
     As for SingularSpectrum, ``_violations`` holds the violations of the
     rules on the weights, found once when the class is built, the
-    sigma-free arrays derived from the weights and Q (the default bias
+    sigma-free arrays derived from the weights and Q (the bias
     Q^2/a_j^2, the squares a_j^2) are kept in the instance, computed once,
     and a generator's own array is taken without a copy or a
     generator-match check.
@@ -228,11 +228,18 @@ class IndexFunction:
                 f"index function of kind {self.kind!r} overflows at t={t!r}") from None
 
     def check_samples(self, points: Sequence[float]) -> None:
-        """Verify positivity and monotonicity at the sample points, and that
-        phi does not grow toward 0 below the smallest of them.  Samples cannot
-        decide phi(0+) = 0: a phi tending to a constant, like 1 + t, passes."""
+        """Verify positivity and monotonicity at the sample points (at least
+        one), and that phi does not grow toward 0 below the smallest of them.
+        Samples cannot decide phi(0+) = 0: a phi tending to a constant, like
+        1 + t, passes."""
         pts = sorted(float(t) for t in points)
-        vals = [self(t) for t in pts]
+        self._check_values(pts, [self(t) for t in pts])
+
+    def _check_values(self, pts: list, vals: list) -> None:
+        """The rules of check_samples on phi's values ``vals`` at the
+        ascending points ``pts``; only the decay probes evaluate phi."""
+        if not pts:
+            raise ValidationError("index function needs at least one sample point")
         for t, v in zip(pts, vals):
             if not (v > 0.0) or not math.isfinite(v):
                 raise ValidationError(f"index function not positive/finite at t={t!r}")
@@ -367,10 +374,20 @@ def explicit_class(weights: Sequence[float], radius: float) -> EllipsoidClass:
     return EllipsoidClass(_numbers(weights), _number("Q", radius), "explicit", None)
 
 
+def _index_params(kind: str, **params: float) -> list[float]:
+    """The parameters of a named index kind, each read as _number reads it
+    and required finite and > 0."""
+    values = [_number(name, value) for name, value in params.items()]
+    if not all(0.0 < v < math.inf for v in values):
+        need = " and ".join(f"{name} > 0" for name in params)
+        got = ", ".join(f"{name}={v!r}" for name, v in zip(params, values))
+        raise ValidationError(f"{kind} index needs {need}, finite; got {got}")
+    return values
+
+
 def power_index(kappa: float, p: float) -> IndexFunction:
     """phi(t) = t^(kappa/(2p)); with s_j = j^-p this yields weights j^kappa."""
-    if not (kappa > 0 and p > 0):
-        raise ValidationError("power index needs kappa > 0 and p > 0")
+    kappa, p = _index_params("power", kappa=kappa, p=p)
     e = kappa / (2.0 * p)
     return IndexFunction(lambda t: t ** e, "power", math.inf)
 
@@ -378,8 +395,7 @@ def power_index(kappa: float, p: float) -> IndexFunction:
 def log_power_index(kappa: float) -> IndexFunction:
     """phi(t) = log(1/t)^-kappa on (0, 1); with s_j = exp(-p*j) this yields
     weights proportional to j^kappa."""
-    if not kappa > 0:
-        raise ValidationError("log-power index needs kappa > 0")
+    kappa, = _index_params("log-power", kappa=kappa)
     # log(1/t) must stay positive, so the domain stops strictly below 1
     t_max = math.nextafter(1.0, 0.0)
     return IndexFunction(lambda t: math.log(1.0 / t) ** (-kappa), "log_power", t_max)
@@ -388,14 +404,17 @@ def log_power_index(kappa: float) -> IndexFunction:
 def exp_power_index(kappa: float, p: float) -> IndexFunction:
     """phi(t) = exp(-kappa * t^(-1/(2p))); with s_j = j^-p this yields
     weights exp(kappa*j)."""
-    if not (kappa > 0 and p > 0):
-        raise ValidationError("exp-power index needs kappa > 0 and p > 0")
+    kappa, p = _index_params("exp-power", kappa=kappa, p=p)
     e = -1.0 / (2.0 * p)
     return IndexFunction(lambda t: math.exp(-kappa * t ** e), "exp_power", math.inf)
 
 
 def custom_index(fn: Callable[[float], float], t_max: float = math.inf) -> IndexFunction:
-    return IndexFunction(fn, "custom", float(t_max))
+    """phi = fn on (0, t_max]; t_max is a number > 0, inf by default."""
+    t_max = _number("t_max", t_max)
+    if not t_max > 0.0:
+        raise ValidationError(f"custom index needs t_max > 0, got {t_max!r}")
+    return IndexFunction(fn, "custom", t_max)
 
 
 def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) -> EllipsoidClass:
@@ -405,21 +424,27 @@ def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) ->
     hence sum_j theta_j^2 / phi(s_j^2)^2 <= 1: they lie in the ellipsoid
     with the returned weights and radius Q = 1.  The weights are
     non-decreasing because phi is non-decreasing and s_j is non-increasing.
+
+    phi is evaluated once per coordinate.  The rules of check_samples then
+    run on those values at the distinct s_j^2, so only its decay probes
+    evaluate phi again: at most N + 3 calls in all.
     """
     t = spectrum.values ** 2
-    weights = np.empty_like(t)
-    for j, tj in enumerate(t):
+    vals = []
+    for j, tj in enumerate(t.tolist()):
         try:
-            v = phi(float(tj))
+            v = phi(tj)
         except ValidationError as exc:
             raise ValidationError(f"phi undefined at index j={j + 1}: {exc}") from exc
         if not (v > 0.0 and math.isfinite(v)):
             raise ValidationError(
                 f"phi(s_j^2) vanished or overflowed at index j={j + 1} "
-                f"(phi({float(tj)!r}) = {v!r})")
-        weights[j] = 1.0 / v
-    phi.check_samples(np.unique(t))
-    return EllipsoidClass(weights, 1.0, "from_source_set", None)
+                f"(phi({tj!r}) = {v!r})")
+        vals.append(v)
+    phi_t = np.array(vals, dtype=np.float64)
+    pts, first = np.unique(t, return_index=True)
+    phi._check_values(pts.tolist(), phi_t[first].tolist())
+    return EllipsoidClass(1.0 / phi_t, 1.0, "from_source_set", None)
 
 
 # Each array's symbol and rule prefix in messages, the order it keeps with

@@ -487,22 +487,22 @@ _MAX = (np.maximum, max)
 
 
 def _best_level(problem: SequenceProblem, name: str, spreads, combine,
-                bias_sq=None, nonfinite: str | None = None) -> tuple[int, float]:
+                nonfinite: str | None = None) -> tuple[int, float]:
     """The level scan behind the four optimizers: the first level D in
     0..N-1 minimizing combine(bias_D, spread_D), and that value, as Python
     numbers.
 
-    The problem is checked first.  Then bias_sq(s) gives the bias of every
-    level, by default Q^2/a_(D+1)^2, and spreads(sigma^2, spectrum) the
-    spreads of the levels 0..N: an array when they are exact, otherwise a
-    _PrefixSpreads.  combine is _SUM or _MAX.  Terms, biases and bounds
-    are whole-array passes: squares and fourth powers are np.float_power,
-    which calls libm pow as the numpy-scalar x ** 2 and x ** 4 do, so they
-    keep those bits; a term that overflows, or divides by a power that
-    underflows, is inf, with no warning.  What does not depend on sigma
-    (the default bias, the noise terms and their running sums, widened or
-    not) is computed once per class or spectrum (_derived), so the grid
-    points of a sweep at one N share it; sigma^2 only scales it.
+    The problem is checked first.  The bias of level D is Q^2/a_(D+1)^2,
+    and spreads(sigma^2, spectrum) gives the spreads of the levels 0..N:
+    an array when they are exact, otherwise a _PrefixSpreads.  combine is
+    _SUM or _MAX.  Terms, biases and bounds are whole-array passes:
+    squares and fourth powers are np.float_power, which calls libm pow as
+    the numpy-scalar x ** 2 and x ** 4 do, so they keep those bits; a term
+    that overflows, or divides by a power that underflows, is inf, with no
+    warning.  What does not depend on sigma (the bias, the noise terms and
+    their running sums, widened or not) is computed once per class or
+    spectrum (_derived), so the grid points of a sweep at one N share it;
+    sigma^2 only scales it.
 
     Exact spreads give the first argmin at once.  Otherwise the spreads'
     lower bounds give a lower bound on each value; the upper bound at the
@@ -524,8 +524,7 @@ def _best_level(problem: SequenceProblem, name: str, spreads, combine,
     n, cls = problem.n, problem.ellipsoid
     combine_all, combine_one = combine
     with np.errstate(divide="ignore", over="ignore"):
-        bias = (_bias_sq(cls) if bias_sq is None
-                else bias_sq(problem.spectrum.values))
+        bias = _bias_sq(cls)
         spread = spreads(problem.sigma ** 2, problem.spectrum)
         if isinstance(spread, np.ndarray):
             values = combine_all(bias, spread[:n])

@@ -11,10 +11,11 @@ on every 7th problem, and on every 5th an explicit spectrum reaching
 explicit class spanning 1e-150..1e150 (a_j^2 near underflow and
 overflow) and sigma down to 1e-150 (sigma^2 near underflow).
 source_set_bound takes the spectrum with the power, log-power and
-exp-power index functions in turn; where the index function is undefined
-at some s_j^2, or vanishes there, it raises.  A scan that raises hashes
-the exception's type only, so that a reworded message does not move the
-digest.  A change that keeps the scans' contract prints the same digest
+exp-power index functions in turn, and scans the ellipsoid they convert
+to (weights 1/phi(s_j^2), Q = 1) over the problem's sigma; where the
+index function is undefined at some s_j^2, or vanishes there, it
+raises.  A scan that raises hashes the exception's type only, so that a
+reworded message does not move the digest.  A change that keeps the scans' contract prints the same digest
 as its parent; tests/test_fingerprints.py pins the line.
 """
 

@@ -63,21 +63,19 @@ def _deterministic_spreads(sig2, s):
     return itertools.chain((0.0,), (sig2 / x ** 2 if sig2 else 0.0 for x in s))
 
 
-def best_level(problem, name, spreads, combine, bias_sq=None, nonfinite=None):
-    """The early-stopping scan: ties go to the smaller level, and bias_sq
-    is evaluated only at the levels reached."""
+def best_level(problem, name, spreads, combine, nonfinite=None):
+    """The early-stopping scan: ties go to the smaller level, and the bias
+    Q^2/a_(D+1)^2 is evaluated only at the levels reached."""
     ensure_usable(problem)
     n = problem.n
-    if bias_sq is None:
-        a, q2 = problem.ellipsoid.weights, problem.ellipsoid.radius ** 2
-        bias_sq = lambda d: q2 / a[d] ** 2
+    a, q2 = problem.ellipsoid.weights, problem.ellipsoid.radius ** 2
     best_d, best = 0, math.inf
     with np.errstate(divide="ignore", over="ignore"):
         levels = spreads(problem.sigma ** 2, problem.spectrum.values)
         for d, spread in zip(range(n), levels):
             if spread > best:
                 break
-            value = combine(bias_sq(d), spread)
+            value = combine(q2 / a[d] ** 2, spread)
             if value < best:
                 best_d, best = d, value
     if nonfinite is not None and best == math.inf:
@@ -107,18 +105,10 @@ def deterministic_rate_sq(problem):
 
 
 def source_set_bound(phi, spectrum, sigma):
-    s = spectrum.values
-
-    def bias_sq(d):
-        try:
-            return phi(float(s[d] ** 2)) ** 2
-        except OverflowError:
-            return math.inf
-
     problem = SequenceProblem(spectrum, ellipsoid_from_source_set(phi, spectrum),
                               sigma, spectrum.n_max)
     best_d, best = best_level(
-        problem, "source-set optimum", _variances, operator.add, bias_sq,
+        problem, "source-set optimum", _variances, operator.add,
         nonfinite="source-set bound is non-finite: the risk is inf at every "
                   "level, and the bias phi(s_1^2)^2 overflows at level D = 0")
     return best_d, best, best / SQUARED_FACTOR

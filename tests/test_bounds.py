@@ -451,6 +451,12 @@ class TestSourceSetBound:
         with pytest.raises(ValidationError, match="'exp_power' overflows at t="):
             source_set_bound(exp_power_index(1.0, 0.01), sp, 0.1)
 
+    def test_empty_spectrum_is_validation_error(self):
+        # raised a bare IndexError in the conversion's sample check
+        with pytest.raises(ValidationError,
+                           match="^index function needs at least one sample point$"):
+            source_set_bound(power_index(1.0, 1.0), explicit_spectrum([]), 0.1)
+
     def test_nan_spectrum_is_validation_error(self):
         sp = explicit_spectrum([1.0, math.nan, 0.25])
         with pytest.raises(ValidationError):

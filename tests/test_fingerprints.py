@@ -26,4 +26,4 @@ def test_certificate_fingerprint():
 def test_level_scan_fingerprint():
     assert scan_digest.digest_line() == (
         "1200 problems, 4800 scans (487 raised) sha256 "
-        "083b29e05d7307e2edcf1b9e9ce7b65fdeb0ffcc98b39a7954f498eeaf25dfa9")
+        "25ac2f9b8e2c0c8b10fe0da3b64b87999681371893633bf862519c51a7ee3511")

@@ -160,6 +160,18 @@ class TestReconstruct:
         with pytest.raises(ValidationError):
             reconstruct(np.ones(8), model, 9)
 
+    @pytest.mark.parametrize("level", [2.5, True, "2"])
+    def test_level_must_be_an_integer(self, level):
+        # 2.5 raised a bare TypeError, and True cut at D = 1
+        model = decompose(make_integration_operator(8))
+        with pytest.raises(ValidationError, match=r"^D must be an integer, got "):
+            reconstruct(np.ones(8), model, level)
+
+    def test_integer_level_of_any_type_keeps_its_value(self):
+        model = decompose(make_integration_operator(8))
+        np.testing.assert_array_equal(reconstruct(np.ones(8), model, np.int64(3)),
+                                      reconstruct(np.ones(8), model, 3))
+
 
 class TestIntegrationOperator:
     def test_smallest_case(self):

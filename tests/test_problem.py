@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,45 @@ class TestArgumentsAreNumbers:
         with pytest.raises(ValidationError, match="^Q must be a number, got '1'$"):
             make_power_class(1.0, 3, "1")
 
+    # a string raised a bare TypeError, and True was read as 1
+    @pytest.mark.parametrize("make, args, message", [
+        (log_power_index, ("1",), "kappa must be a number, got '1'"),
+        (power_index, ("2", 1.0), "kappa must be a number, got '2'"),
+        (power_index, (True, 1), "kappa must be a number, got True"),
+        (exp_power_index, (1.0, "2"), "p must be a number, got '2'"),
+        (lambda t_max: custom_index(math.sqrt, t_max), ("1",),
+         "t_max must be a number, got '1'"),
+    ])
+    def test_index_parameters(self, make, args, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(*args)
+
+    # an infinite parameter was accepted: power_index(inf, 1) failed only at
+    # the conversion (phi(0.25) = 0.0), and exp_power_index(1, inf) gave the
+    # constant exp(-1), which passes check_samples
+    @pytest.mark.parametrize("make, args, message", [
+        (power_index, (math.inf, 1.0),
+         "power index needs kappa > 0 and p > 0, finite; got kappa=inf, p=1.0"),
+        (power_index, (1.0, math.nan),
+         "power index needs kappa > 0 and p > 0, finite; got kappa=1.0, p=nan"),
+        (log_power_index, (-1.0,),
+         "log-power index needs kappa > 0, finite; got kappa=-1.0"),
+        (exp_power_index, (1.0, math.inf),
+         "exp-power index needs kappa > 0 and p > 0, finite; got kappa=1.0, p=inf"),
+        (lambda t_max: custom_index(math.sqrt, t_max), (0.0,),
+         "custom index needs t_max > 0, got 0.0"),
+        (lambda t_max: custom_index(math.sqrt, t_max), (math.nan,),
+         "custom index needs t_max > 0, got nan"),
+    ])
+    def test_index_parameters_finite_and_positive(self, make, args, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(*args)
+
+    def test_index_parameters_of_any_number_type(self):
+        phi = power_index(np.int64(2), np.float64(1.0))
+        assert phi(0.25) == power_index(2.0, 1.0)(0.25) == 0.25
+        assert type(custom_index(math.sqrt, 1).t_max) is float
+
 
 class TestSourceSetConversion:
     def test_power_index_power_spectrum(self):
@@ -223,6 +263,25 @@ class TestSourceSetConversion:
         phi = custom_index(lambda t: t if t >= 0.01 else 1.0 / t)
         with pytest.raises(ValidationError, match="does not decay"):
             phi.check_samples([0.1, 1.0])
+
+    def test_no_sample_point_rejected(self):
+        # each raised a bare IndexError when it read the first value
+        message = "^index function needs at least one sample point$"
+        with pytest.raises(ValidationError, match=message):
+            power_index(1.0, 1.0).check_samples([])
+        with pytest.raises(ValidationError, match=message):
+            ellipsoid_from_source_set(power_index(1.0, 1.0), explicit_spectrum([]))
+
+    def test_rules_read_the_converted_values(self):
+        """The conversion's own values decide the order rule, at the
+        distinct s_j^2 in ascending order, as check_samples at those points."""
+        phi = custom_index(lambda t: t * (2.0 - t))
+        with pytest.raises(ValidationError) as converted:
+            ellipsoid_from_source_set(phi, explicit_spectrum([1.25, 1.0, 1.0, 0.5]))
+        with pytest.raises(ValidationError) as sampled:
+            phi.check_samples([0.25, 1.0, 1.5625])
+        assert str(converted.value) == str(sampled.value) == (
+            "index function decreasing between t=1.0 and t=1.5625")
 
     def test_membership_property(self, rng):
         # theta_j = phi(s_j^2) v_j with ||v|| <= 1 stays inside the ellipsoid

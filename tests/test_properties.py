@@ -25,6 +25,7 @@ from minimax_seq import (
     SequenceProblem,
     ValidationError,
     certify_maximizer,
+    custom_index,
     ellipsoid_from_source_set,
     exp_power_index,
     explicit_class,
@@ -43,6 +44,7 @@ from minimax_seq import (
     problem_to_json,
     sample_feasible_rectangles,
     source_set_bound,
+    truncation_risk,
 )
 from minimax_seq.truncation import (
     _ARRAY_SUM_MIN,
@@ -320,33 +322,36 @@ def test_certificate_matches_per_coordinate_reference(problem, noiseless,
 @st.composite
 def source_sets(draw):
     """(phi, spectrum, sigma): power or exponential spectra with the power,
-    log-power or exp-power index function.  Where phi is undefined at some
-    s_j^2 (log-power at s_1 = 1) or vanishes there, both routes raise."""
+    log-power, exp-power or a custom index function.  Where phi is
+    undefined at some s_j^2 (log-power at s_1 = 1) or vanishes there, both
+    routes raise."""
     n = draw(st.integers(1, 300))
     if draw(st.booleans()):
         spectrum = make_power_spectrum(draw(st.floats(0.25, 3.0)), n)
     else:  # s_N^2 > 0
         spectrum = make_exponential_spectrum(draw(st.floats(0.05, min(1.5, 350 / n))), n)
-    kind = draw(st.sampled_from(["power", "log_power", "exp_power"]))
+    kind = draw(st.sampled_from(["power", "log_power", "exp_power", "custom"]))
     kappa = draw(st.floats(0.25, 3.0))
     if kind == "power":
         phi = power_index(kappa, draw(st.floats(0.25, 3.0)))
     elif kind == "log_power":
         phi = log_power_index(kappa)
-    else:
+    elif kind == "exp_power":
         phi = exp_power_index(draw(st.floats(0.05, 2.0)), draw(st.floats(0.5, 3.0)))
+    else:
+        phi = custom_index(lambda t: math.atan(t ** kappa))
     sigma = draw(st.one_of(st.just(0.0), st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)))
     return phi, spectrum, sigma
 
 
 @given(source_sets())
-# the bias at D = 0 overflows; the ellipsoid route reads it as inf
+# the bias at D = 0 overflows
 @example((power_index(1.56, 1.0), explicit_spectrum([1e100, 1e-3, 1e-4]), 0.1))
 @settings(max_examples=150, deadline=None)
 def test_source_set_bound_matches_ellipsoid_route(case):
-    """source_set_bound scans phi^2(s_(D+1)^2) + sigma^2 rho_D^2; the
-    ellipsoid route, with weights 1/phi(s_j^2) and Q = 1, gives the same
-    value up to the rounding of 1/(1/phi)^2, or both raise."""
+    """source_set_bound is the ellipsoid route, with weights 1/phi(s_j^2)
+    and Q = 1: optimal_truncation's level D* and truncation_risk's total
+    there, bit for bit, or both raise."""
     phi, spectrum, sigma = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SaturationWarning)
@@ -354,13 +359,37 @@ def test_source_set_bound_matches_ellipsoid_route(case):
             problem = SequenceProblem(
                 spectrum, ellipsoid_from_source_set(phi, spectrum), sigma,
                 spectrum.n_max)
-            _, rms = optimal_truncation(problem)
+            d_star, _ = optimal_truncation(problem)
         except ValidationError:
             with pytest.raises(ValidationError):
                 source_set_bound(phi, spectrum, sigma)
             return
-        _, bound_sq, _ = source_set_bound(phi, spectrum, sigma)
-    assert math.isclose(bound_sq, rms ** 2, rel_tol=1e-12, abs_tol=1e-300)
+        d, bound_sq, _ = source_set_bound(phi, spectrum, sigma)
+    assert (d, bound_sq.hex()) == (d_star, truncation_risk(problem, d_star).total.hex())
+
+
+@pytest.mark.parametrize("phi", [power_index(1.0, 1.0), log_power_index(1.0),
+                                 exp_power_index(0.5, 1.0), custom_index(math.sqrt)],
+                         ids=lambda phi: phi.kind)
+def test_source_sets_evaluate_phi_once_per_coordinate(phi):
+    """The conversion evaluates phi once at each s_j^2 and at the three
+    decay probes, and source_set_bound nowhere else: N + 3 calls each."""
+    n = 200
+    spectrum = explicit_spectrum(0.5 / np.arange(1.0, n + 1.0))
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return phi.fn(t)
+
+    counted = dataclasses.replace(phi, fn=counting)
+    ellipsoid_from_source_set(counted, spectrum)
+    assert len(calls) <= n + 3
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        source_set_bound(counted, spectrum, 0.01)
+    assert len(calls) <= n + 3
 
 
 ROW_KINDS = ("positive", "signed", "scaled", "dyadic", "near_tie", "cancel",

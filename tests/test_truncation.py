@@ -16,6 +16,7 @@ from minimax_seq import (
     SequenceProblem,
     ValidationError,
     deterministic_rate_sq,
+    ellipsoid_from_source_set,
     estimate,
     explicit_class,
     explicit_spectrum,
@@ -308,7 +309,10 @@ class TestOptimalTruncation:
         testing = [max(bias[d], sig2 * math.sqrt(inv4[d])) for d in range(n)]
         deterministic = [bias[d] + (sig2 / spec[d - 1] ** 2 if d else 0.0)
                          for d in range(n)]
-        source = [phi(float(spec[d] ** 2)) ** 2 + sig2 * inv2[d] for d in range(n)]
+        # the source set is the ellipsoid with weights 1/phi(s_j^2) and Q = 1
+        w = ellipsoid_from_source_set(phi, p.spectrum).weights
+        with np.errstate(over="ignore"):  # a weight whose square overflows
+            source = [1.0 / w[d] ** 2 + sig2 * inv2[d] for d in range(n)]
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SaturationWarning)

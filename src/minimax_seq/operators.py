@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ValidationError, _integer
+from .problem import ValidationError, _level
 
 __all__ = [
     "OperatorModel",
@@ -122,9 +122,7 @@ def to_sequence(y, model: OperatorModel) -> np.ndarray:
 
 def reconstruct(y, model: OperatorModel, D: int) -> np.ndarray:
     """Spectral cut-off solution x_hat = sum_{j<=D} (<y,u_j>/s_j) v_j."""
-    D = _integer("D", D)
-    if not 0 <= D <= model.rank:
-        raise ValidationError(f"level D = {D} out of range 0..{model.rank}")
+    D = _level(D, model.rank)
     z = to_sequence(y, model)
     return model.right[:, :D] @ z[:D]
 

@@ -76,6 +76,14 @@ def _integer(name: str, value) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _level(D, top: int) -> int:
+    """D as a truncation level in 0..top; it must be an integer (_integer)."""
+    D = _integer("D", D)
+    if not 0 <= D <= top:
+        raise ValidationError(f"level D = {D} out of range 0..{top}")
+    return D
+
+
 def _number(name: str, value) -> float:
     """value as a float; a bool or a string is not a JSON number."""
     if isinstance(value, (bool, str)):
@@ -226,6 +234,14 @@ class IndexFunction:
         except OverflowError:  # a Python float power raises instead of giving inf
             raise ValidationError(
                 f"index function of kind {self.kind!r} overflows at t={t!r}") from None
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise self._failure(t, exc) from None
+
+    def _failure(self, t: float, exc: Exception) -> ValidationError:
+        """The one-line error for phi raising ``exc`` at t inside its domain."""
+        detail = " ".join(str(exc).split())
+        return ValidationError(f"index function of kind {self.kind!r} raised "
+                               f"{type(exc).__name__} at t={t!r}: {detail}")
 
     def check_samples(self, points: Sequence[float]) -> None:
         """Verify positivity and monotonicity at the sample points (at least
@@ -258,6 +274,8 @@ class IndexFunction:
                 v = float(self.fn(t))
             except OverflowError:  # phi is bounded near 0: an intermediate value
                 break
+            except (ArithmeticError, ValueError, TypeError) as exc:
+                raise self._failure(t, exc) from None
             if v > probe * (1.0 + 1e-12):
                 raise ValidationError("index function does not decay toward 0")
             probe = v
@@ -385,10 +403,19 @@ def _index_params(kind: str, **params: float) -> list[float]:
     return values
 
 
+def _index_exponent(kind: str, rule: str, e: float, kappa: float, p: float) -> float:
+    """The exponent e of a named index kind, required nonzero and finite:
+    with e = 0 phi is constant, which its sample checks cannot see."""
+    if not (e != 0.0 and math.isfinite(e)):
+        raise ValidationError(f"{kind} index needs a nonzero finite exponent {rule}; "
+                              f"got kappa={kappa!r}, p={p!r}, exponent {e!r}")
+    return e
+
+
 def power_index(kappa: float, p: float) -> IndexFunction:
     """phi(t) = t^(kappa/(2p)); with s_j = j^-p this yields weights j^kappa."""
     kappa, p = _index_params("power", kappa=kappa, p=p)
-    e = kappa / (2.0 * p)
+    e = _index_exponent("power", "kappa/(2p)", kappa / (2.0 * p), kappa, p)
     return IndexFunction(lambda t: t ** e, "power", math.inf)
 
 
@@ -405,7 +432,7 @@ def exp_power_index(kappa: float, p: float) -> IndexFunction:
     """phi(t) = exp(-kappa * t^(-1/(2p))); with s_j = j^-p this yields
     weights exp(kappa*j)."""
     kappa, p = _index_params("exp-power", kappa=kappa, p=p)
-    e = -1.0 / (2.0 * p)
+    e = _index_exponent("exp-power", "-1/(2p)", -1.0 / (2.0 * p), kappa, p)
     return IndexFunction(lambda t: math.exp(-kappa * t ** e), "exp_power", math.inf)
 
 

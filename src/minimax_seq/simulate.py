@@ -43,6 +43,7 @@ from .problem import (
     SequenceProblem,
     ValidationError,
     _integer,
+    _level,
     _seed,
     ensure_usable,
 )
@@ -100,9 +101,11 @@ def sample_observations(theta, problem: SequenceProblem, seed,
                         D: int | None = None) -> np.ndarray:
     """Draw z_k = theta_k + sigma * (1/s_k) * xi_k from a Philox stream.
 
-    ``seed`` is an integer m in [0, 2^64), which keys a new stream
-    ``Philox(key=m)``, or a ``np.random.Generator``, whose stream continues
-    where its last draw stopped; any other seed raises ValidationError.
+    The problem is checked first (ensure_usable; a flag read after its
+    first pass).  ``seed`` is an integer m in [0, 2^64), which keys a new
+    stream ``Philox(key=m)``, or a ``np.random.Generator``, whose stream
+    continues where its last draw stopped; any other seed raises
+    ValidationError.
     Identical inputs give identical observations, returned as a read-only
     array.  ``theta`` has length N.  The level D, an integer in 0..N
     (default N), keeps the coordinates 1..D only: each observation reads
@@ -115,13 +118,10 @@ def sample_observations(theta, problem: SequenceProblem, seed,
     sigma/s_k * xi_k or observation overflows (a tiny s_k) reads +-inf,
     with no warning.
     """
+    ensure_usable(problem)
     n = problem.n
     theta = _checked_vector(theta, n)
-    if D is None:
-        D = n
-    D = _integer("D", D)
-    if not 0 <= D <= n:
-        raise ValidationError(f"level D = {D} out of range 0..{n}")
+    D = _level(n if D is None else D, n)
     shape = D
     if count is not None:
         count = _integer("count", count)
@@ -177,9 +177,7 @@ def monte_carlo_risk(problem: SequenceProblem, theta, D: int,
     if config.n != n:
         raise ValidationError(
             f"config dimension {config.n} does not match problem N = {n}")
-    D = _integer("D", D)
-    if not 0 <= D <= n:
-        raise ValidationError(f"level D = {D} out of range 0..{n}")
+    D = _level(D, n)
     theta = _checked_vector(theta, n)
     reps = config.replications
     gen = np.random.Generator(np.random.Philox(key=config.master_seed))

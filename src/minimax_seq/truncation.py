@@ -49,6 +49,7 @@ from .problem import (
     SingularSpectrum,
     ValidationError,
     _integer,
+    _level,
     ensure_usable,
 )
 
@@ -569,10 +570,11 @@ def optimal_truncation(problem: SequenceProblem) -> tuple[int, float]:
 
 def least_favorable(problem: SequenceProblem, D: int) -> np.ndarray:
     """Boundary spike theta_{D+1} = Q/a_{D+1} attaining the worst bias at
-    level D, as a read-only array."""
-    n, D = problem.n, _integer("D", D)
-    if not 0 <= D <= n - 1:
-        raise ValidationError(f"level D = {D} out of range 0..{n - 1}")
+    level D, as a read-only array.  The problem is checked first, before
+    its N doubles are allocated."""
+    ensure_usable(problem)
+    n = problem.n
+    D = _level(D, n - 1)
     theta = np.zeros(n)
     with np.errstate(over="ignore"):  # an infinite spike is rejected below
         theta[D] = problem.ellipsoid.radius / problem.ellipsoid.weights[D]
@@ -610,9 +612,8 @@ def subset_truncation_risk(problem: SequenceProblem, P) -> float:
 
 def estimate(z, D: int) -> np.ndarray:
     """Keep the first D observed coefficients, zero the rest (read-only)."""
-    n, D = len(z), _integer("D", D)
-    if not 0 <= D <= n:
-        raise ValidationError(f"level D = {D} out of range 0..{n}")
+    n = len(z)
+    D = _level(D, n)
     fitted = np.zeros(n)
     fitted[:D] = z[:D]
     fitted.flags.writeable = False

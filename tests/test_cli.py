@@ -386,6 +386,53 @@ class TestExitCodes:
         assert_one_line_error(err.encode(), f"replications = {reps} exceeds the "
                                             f"maximum {1 << 22}".encode())
 
+    @pytest.mark.parametrize("n", [2 ** 70, 10 ** 8])
+    def test_simulate_checks_the_problem_before_allocating(self, tmp_path, n):
+        # N = 2^70 ended in a traceback from np.zeros(N) in least_favorable,
+        # and N = 10^8 allocated N doubles before its "N mismatch"
+        doc = {"spectrum": {"kind": "power", "p": 1.0, "n_max": 8},
+               "class": {"kind": "power", "kappa": 2.0, "Q": 1.0},
+               "sigma": 0.1, "N": n}
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(["simulate", "--config", str(config), "--d", "2",
+                                  "--reps", "3", "--seed", "1"])
+        assert (code, out) == (2, b"")
+        assert_one_line_error(err, f"N mismatch (index None): N = {n}, "
+                                   f"spectrum length 8".encode())
+
+    # each value is set in turn at each key of a valid config
+    _HOSTILE_VALUES = [0, -1, 1e-320, 1e308, math.inf, math.nan, "x", None, [], {},
+                       True, 2 ** 70]
+
+    @pytest.mark.parametrize("where, key", [
+        ("spectrum", "p"), ("spectrum", "n_max"), ("class", "kappa"),
+        ("class", "Q"), (None, "sigma"), (None, "N")])
+    def test_hostile_config_values_end_cleanly(self, tmp_path, capsys, where, key):
+        """Every run ends with exit 0, 2, 3 or 64 and no traceback, and a
+        non-zero exit ends stderr with one ``mseq:`` line."""
+        config = tmp_path / "problem.json"
+        faults = []
+        for value in self._HOSTILE_VALUES:
+            doc = json.loads((DATA / "power_problem.json").read_text())
+            (doc[where] if where else doc)[key] = value
+            config.write_text(json.dumps(doc))  # writes inf as Infinity
+            for argv in (["risk", "--d", "2"], ["optimal"],
+                         ["jmax", "--directions", "5"],
+                         ["simulate", "--d", "2", "--reps", "3", "--seed", "1"]):
+                try:
+                    code = cli.run([argv[0], "--config", str(config), *argv[1:]])
+                except Exception as exc:  # a traceback, were it run as mseq
+                    faults.append((value, argv[0], repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                ends_in_mseq_line = (err.endswith("\n")
+                                     and err.splitlines()[-1].startswith("mseq: "))
+                if (code not in (0, 2, 3, 64) or "Traceback" in err
+                        or (code and not ends_in_mseq_line)):
+                    faults.append((value, argv[0], code, err))
+        assert faults == []
+
     def test_config_that_is_not_utf8_is_validation_error(self, tmp_path):
         config = tmp_path / "problem.json"
         config.write_bytes(b"\xff\xfe" + (DATA / "power_problem.json").read_bytes())

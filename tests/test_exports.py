@@ -1,10 +1,10 @@
-"""Each module's __all__ names what it exports, and the package imports only
-exported names, so a deletion that leaves a stale export behind fails here."""
+"""Each module's __all__ names what it exports, and the package's public
+names are exactly the union of its re-exported modules' __all__, so a
+deletion that leaves a stale export behind fails here (or in the import)."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
+import types
 
 import pytest
 
@@ -12,6 +12,10 @@ import minimax_seq
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(minimax_seq.__path__)
                  if info.name != "__main__")
+
+# the modules whose __all__ the package re-exports; reports and cli are
+# reached as modules
+REEXPORTED = ("problem", "truncation", "bounds", "simulate", "rates", "operators")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,11 +27,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(minimax_seq.__file__).read_text())
-    unexported = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"minimax_seq.{node.module}")
-            unexported += [f"{node.module}.{alias.name}" for alias in node.names
-                           if alias.name not in module.__all__]
-    assert unexported == []
+    public = {name for name, value in vars(minimax_seq).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    exported = set().union(*(importlib.import_module(f"minimax_seq.{name}").__all__
+                             for name in REEXPORTED))
+    assert public == exported

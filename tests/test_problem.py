@@ -175,6 +175,22 @@ class TestArgumentsAreNumbers:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(*args)
 
+    # an exponent that rounded to 0 gave a constant phi (which passes
+    # check_samples and converts to constant weights), and one that
+    # overflowed gave a phi that is 0 below t = 1 and jumps there
+    @pytest.mark.parametrize("make, args, rule, exponent", [
+        (power_index, (1e-200, 1e200), "kappa/(2p)", "0.0"),
+        (power_index, (1e300, 1e-300), "kappa/(2p)", "inf"),
+        (exp_power_index, (1.0, 1e308), "-1/(2p)", "-0.0"),
+        (exp_power_index, (1.0, 1e-320), "-1/(2p)", "-inf"),
+    ])
+    def test_index_exponent_nonzero_and_finite(self, make, args, rule, exponent):
+        kind = "power" if make is power_index else "exp-power"
+        message = (f"{kind} index needs a nonzero finite exponent {rule}; "
+                   f"got kappa={args[0]!r}, p={args[1]!r}, exponent {exponent}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(*args)
+
     def test_index_parameters_of_any_number_type(self):
         phi = power_index(np.int64(2), np.float64(1.0))
         assert phi(0.25) == power_index(2.0, 1.0)(0.25) == 0.25
@@ -263,6 +279,28 @@ class TestSourceSetConversion:
         phi = custom_index(lambda t: t if t >= 0.01 else 1.0 / t)
         with pytest.raises(ValidationError, match="does not decay"):
             phi.check_samples([0.1, 1.0])
+
+    # phi raising inside its domain ended in the raw exception, from a decay
+    # probe (ValueError at t = 5e-7) or from a sample point (ZeroDivisionError)
+    @pytest.mark.parametrize("fn, message", [
+        (lambda t: math.sqrt(t - 1e-5), "raised ValueError at t=5e-07: math domain error"),
+        (lambda t: 1.0 / (t - 0.5),
+         "raised ZeroDivisionError at t=0.5: float division by zero"),
+        (lambda t: None if t < 1.0 else t, "raised TypeError at t=0.5: float() argument"),
+    ], ids=["probe", "sample", "non-number"])
+    def test_phi_that_raises_is_one_line(self, fn, message):
+        with pytest.raises(ValidationError) as info:
+            custom_index(fn).check_samples([0.5, 1.0])
+        assert str(info.value).startswith(
+            f"index function of kind 'custom' {message}")
+        assert "\n" not in str(info.value)
+
+    def test_phi_that_raises_in_the_conversion_names_the_index(self):
+        phi = custom_index(lambda t: 1.0 / (t - 0.25))
+        with pytest.raises(ValidationError, match=re.escape(
+                "phi undefined at index j=2: index function of kind 'custom' "
+                "raised ZeroDivisionError at t=0.25: float division by zero")):
+            ellipsoid_from_source_set(phi, explicit_spectrum([1.0, 0.5]))
 
     def test_no_sample_point_rejected(self):
         # each raised a bare IndexError when it read the first value

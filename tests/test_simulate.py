@@ -33,6 +33,20 @@ def toy_problem(sigma=0.1, n=16):
 
 
 class TestSampleObservations:
+    def test_unusable_problem_rejected(self):
+        # the problem is checked first, as every other public function that
+        # takes one does: a sigma < 0 was sampled, and an N that does not
+        # match the spectrum was read as the length of theta
+        theta = np.zeros(8)
+        bad_sigma = SequenceProblem(make_power_spectrum(1.0, 8),
+                                    make_power_class(1.0, 8), -0.1, 8)
+        with pytest.raises(ValidationError, match=r"^invalid problem: sigma positive"):
+            sample_observations(theta, bad_sigma, 0)
+        bad_n = SequenceProblem(make_power_spectrum(1.0, 8),
+                                make_power_class(1.0, 8), 0.1, 2 ** 70)
+        with pytest.raises(ValidationError, match=r"^invalid problem: N mismatch"):
+            sample_observations(theta, bad_n, 0)
+
     def test_noiseless_is_exact(self):
         p = toy_problem(sigma=0.0)
         theta = least_favorable(p, 3)

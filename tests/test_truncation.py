@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from minimax_seq import (
     SaturationWarning,
     SequenceProblem,
+    SimulationConfig,
     ValidationError,
+    decompose,
     deterministic_rate_sq,
     ellipsoid_from_source_set,
     estimate,
@@ -22,11 +24,15 @@ from minimax_seq import (
     explicit_spectrum,
     least_favorable,
     make_exponential_spectrum,
+    make_integration_operator,
     make_power_class,
     make_power_spectrum,
+    monte_carlo_risk,
     optimal_truncation,
     power_index,
+    reconstruct,
     rho_squared,
+    sample_observations,
     source_set_bound,
     subset_truncation_risk,
     testing_radius_sq as radius_sq,
@@ -509,6 +515,11 @@ _LEVEL_READS = {
     "least_favorable": least_favorable,
     "estimate": lambda p, v: estimate(np.zeros(p.n), v),
     "subset_truncation_risk": lambda p, v: subset_truncation_risk(p, [v]),
+    "sample_observations": lambda p, v: sample_observations(np.zeros(p.n), p, 0, D=v),
+    "monte_carlo_risk": lambda p, v: monte_carlo_risk(p, np.zeros(p.n), v,
+                                                      SimulationConfig(4, 0, p.n)),
+    "reconstruct": lambda p, v: reconstruct(np.ones(p.n),
+                                            decompose(make_integration_operator(p.n)), v),
 }
 
 
@@ -523,6 +534,20 @@ def test_levels_must_be_integers(name, value):
     assert "\n" not in str(info.value)
 
 
+# the reads that share problem._level's rule, each with its largest level
+# at N = 8: the problem's N - 1 or N, or the operator's rank
+@pytest.mark.parametrize("name, top", [
+    ("least_favorable", 7), ("estimate", 8), ("sample_observations", 8),
+    ("monte_carlo_risk", 8), ("reconstruct", 8)])
+def test_levels_out_of_range_name_the_range(name, top):
+    read = _LEVEL_READS[name]
+    for level in (-1, top + 1):
+        with pytest.raises(ValidationError) as info:
+            read(toy_problem(n=8), level)
+        assert str(info.value) == f"level D = {level} out of range 0..{top}"
+    read(toy_problem(n=8), top)
+
+
 def test_integer_levels_of_any_type_keep_their_values():
     p = toy_problem(n=8)
     assert rho_squared(p.spectrum, np.int64(3)) == rho_squared(p.spectrum, 3)
@@ -531,6 +556,14 @@ def test_integer_levels_of_any_type_keep_their_values():
 
 
 class TestLeastFavorable:
+    def test_unusable_problem_rejected_before_allocating(self):
+        # N = 2^70 against a spectrum of 8: np.zeros(N) raised a raw
+        # ValueError ("Maximum allowed dimension exceeded")
+        p = SequenceProblem(make_power_spectrum(1.0, 8), make_power_class(1.0, 8),
+                            0.1, 2 ** 70)
+        with pytest.raises(ValidationError, match=r"^invalid problem: N mismatch"):
+            least_favorable(p, 2)
+
     def test_spike_shape(self):
         el = least_favorable(toy_problem(), 2)
         want = np.zeros(50)

@@ -471,7 +471,11 @@ def ellipsoid_from_source_set(phi: IndexFunction, spectrum: SingularSpectrum) ->
     phi_t = np.array(vals, dtype=np.float64)
     pts, first = np.unique(t, return_index=True)
     phi._check_values(pts.tolist(), phi_t[first].tolist())
-    return EllipsoidClass(1.0 / phi_t, 1.0, "from_source_set", None)
+    # a subnormal phi(s_j^2) gives an inf weight, which the class's own
+    # rules report (a_j finite), as for any other weight array
+    with np.errstate(over="ignore"):
+        weights = 1.0 / phi_t
+    return EllipsoidClass(weights, 1.0, "from_source_set", None)
 
 
 # Each array's symbol and rule prefix in messages, the order it keeps with

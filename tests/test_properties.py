@@ -347,6 +347,8 @@ def source_sets(draw):
 @given(source_sets())
 # the bias at D = 0 overflows
 @example((power_index(1.56, 1.0), explicit_spectrum([1e100, 1e-3, 1e-4]), 0.1))
+# phi(s_3^2) = exp(-720) is subnormal: its weight 1/phi overflows to inf
+@example((exp_power_index(80.0, 1.0), make_power_spectrum(2.0, 3), 0.0))
 @settings(max_examples=150, deadline=None)
 def test_source_set_bound_matches_ellipsoid_route(case):
     """source_set_bound is the ellipsoid route, with weights 1/phi(s_j^2)
